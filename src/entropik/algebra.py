@@ -1,0 +1,233 @@
+"""Constraint algebra shared by every stage of the analysis.
+
+Solving, splitting, the multiplier route, case trees and binding checks
+all reason about polynomial constraints ``c = 0`` under a list of factors
+assumed nonzero.  The operations they share live here, once: exact
+division, dividing out assumed-nonzero factors, the monic normal form,
+the recorded factors of a nonzero condition, and slot derivatives of the
+unknown material functions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
+
+from ._ratio import Q
+from .atoms import (
+    Atom,
+    ConstitPartial,
+    ConstitSym,
+    mi_add,
+    mi_dominates,
+    mi_total,
+    mi_unit,
+)
+from .expr import (
+    Expr,
+    Monomial,
+    ZERO,
+    mono_key,
+    mono_strip,
+    partial_diff,
+    poly_content,
+    poly_divexact,
+)
+
+__all__ = [
+    "Cancellation",
+    "try_divexact",
+    "divide_out",
+    "strip_certified",
+    "certified_nonzero",
+    "normalize_constraint",
+    "pivot_factors",
+    "nonzero_factors",
+    "single_monomial",
+    "constit_atoms",
+    "arg_derivative",
+    "derive_partial",
+]
+
+
+def try_divexact(a: Expr, b: Expr) -> Optional[Expr]:
+    """a / b when the polynomial division is exact, else None."""
+    if not a.is_polynomial() or not b.is_polynomial() or b.is_zero():
+        return None
+    try:
+        return Expr(poly_divexact(a.num, b.num), {(): Q(1)})
+    except ArithmeticError:
+        return None
+
+
+def divide_out(e: Expr, f: Expr) -> tuple[Expr, int]:
+    """Divide ``f`` out of ``e`` as often as it divides exactly.
+
+    Returns the quotient and the number of divisions.  A rational or
+    non-polynomial ``f`` is skipped (a constant would divide forever).
+    """
+    if f.is_rational() or not f.is_polynomial():
+        return e, 0
+    times = 0
+    while True:
+        d = try_divexact(e, f)
+        if d is None or d.is_zero():
+            return e, times
+        e, times = d, times + 1
+
+
+def strip_certified(e: Expr, nonzero: Iterable[Expr]) -> Expr:
+    """``e`` with every assumed-nonzero factor divided out."""
+    for f in nonzero:
+        e, _ = divide_out(e, f)
+    return e
+
+
+def certified_nonzero(e: Expr, nonzero: Iterable[Expr]) -> bool:
+    """True when ``e`` is a product of rationals and nonzero-assumed
+    factors, so dividing by it is safe."""
+    if e.is_zero():
+        return False
+    return strip_certified(e, nonzero).is_rational()
+
+
+def _monic(p: dict) -> Expr:
+    lead = p[max(p, key=mono_key)]
+    return Expr({m: c / lead for m, c in p.items()}, {(): Q(1)})
+
+
+@dataclass(frozen=True)
+class Cancellation:
+    """A nonzero-assumed factor removed from a raw coefficient."""
+
+    original: Expr
+    factor: Expr
+    times: int
+
+
+def normalize_constraint(
+    e: Expr, nonzero: Iterable[Expr]
+) -> tuple[Expr, list[Cancellation]]:
+    """Monic normal form modulo the nonzero-assumption set.
+
+    Cancels every assumed-nonzero polynomial factor as often as it
+    divides, then scales so the graded-lex leading coefficient is 1.
+    """
+    e = e.numerator_expr()
+    original = e
+    log: list[Cancellation] = []
+    if e.is_zero():
+        return ZERO, log
+    for f in nonzero:
+        e, times = divide_out(e, f)
+        if times:
+            log.append(Cancellation(original=original, factor=f, times=times))
+    return _monic(e.num), log
+
+
+def pivot_factors(e: Expr) -> list[Expr]:
+    """Split a divisor into its recorded nonzero factors.
+
+    The monomial content contributes one factor per atom (exponents do not
+    matter for a nonvanishing condition); a nonconstant primitive part is
+    kept whole, made monic.  Rational constants are dropped.
+    """
+    p = e.num
+    if not p:
+        return []
+    content = poly_content(p)
+    out = [Expr.atom(a) for a in sorted(content, key=lambda a: a.key)]
+    stripped = {mono_strip(m, content): c for m, c in p.items()}
+    if set(stripped) != {()}:
+        out.append(_monic(stripped))
+    return out
+
+
+def nonzero_factors(e: Expr) -> list[Expr]:
+    """Recorded factors of a nonzero condition (num and den both count)."""
+    out = pivot_factors(e.numerator_expr())
+    if not e.is_polynomial():
+        out.extend(pivot_factors(e.denominator_expr()))
+    return out
+
+
+def single_monomial(e: Expr) -> Optional[Monomial]:
+    """The one monomial of ``e``'s numerator, or None."""
+    e = e.numerator_expr()
+    if len(e.num) != 1:
+        return None
+    mono, = e.num.keys()
+    return mono
+
+
+def constit_atoms(e: Expr) -> list[Atom]:
+    """The unknown-function atoms of ``e``, in atom order."""
+    return sorted(
+        (a for a in set(e.atoms()) if isinstance(a, (ConstitSym, ConstitPartial))),
+        key=lambda a: a.key,
+    )
+
+
+def arg_derivative(
+    e: Expr, a: Atom, args_of: Mapping[str, tuple[Atom, ...]]
+) -> Expr:
+    """Slot derivative of ``e`` with respect to the dependency atom ``a``.
+
+    Every symbol whose declared arguments include ``a`` contributes a
+    bumped partial; symbols that do not see ``a`` are constants.  ``a``
+    itself differentiates to one; all other jet atoms are unrelated
+    coordinates and differentiate to zero.
+    """
+    total = ZERO
+    for x in set(e.atoms()):
+        if x is a:
+            total = total + partial_diff(e, x)
+            continue
+        if not isinstance(x, (ConstitSym, ConstitPartial)):
+            continue
+        args = args_of.get(x.name)
+        if args is None or a not in args:
+            continue
+        j = args.index(a)
+        if isinstance(x, ConstitSym):
+            d = ConstitPartial(x.name, mi_unit(len(args), j))
+        else:
+            d = ConstitPartial(x.name, mi_add(x.slots, mi_unit(len(args), j)))
+        total = total + partial_diff(e, x) * Expr.atom(d)
+    return total
+
+
+def derive_partial(
+    x: Atom,
+    values: Mapping[Atom, Expr],
+    args_of: Mapping[str, tuple[Atom, ...]],
+) -> Optional[Expr]:
+    """Value of the partial ``x`` derived from a known value of the same
+    function: the symbol itself or the highest-order partial that ``x``
+    dominates, slot-differentiated up to ``x``.  None if there is none."""
+    if not isinstance(x, ConstitPartial):
+        return None
+    args = args_of.get(x.name)
+    if args is None:
+        return None
+    base: Optional[Atom] = None
+    base_slots = tuple(0 for _ in args)
+    sym = ConstitSym(x.name)
+    if sym in values:
+        base = sym
+    for k in values:
+        if (
+            isinstance(k, ConstitPartial)
+            and k.name == x.name
+            and k is not x
+            and mi_dominates(x.slots, k.slots)
+            and (base is None or mi_total(k.slots) > mi_total(base_slots))
+        ):
+            base, base_slots = k, k.slots
+    if base is None:
+        return None
+    v = values[base]
+    for j, a in enumerate(args):
+        for _ in range(x.slots[j] - base_slots[j]):
+            v = arg_derivative(v, a, args_of)
+    return v

@@ -1,28 +1,144 @@
-"""Polynomial backend selection.
+"""Sparse multivariate polynomial kernels.
 
-Prefers the compiled extension (``entropik._poly_cy``); falls back to the
-pure-Python twin.  Set ``ENTROPIK_PURE=1`` to force the fallback.
+A polynomial is a dict mapping monomials to nonzero exact rational
+coefficients.  A monomial is a tuple of ``(atom, exponent)`` pairs with
+positive exponents, sorted by the global atom order; the empty tuple is the
+unit monomial.  Zero is the empty dict.
+
+``BACKEND`` names the kernel in benchmark stamps; there is only this one.
 """
 
 from __future__ import annotations
 
-import os
+BACKEND = "python"
 
-if os.environ.get("ENTROPIK_PURE"):
-    from . import _poly_py as poly
-else:
-    try:
-        from . import _poly_cy as poly  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _poly_py as poly
 
-BACKEND = poly.BACKEND
+def mono_mul(m1, m2):
+    """Merge two sorted monomials."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1 = len(m1)
+    n2 = len(m2)
+    while i < n1 and j < n2:
+        a1, e1 = m1[i]
+        a2, e2 = m2[j]
+        if a1 is a2:
+            out.append((a1, e1 + e2))
+            i += 1
+            j += 1
+        elif a1.key < a2.key:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    if i < n1:
+        out.extend(m1[i:])
+    if j < n2:
+        out.extend(m2[j:])
+    return tuple(out)
 
-mono_mul = poly.mono_mul
-p_add = poly.p_add
-p_sub = poly.p_sub
-p_neg = poly.p_neg
-p_scale = poly.p_scale
-p_mul = poly.p_mul
-p_pow = poly.p_pow
-p_diff = poly.p_diff
+
+def p_add(p1, p2):
+    if not p1:
+        return dict(p2)
+    if not p2:
+        return dict(p1)
+    out = dict(p1)
+    for m, c in p2.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def p_neg(p):
+    return {m: -c for m, c in p.items()}
+
+def p_sub(p1, p2):
+    return p_add(p1, p_neg(p2))
+
+
+def p_scale(p, q):
+    if not q:
+        return {}
+    return {m: c * q for m, c in p.items()}
+
+
+def p_mul(p1, p2):
+    if not p1 or not p2:
+        return {}
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
+    out = {}
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            m = mono_mul(m1, m2)
+            c = c1 * c2
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            else:
+                s = s + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return out
+
+
+def p_pow(p, n):
+    if n == 0:
+        return {(): _one_coeff(p)}
+    result = None
+    base = p
+    while True:
+        if n & 1:
+            result = base if result is None else p_mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = p_mul(base, base)
+
+
+def _one_coeff(p):
+    # 1 with the same coefficient type as p's entries (Fraction(1) default).
+    for c in p.values():
+        return c / c
+    from ._ratio import Q
+
+    return Q(1)
+
+
+def p_diff(p, atom):
+    """Formal partial derivative in a single atom."""
+    out = {}
+    for m, c in p.items():
+        for idx, (a, e) in enumerate(m):
+            if a is atom:
+                if e == 1:
+                    nm = m[:idx] + m[idx + 1 :]
+                else:
+                    nm = m[:idx] + ((a, e - 1),) + m[idx + 1 :]
+                nc = c * e
+                s = out.get(nm)
+                if s is None:
+                    out[nm] = nc
+                else:
+                    s = s + nc
+                    if s:
+                        out[nm] = s
+                    else:
+                        del out[nm]
+                break
+    return out

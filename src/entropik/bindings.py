@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._ratio import Q
-from .atoms import Atom, ConstitPartial, ConstitSym, mi_dominates, mi_total
+from .algebra import derive_partial
+from .atoms import Atom, ConstitPartial, ConstitSym
 from .errors import ModelError, NonRationalBinding, UnboundSymbol
 from .expr import Expr, substitute
-from .liu import _arg_derivative
 from .model import ModelDef
-from .parser import CompileEnv, _Fail, compile_node, parse_expr_text
+from .parser import CompileEnv, ParseFailure, compile_node, parse_expr_text
 from .render import expr_str
 from .split import ConstraintSystem
 
@@ -82,7 +82,7 @@ class CheckReport:
 def _compile(node, env: CompileEnv) -> Expr:
     try:
         return compile_node(node, env)
-    except _Fail as err:
+    except ParseFailure as err:
         msg = str(err)
         if "unknown function" in msg:
             name = msg.split("'")[1] if "'" in msg else ""
@@ -146,7 +146,7 @@ def parse_bindings(
                 value_node = parse_expr_text(
                     value_text.strip(), filename=filename, lineno=lineno
                 )
-            except _Fail as err:
+            except ParseFailure as err:
                 raise ModelError(str(err)) from err
             target = _compile(target_node, env)
             atoms = list(target.atoms())
@@ -183,38 +183,13 @@ def binding_closure(
     args_of = {d.name: d.args for d in m.decls}
     out: dict[Atom, Expr] = dict(bs.assignments)
 
-    def derive(x: ConstitPartial) -> Optional[Expr]:
-        args = args_of.get(x.name)
-        if args is None:
-            return None
-        base: Optional[Atom] = None
-        base_slots = tuple(0 for _ in args)
-        if ConstitSym(x.name) in out:
-            base = ConstitSym(x.name)
-        for k in out:
-            if (
-                isinstance(k, ConstitPartial)
-                and k.name == x.name
-                and k is not x
-                and mi_dominates(x.slots, k.slots)
-                and (base is None or mi_total(k.slots) > mi_total(base_slots))
-            ):
-                base, base_slots = k, k.slots
-        if base is None:
-            return None
-        v = out[base]
-        for j, a in enumerate(args):
-            for _ in range(x.slots[j] - base_slots[j]):
-                v = _arg_derivative(v, a, args_of)
-        return v
-
     frontier = set(needed)
     for _ in range(16):
         new: dict[Atom, Expr] = {}
         for x in frontier:
             if x in out or not isinstance(x, ConstitPartial):
                 continue
-            v = derive(x)
+            v = derive_partial(x, out, args_of)
             if v is not None:
                 new[x] = v
         if not new:

@@ -29,18 +29,22 @@ the slot Wronskian of the pair — becomes a branching question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .atoms import Atom, ConstitPartial, ConstitSym, JetVar, mi_dominates, mi_total
-from .expr import Expr, ZERO, collect_coefficients, substitute
-from .liu import _arg_derivative, _certified_nonzero, _single_monomial
-from .split import (
-    ConstraintSystem,
-    _nonzero_factors,
+from .algebra import (
+    arg_derivative,
+    certified_nonzero,
+    constit_atoms,
+    derive_partial,
+    nonzero_factors,
     normalize_constraint,
-    try_divexact,
+    single_monomial,
+    strip_certified,
 )
+from .atoms import Atom, ConstitPartial, ConstitSym, mi_dominates, mi_total
+from .expr import Expr, ZERO, collect_coefficients, substitute
+from .split import ConstraintSystem
 
 __all__ = [
     "Assumption",
@@ -181,36 +185,6 @@ class _State:
                     return True
         return False
 
-    def _derived_value(self, x: Atom) -> Optional[Expr]:
-        """Value of a partial dominating a solved partial of the same
-        function, obtained by slot-differentiating the solved value."""
-        if not isinstance(x, ConstitPartial):
-            return None
-        args = self.args_of.get(x.name)
-        if args is None:
-            return None
-        base: Optional[Atom] = None
-        base_slots = tuple(0 for _ in args)
-        sym = ConstitSym(x.name)
-        if sym in self.solved:
-            base = sym
-        for k in self.solved:
-            if (
-                isinstance(k, ConstitPartial)
-                and k.name == x.name
-                and k is not x
-                and mi_dominates(x.slots, k.slots)
-            ):
-                if base is None or mi_total(k.slots) > mi_total(base_slots):
-                    base, base_slots = k, k.slots
-        if base is None:
-            return None
-        v = self.solved[base]
-        for j, a in enumerate(args):
-            for _ in range(x.slots[j] - base_slots[j]):
-                v = _arg_derivative(v, a, self.args_of)
-        return v
-
     def subst_known(self, e: Expr) -> Expr:
         for _ in range(12):
             sub: dict[Atom, Expr] = {}
@@ -220,7 +194,7 @@ class _State:
                 elif x in self.solved:
                     sub[x] = self.solved[x]
                 else:
-                    dv = self._derived_value(x)
+                    dv = derive_partial(x, self.solved, self.args_of)
                     if dv is not None:
                         self.solved[x] = dv
                         sub[x] = dv
@@ -245,16 +219,6 @@ class _State:
         self.log.append(Certificate("solve", constraint, factor, atom=a, value=v))
 
 
-def _strip_certified(e: Expr, nonzero: Sequence[Expr]) -> Expr:
-    for f in nonzero:
-        while True:
-            d = try_divexact(e, f)
-            if d is None or d.is_zero():
-                break
-            e = d
-    return e
-
-
 def _circular(u: Atom, value: Expr) -> bool:
     """Would assigning ``value`` to ``u`` feed back into itself?  The
     same function may appear through an incomparable partial (that is
@@ -273,13 +237,6 @@ def _circular(u: Atom, value: Expr) -> bool:
     return False
 
 
-def _constit_atoms(e: Expr) -> list[Atom]:
-    return sorted(
-        (a for a in set(e.atoms()) if isinstance(a, (ConstitSym, ConstitPartial))),
-        key=lambda a: a.key,
-    )
-
-
 def _refresh(st: _State) -> bool:
     """Re-substitute, renormalize, deduplicate; detect contradictions."""
     out: list[Expr] = []
@@ -292,7 +249,7 @@ def _refresh(st: _State) -> bool:
         if n.is_zero():
             changed = changed or not c.is_zero()
             continue
-        if not _constit_atoms(n):
+        if not constit_atoms(n):
             st.inconsistent = (
                 "constraint reduces to a nonvanishing function-free expression"
             )
@@ -319,14 +276,14 @@ def _zero_rule(st: _State) -> bool:
     for all values of the coordinates)."""
     changed = False
     for c in list(st.constraints):
-        mono = _single_monomial(c)
+        mono = single_monomial(c)
         if mono is None:
             continue
         uncert = [
             a
             for a, _k in mono
             if isinstance(a, (ConstitSym, ConstitPartial))
-            and not _certified_nonzero(Expr.atom(a), st.nonzero)
+            and not certified_nonzero(Expr.atom(a), st.nonzero)
         ]
         if len(uncert) == 1:
             cofactor = c / Expr.atom(uncert[0])
@@ -346,7 +303,7 @@ def _blocked_candidate(residue: Expr) -> Optional[Expr]:
     if len(residue.numerator_expr().num) > 1:
         n, _ = normalize_constraint(residue, ())
         return n
-    mono = _single_monomial(residue)
+    mono = single_monomial(residue)
     if mono is None:
         return None
     for a, _k in mono:
@@ -361,13 +318,13 @@ def _eliminate(st: _State) -> tuple[bool, list[_Blocked]]:
     divisions, the uncancelled part of the coefficient."""
     blocked: list[_Blocked] = []
     for c in list(st.constraints):
-        for u in _constit_atoms(c):
+        for u in constit_atoms(c):
             coeffs = collect_coefficients(c, [u])
             mono_u = ((u, 1),)
             if set(coeffs) - {(), mono_u} or mono_u not in coeffs:
                 continue
             coeff = coeffs[mono_u]
-            residue = _strip_certified(coeff, st.nonzero)
+            residue = strip_certified(coeff, st.nonzero)
             if residue.is_rational():
                 if coeff.is_rational():
                     continue  # no genuine pivot backs this division
@@ -407,14 +364,14 @@ def _compat(st: _State) -> bool:
                 pi, pj = parts[i], parts[j]
                 ai = args[pi.slots.index(1)]
                 aj = args[pj.slots.index(1)]
-                k = _arg_derivative(values[pi], aj, st.args_of) - _arg_derivative(
+                k = arg_derivative(values[pi], aj, st.args_of) - arg_derivative(
                     values[pj], ai, st.args_of
                 )
                 k = st.subst_known(k)
                 n, _ = normalize_constraint(k, st.nonzero)
                 if n.is_zero() or n in st.constraints:
                     continue
-                if not _constit_atoms(n):
+                if not constit_atoms(n):
                     st.inconsistent = (
                         "incompatible mixed partials of a solved function"
                     )
@@ -489,7 +446,7 @@ def _pair_wronskians(
     for arg in args_of.get(a.name, ()):
         if arg not in args_of.get(b.name, ()):
             continue
-        w = ea * _arg_derivative(eb, arg, args_of) - eb * _arg_derivative(
+        w = ea * arg_derivative(eb, arg, args_of) - eb * arg_derivative(
             ea, arg, args_of
         )
         n, _ = normalize_constraint(w, nonzero)
@@ -559,12 +516,12 @@ def _make_state(cs: ConstraintSystem, assumptions: Sequence[Assumption]) -> _Sta
     st = _State(cs)
     for a in assumptions:
         if a.polarity == "nonzero":
-            for f in _nonzero_factors(a.expr):
+            for f in nonzero_factors(a.expr):
                 if f not in st.nonzero:
                     st.nonzero.append(f)
         else:
-            atoms = _constit_atoms(a.expr)
-            mono = _single_monomial(a.expr)
+            atoms = constit_atoms(a.expr)
+            mono = single_monomial(a.expr)
             if mono is not None and len(atoms) == 1 and len(mono) == 1:
                 st.zeros.add(atoms[0])
             else:
@@ -578,7 +535,7 @@ def _finish(st: _State, assumptions: Sequence[Assumption]) -> ReducedSystem:
     assumed: set[Atom] = set()
     for a in assumptions:
         if a.polarity == "zero":
-            atoms = _constit_atoms(a.expr)
+            atoms = constit_atoms(a.expr)
             if len(atoms) == 1:
                 assumed.add(atoms[0])
     zeroed = tuple(sorted(st.zeros, key=lambda x: x.key))
@@ -631,7 +588,7 @@ def _order_blocked(blocked: Sequence[_Blocked]) -> list[Expr]:
 
 def _relevant_static(w: Expr, st: _State) -> bool:
     v = st.subst_known(w)
-    if v.is_zero() or _certified_nonzero(v, st.nonzero):
+    if v.is_zero() or certified_nonzero(v, st.nonzero):
         return False
     names = {a.name for a in w.atoms() if isinstance(a, (ConstitSym, ConstitPartial))}
     present: set[str] = set()

@@ -38,7 +38,7 @@ from .errors import EngineError
 from .latex import relations_document
 from .liu import compare
 from .model import ModelDef
-from .parser import CompileEnv, _Fail, compile_node, parse_expr_text, parse_model
+from .parser import CompileEnv, ParseFailure, compile_node, parse_expr_text, parse_model
 from .render import atom_str, expr_str
 from .report import (
     build_report,
@@ -114,7 +114,7 @@ def _parse_assume(m: ModelDef, text: str, index: int) -> Assumption:
             lhs.strip(), filename=f"<assume:{index}>", lineno=1
         )
         e = compile_node(node, env)
-    except _Fail as err:
+    except ParseFailure as err:
         _fail_diag(str(err.diag))
     if e.is_zero():
         raise click.UsageError(f"assumption {text!r} is identically zero")

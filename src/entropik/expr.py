@@ -47,6 +47,8 @@ __all__ = [
     "eval_numeric",
     "eval_poly",
     "mono_key",
+    "mono_strip",
+    "poly_content",
     "poly_divexact",
 ]
 
@@ -61,7 +63,7 @@ def mono_key(m: Monomial):
     return (sum(e for _, e in m), tuple((a.key, e) for a, e in m))
 
 
-def _poly_content(p: Poly) -> dict:
+def poly_content(p: Poly) -> dict:
     """Per-atom minimum exponent over all monomials ({} if unit occurs)."""
     it = iter(p)
     first = next(it)
@@ -79,7 +81,8 @@ def _poly_content(p: Poly) -> dict:
     return content
 
 
-def _mono_strip(m: Monomial, content: dict) -> Monomial:
+def mono_strip(m: Monomial, content: dict) -> Monomial:
+    """``m`` with the per-atom exponents of ``content`` taken off."""
     out = []
     for a, e in m:
         r = e - content.get(a, 0)
@@ -235,17 +238,17 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         return {}, dict(_ONE_POLY)
     # Cancel shared monomial content.
     if den != _ONE_POLY:
-        cn = _poly_content(num)
+        cn = poly_content(num)
         if cn:
-            cd = _poly_content(den)
+            cd = poly_content(den)
             common = {}
             for a, e in cn.items():
                 d = cd.get(a, 0)
                 if d:
                     common[a] = min(e, d)
             if common:
-                num = {_mono_strip(m, common): c for m, c in num.items()}
-                den = {_mono_strip(m, common): c for m, c in den.items()}
+                num = {mono_strip(m, common): c for m, c in num.items()}
+                den = {mono_strip(m, common): c for m, c in den.items()}
     # Scale: leading denominator coefficient becomes 1.
     lc = den[max(den, key=mono_key)]
     if lc != 1:

@@ -136,10 +136,8 @@ def poly_tex(p, ctx: Optional[RenderContext] = None) -> str:
 
 
 def expr_tex(e, ctx: Optional[RenderContext] = None) -> str:
-    from .expr import _ONE_POLY
-
     num = poly_tex(e.num, ctx)
-    if e.den == _ONE_POLY:
+    if e.is_polynomial():
         return num
     return r"\frac{" + num + "}{" + poly_tex(e.den, ctx) + "}"
 

@@ -19,18 +19,17 @@ whose energy pair depends on a derivative the fluxes do not see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .atoms import (
-    Atom,
-    ConstitPartial,
-    ConstitSym,
-    JetVar,
-    mi_add,
-    mi_total,
-    mi_unit,
+from .algebra import (
+    arg_derivative,
+    certified_nonzero,
+    normalize_constraint,
+    single_monomial,
+    try_divexact,
 )
+from .atoms import Atom, ConstitPartial, ConstitSym, JetVar, mi_total
 from .errors import (
     MultiplierEliminationIncomplete,
     NonlinearExtendedInequality,
@@ -41,12 +40,12 @@ from .expr import (
     ZERO,
     collect_coefficients,
     mono_key,
-    partial_diff,
+    monomial_expr,
     substitute,
 )
 from .model import ModelDef
 from .render import expr_str
-from .split import ConstraintSystem, normalize_constraint, try_divexact
+from .split import ConstraintSystem
 
 __all__ = [
     "LiuResult",
@@ -110,35 +109,6 @@ def _args_map(
     return args
 
 
-def _arg_derivative(
-    e: Expr, a: Atom, args_of: Mapping[str, tuple[Atom, ...]]
-) -> Expr:
-    """Slot derivative of ``e`` with respect to the dependency atom ``a``.
-
-    Every symbol whose declared arguments include ``a`` contributes a
-    bumped partial; symbols that do not see ``a`` are constants.  ``a``
-    itself differentiates to one; all other jet atoms are unrelated
-    coordinates and differentiate to zero.
-    """
-    total = ZERO
-    for x in set(e.atoms()):
-        if x is a:
-            total = total + partial_diff(e, x)
-            continue
-        if not isinstance(x, (ConstitSym, ConstitPartial)):
-            continue
-        args = args_of.get(x.name)
-        if args is None or a not in args:
-            continue
-        j = args.index(a)
-        if isinstance(x, ConstitSym):
-            d = ConstitPartial(x.name, mi_unit(len(args), j))
-        else:
-            d = ConstitPartial(x.name, mi_add(x.slots, mi_unit(len(args), j)))
-        total = total + partial_diff(e, x) * Expr.atom(d)
-    return total
-
-
 def _apply_zeros(e: Expr, zeros: Iterable[Atom]) -> Expr:
     """Substitute zero for the given atoms *as functions*: a vanishing
     symbol also kills every partial of the same symbol."""
@@ -162,33 +132,16 @@ def _field_pieces(e: Expr, free_fields: Sequence[JetVar]) -> list[Expr]:
     return list(collect_coefficients(e, fs).values())
 
 
-def _mono_expr(mono: Monomial) -> Expr:
-    e = Expr.rational(1)
-    for a, k in mono:
-        e = e * Expr.atom(a) ** k
-    return e
-
-
-def _certified_nonzero(e: Expr, nonzero: Iterable[Expr]) -> bool:
-    """True when ``e`` is a product of rationals and nonzero-assumed
-    factors, so dividing by it is safe."""
-    if e.is_zero():
-        return False
-    for f in nonzero:
-        while True:
-            d = try_divexact(e, f)
-            if d is None or d.is_zero():
-                break
-            e = d
-    return e.is_rational()
-
-
-def _single_monomial(e: Expr) -> Optional[Monomial]:
-    e = e.numerator_expr()
-    if len(e.num) != 1:
+def _forced_zero(e: Expr, nonzero: Sequence[Expr]) -> Optional[Atom]:
+    """The unknown function a single-monomial identity ``e = 0`` forces to
+    vanish: its one factor not certified nonzero, if that is a function."""
+    mono = single_monomial(e)
+    if mono is None:
         return None
-    mono, = e.num.keys()
-    return mono
+    u = [a for a, _k in mono if not certified_nonzero(Expr.atom(a), nonzero)]
+    if len(u) == 1 and isinstance(u[0], (ConstitSym, ConstitPartial)):
+        return u[0]
+    return None
 
 
 def _harvest(
@@ -223,7 +176,7 @@ def _harvest(
         for a, _k in mono:
             if a is skip:
                 continue
-            if not _certified_nonzero(Expr.atom(a), nonzero):
+            if not certified_nonzero(Expr.atom(a), nonzero):
                 out.append(a)
         return out
 
@@ -247,14 +200,10 @@ def _harvest(
         forced = False
         # Rule 1: single monomial with one uncertified symbol.
         for p in pool:
-            mono = _single_monomial(p)
-            if mono is None:
-                continue
-            u = uncert(mono)
-            if len(u) == 1 and isinstance(u[0], (ConstitSym, ConstitPartial)):
-                if u[0] not in zeros:
-                    zeros.add(u[0])
-                    forced = True
+            z = _forced_zero(p, nonzero)
+            if z is not None and z not in zeros:
+                zeros.add(z)
+                forced = True
         if forced:
             continue
 
@@ -262,10 +211,10 @@ def _harvest(
         candidates: list[tuple[Atom, Atom]] = []
         for p in pool:
             for a in multiplier_dep:
-                j = _apply_zeros(_arg_derivative(p, a, args_of), zeros)
+                j = _apply_zeros(arg_derivative(p, a, args_of), zeros)
                 if j.is_zero():
                     continue
-                mono = _single_monomial(j)
+                mono = single_monomial(j)
                 if mono is None:
                     continue
                 mp = mult_partials(mono)
@@ -338,7 +287,7 @@ def liu_split(
         if sum(k for _, k in mono) > 1:
             raise NonlinearExtendedInequality(
                 "extended inequality is not linear in the split derivatives: "
-                f"monomial {expr_str(_mono_expr(mono), rc)}",
+                f"monomial {expr_str(monomial_expr(mono), rc)}",
                 monomial=mono,
             )
 
@@ -424,7 +373,7 @@ def eliminate_multipliers(
                 a = coeffs[mono]
                 if any(x in remaining or x in solved for x in a.atoms()):
                     continue  # coefficient entangled with other multipliers
-                if not _certified_nonzero(a, nonzero):
+                if not certified_nonzero(a, nonzero):
                     continue
                 b = coeffs.get((), ZERO)
                 solved[lam] = -b / a
@@ -469,22 +418,9 @@ def _zero_closure(
     while True:
         new = False
         for c in current:
-            mono = _single_monomial(c)
-            if mono is None:
-                continue
-            u = [
-                a
-                for a, _k in mono
-                if isinstance(a, (ConstitSym, ConstitPartial))
-                and not _certified_nonzero(Expr.atom(a), nonzero)
-            ]
-            certified_rest = all(
-                _certified_nonzero(Expr.atom(a), nonzero)
-                for a, _k in mono
-                if a not in u
-            )
-            if len(u) == 1 and certified_rest and u[0] not in zeros:
-                zeros.add(u[0])
+            z = _forced_zero(c, nonzero)
+            if z is not None and z not in zeros:
+                zeros.add(z)
                 new = True
         if not new:
             break

@@ -11,7 +11,7 @@ retained for formatting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .ast_nodes import Node

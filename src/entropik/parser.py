@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 from ._ratio import Q
 from .ast_nodes import BinOp, Call, Name, Neg, Node, Num, PartialRef, to_text
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar
-from .errors import DivisionByZeroExpr, EngineError, ModelError
+from .errors import DivisionByZeroExpr, ModelError
 from .expr import DiffContext, Expr, total_derivative
 from .model import ConstitDecl, Equation, ModelDef
 
@@ -47,6 +47,7 @@ __all__ = [
     "CompileEnv",
     "compile_node",
     "parse_expr_text",
+    "ParseFailure",
 ]
 
 
@@ -78,8 +79,9 @@ class ParseDiagnostic:
         return s
 
 
-class _Fail(Exception):
-    """Internal: abort the current directive, carrying a diagnostic."""
+class ParseFailure(Exception):
+    """Aborts parsing or compiling the current directive or expression,
+    carrying its diagnostic."""
 
     def __init__(self, message: str, span: SourceSpan, hint: Optional[str] = None):
         super().__init__(message)
@@ -111,7 +113,7 @@ def _lex(line: str, lineno: int, filename: str) -> list[_Tok]:
             if not stripped:
                 break
             col = len(line) - len(stripped) + 1
-            raise _Fail(
+            raise ParseFailure(
                 f"unexpected character {stripped[0]!r}",
                 SourceSpan(filename, lineno, col, col + 1),
             )
@@ -148,7 +150,7 @@ class _Cursor:
         t = self.peek()
         if t.kind != kind or (text is not None and t.text != text):
             want = text or kind
-            raise _Fail(f"expected '{want}', found {t.text!r}", self.span(t))
+            raise ParseFailure(f"expected '{want}', found {t.text!r}", self.span(t))
         return self.next()
 
     def at_end(self) -> bool:
@@ -202,7 +204,7 @@ def _parse_exponent(c: _Cursor) -> Node:
     if t.kind == "num":
         c.next()
         return Num(Q(t.text), span=c.span(t))
-    raise _Fail("exponent must be a nonnegative integer literal", c.span(t))
+    raise ParseFailure("exponent must be a nonnegative integer literal", c.span(t))
 
 
 def _looks_like_partial(c: _Cursor) -> bool:
@@ -238,19 +240,19 @@ def _parse_primary(c: _Cursor, extended: bool) -> Node:
                 c.next()
                 arg_tok = c.expect("name")
                 if len(arg_tok.text) < 2 or arg_tok.text[0] != "d":
-                    raise _Fail(
+                    raise ParseFailure(
                         "each partial denominator factor must be d<arg>",
                         c.span(arg_tok),
                     )
                 args.append(arg_tok.text[1:])
             if digits and int(digits) != len(args):
-                raise _Fail(
+                raise ParseFailure(
                     f"partial order {digits} does not match "
                     f"{len(args)} denominator factor(s)",
                     c.span(sym_tok),
                 )
             if not head:
-                raise _Fail(
+                raise ParseFailure(
                     "partial reference names no constitutive symbol",
                     c.span(sym_tok),
                 )
@@ -270,7 +272,7 @@ def _parse_primary(c: _Cursor, extended: bool) -> Node:
         node = _parse_expr(c, extended)
         c.expect("op", ")")
         return node
-    raise _Fail(f"expected an expression, found {t.text!r}", c.span(t))
+    raise ParseFailure(f"expected an expression, found {t.text!r}", c.span(t))
 
 
 def parse_expr_text(
@@ -281,7 +283,7 @@ def parse_expr_text(
     node = _parse_expr(c, extended)
     t = c.peek()
     if not c.at_end():
-        raise _Fail(f"unexpected trailing input {t.text!r}", c.span(t))
+        raise ParseFailure(f"unexpected trailing input {t.text!r}", c.span(t))
     return node
 
 
@@ -328,9 +330,9 @@ class CompileEnv:
         return JetVar(base, tuple(orders))
 
 
-def _err(node: Node, message: str, hint: Optional[str] = None) -> _Fail:
+def _err(node: Node, message: str, hint: Optional[str] = None) -> ParseFailure:
     span = node.span or SourceSpan("<expr>", 1, 1, 2)
-    return _Fail(message, span, hint)
+    return ParseFailure(message, span, hint)
 
 
 def compile_node(node: Node, env: CompileEnv) -> Expr:
@@ -467,7 +469,7 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
         if body.strip():
             lines.append((lineno, body))
 
-    def fail_diag(e: _Fail):
+    def fail_diag(e: ParseFailure):
         diags.append(e.diag)
 
     # -- pass 1: declarations -------------------------------------------
@@ -480,7 +482,7 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
     for lineno, body in lines:
         try:
             toks = _lex(body, lineno, filename)
-        except _Fail as e:
+        except ParseFailure as e:
             fail_diag(e)
             continue
         c = _Cursor(toks, lineno, filename)
@@ -497,7 +499,7 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                 while not c.at_end():
                     t = c.expect("name")
                     if any(v.name == t.text for v in indep):
-                        raise _Fail(
+                        raise ParseFailure(
                             f"duplicate independent variable '{t.text}'", c.span(t)
                         )
                     indep.append(IndepVar(t.text))
@@ -505,7 +507,7 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                 while not c.at_end():
                     t = c.expect("name")
                     if t.text in fields:
-                        raise _Fail(f"duplicate field '{t.text}'", c.span(t))
+                        raise ParseFailure(f"duplicate field '{t.text}'", c.span(t))
                     fields.append(t.text)
             elif kw == "constitutive":
                 decl_lines.append((lineno, c))
@@ -516,13 +518,13 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
             elif kw in ("equation", "entropy", "leading", "assume"):
                 other_lines.append((kw, lineno, c))
             else:
-                raise _Fail(
+                raise ParseFailure(
                     f"unknown directive '{kw}'",
                     c.span(head),
                     hint="expected independent, field, constitutive, equation, "
                     "entropy, leading, assume, or max_order",
                 )
-        except _Fail as e:
+        except ParseFailure as e:
             fail_diag(e)
 
     if not indep:
@@ -555,11 +557,11 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
             name_tok = c.expect("name")
             name = name_tok.text
             if name in decls:
-                raise _Fail(
+                raise ParseFailure(
                     f"duplicate constitutive declaration '{name}'", c.span(name_tok)
                 )
             if name in fields or any(v.name == name for v in indep_t):
-                raise _Fail(
+                raise ParseFailure(
                     f"'{name}' is already a field or independent variable",
                     c.span(name_tok),
                 )
@@ -594,11 +596,11 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                         raise _err(n1, "symmetric pair must name declared arguments")
                     symmetric.append((args.index(a1), args.index(a2)))
             if not c.at_end():
-                raise _Fail(
+                raise ParseFailure(
                     f"unexpected trailing input {c.peek().text!r}", c.span(c.peek())
                 )
             decls[name] = ConstitDecl(name, tuple(args), tuple(symmetric))
-        except _Fail as e:
+        except ParseFailure as e:
             fail_diag(e)
 
     env = CompileEnv(indep=indep_t, fields=fields_t, decls=decls)
@@ -619,19 +621,19 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                 label_tok = c.expect("name")
                 c.expect("op", ":")
                 if _split_top(c, "=") is None:
-                    raise _Fail(
+                    raise ParseFailure(
                         "equation needs '<expr> = <expr>'", c.span(c.peek())
                     )
                 lhs_ast = _parse_expr(c, extended=False)
                 c.expect("op", "=")
                 rhs_ast = _parse_expr(c, extended=False)
                 if not c.at_end():
-                    raise _Fail(
+                    raise ParseFailure(
                         f"unexpected trailing input {c.peek().text!r}",
                         c.span(c.peek()),
                     )
                 if any(eq.label == label_tok.text for eq in equations):
-                    raise _Fail(
+                    raise ParseFailure(
                         f"duplicate equation label '{label_tok.text}'",
                         c.span(label_tok),
                     )
@@ -646,12 +648,12 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                 zero_node = _parse_expr(c, extended=False)
                 z = compile_node(zero_node, env)
                 if not z.is_zero():
-                    raise _Fail(
+                    raise ParseFailure(
                         "entropy inequality must compare against 0", c.span(t)
                     )
                 entropy_count += 1
                 if entropy_count > 1:
-                    raise _Fail(
+                    raise ParseFailure(
                         "model requires exactly one entropy inequality",
                         c.span(t),
                         hint="a previous entropy line exists",
@@ -672,14 +674,14 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                         continue
                     break
                 if not c.at_end():
-                    raise _Fail(
+                    raise ParseFailure(
                         f"unexpected trailing input {c.peek().text!r}",
                         c.span(c.peek()),
                     )
             elif kw == "assume":
                 t = c.expect("name")
                 if t.text != "nonzero":
-                    raise _Fail("expected 'assume nonzero:'", c.span(t))
+                    raise ParseFailure("expected 'assume nonzero:'", c.span(t))
                 c.expect("op", ":")
                 while True:
                     node = _parse_expr(c, extended=True)
@@ -689,7 +691,7 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                         c.next()
                         continue
                     break
-        except _Fail as e:
+        except ParseFailure as e:
             fail_diag(e)
 
     if entropy is None and entropy_count == 0:

@@ -85,10 +85,8 @@ def poly_str(p, ctx: Optional[RenderContext] = None) -> str:
 
 
 def expr_str(e, ctx: Optional[RenderContext] = None) -> str:
-    from .expr import _ONE_POLY
-
     num = poly_str(e.num, ctx)
-    if e.den == _ONE_POLY:
+    if e.is_polynomial():
         return num
     den = poly_str(e.den, ctx)
     return f"({num})/({den})"

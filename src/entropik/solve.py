@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from ._ratio import Q
+from .algebra import pivot_factors
 from .atoms import JetVar, mi_total
 from .errors import (
     NonlinearInLeading,
@@ -46,7 +47,6 @@ __all__ = [
     "solve_leading",
     "close_consequences",
     "verify_solved",
-    "pivot_factors",
     "expr_sort_key",
 ]
 
@@ -57,34 +57,6 @@ def expr_sort_key(e: Expr):
         tuple(sorted((mono_key(m), c) for m, c in e.num.items())),
         tuple(sorted((mono_key(m), c) for m, c in e.den.items())),
     )
-
-
-def pivot_factors(e: Expr) -> list[Expr]:
-    """Split a divisor into its recorded nonzero factors.
-
-    The monomial content contributes one factor per atom (exponents do not
-    matter for a nonvanishing condition); a nonconstant primitive part is
-    kept whole.  Rational constants are dropped.
-    """
-    from .expr import _poly_content  # internal, stable
-
-    p = e.num
-    if not p:
-        return []
-    out: list[Expr] = []
-    content = _poly_content(p)
-    for a in sorted(content, key=lambda a: a.key):
-        out.append(Expr.atom(a))
-    stripped = {_strip(m, content): c for m, c in p.items()}
-    if set(stripped) != {()}:
-        lead = stripped[max(stripped, key=mono_key)]
-        prim = Expr({m: c / lead for m, c in stripped.items()}, {(): Q(1)})
-        out.append(prim)
-    return out
-
-
-def _strip(m, content):
-    return tuple((a, k - content.get(a, 0)) for a, k in m if k - content.get(a, 0))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from ._ratio import Q
-from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_unit
+from .algebra import Cancellation, nonzero_factors, normalize_constraint
+from .atoms import Atom, ConstitPartial, ConstitSym, mi_unit
 from .errors import (
     DenominatorVanishes,
     EngineError,
@@ -25,77 +26,25 @@ from .errors import (
 from .expr import (
     Expr,
     Monomial,
-    ONE,
     ZERO,
     collect_coefficients,
     eval_numeric,
     mono_key,
     monomial_expr,
-    poly_divexact,
     substitute,
 )
 from .model import Classification, ModelDef, classify_atoms
-from .solve import SolvedSystem, expr_sort_key
+from .solve import SolvedSystem
 
 __all__ = [
     "ConstraintSystem",
-    "Cancellation",
     "OracleReport",
     "OracleFailure",
     "entropy_on_solutions",
     "split",
     "numeric_oracle",
     "symmetrization_constraints",
-    "normalize_constraint",
-    "try_divexact",
 ]
-
-
-def try_divexact(a: Expr, b: Expr) -> Optional[Expr]:
-    """a / b when the polynomial division is exact, else None."""
-    if not a.is_polynomial() or not b.is_polynomial() or b.is_zero():
-        return None
-    try:
-        return Expr(poly_divexact(a.num, b.num), {(): Q(1)})
-    except ArithmeticError:
-        return None
-
-
-@dataclass(frozen=True)
-class Cancellation:
-    """A nonzero-assumed factor removed from a raw coefficient."""
-
-    original: Expr
-    factor: Expr
-    times: int
-
-
-def normalize_constraint(
-    e: Expr, nonzero: Iterable[Expr]
-) -> tuple[Expr, list[Cancellation]]:
-    """Monic normal form modulo the nonzero-assumption set.
-
-    Cancels every assumed-nonzero polynomial factor as often as it
-    divides, then scales so the graded-lex leading coefficient is 1.
-    """
-    e = e.numerator_expr()
-    original = e
-    log: list[Cancellation] = []
-    if e.is_zero():
-        return ZERO, log
-    for f in nonzero:
-        if f.is_rational() or not f.is_polynomial():
-            continue
-        times = 0
-        while True:
-            d = try_divexact(e, f)
-            if d is None or d.is_zero():
-                break
-            e, times = d, times + 1
-        if times:
-            log.append(Cancellation(original=original, factor=f, times=times))
-    lead = e.num[max(e.num, key=mono_key)]
-    return Expr({m: c / lead for m, c in e.num.items()}, {(): Q(1)}), log
 
 
 @dataclass(frozen=True)
@@ -178,7 +127,7 @@ def split(
 
     nonzero: list[Expr] = []
     for cond in list(m.nonzero) + list(extra_nonzero) + [den]:
-        for f in _nonzero_factors(cond):
+        for f in nonzero_factors(cond):
             if f not in nonzero:
                 nonzero.append(f)
 
@@ -215,16 +164,6 @@ def split(
     )
 
 
-def _nonzero_factors(e: Expr) -> list[Expr]:
-    """Recorded factors of a nonzero condition (num and den both count)."""
-    from .solve import pivot_factors
-
-    out = pivot_factors(e.numerator_expr())
-    if not e.is_polynomial():
-        out.extend(pivot_factors(e.denominator_expr()))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Randomized exact-arithmetic oracle.
 
@@ -251,13 +190,6 @@ class OracleReport:
 
 def _draw(rnd: random.Random) -> Q:
     return Q(rnd.randint(-9, 9), rnd.randint(1, 9))
-
-
-def _draw_nonzero(rnd: random.Random) -> Q:
-    while True:
-        q = _draw(rnd)
-        if q:
-            return q
 
 
 def numeric_oracle(

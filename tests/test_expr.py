@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entropik
+from entropik import backend
 from entropik.atoms import ConstitPartial, ConstitSym, IndepVar, JetVar
 from entropik.errors import DivisionByZeroExpr, MissingAssignment
 from entropik.expr import (
@@ -198,3 +200,14 @@ def test_substitute_simple():
 @settings(max_examples=100, deadline=None)
 def test_substitute_identity_map(a):
     assert substitute(a, {RHO: Expr.atom(RHO)}) == a
+
+
+def test_single_kernel_exports():
+    assert entropik.BACKEND == "python"
+    for name in ("p_add", "p_sub", "p_mul", "p_diff", "p_pow"):
+        assert callable(getattr(backend, name))
+
+
+def test_mono_mul_merges_sorted():
+    a, b = sorted((T, RHO), key=lambda x: x.key)
+    assert backend.mono_mul(((a, 2),), ((a, 1), (b, 1))) == ((a, 3), (b, 1))

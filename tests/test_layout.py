@@ -1,0 +1,73 @@
+"""Module layout guard for the ``entropik`` package.
+
+Two rules, checked on the source with ``ast``:
+
+* no module imports an underscore-prefixed name from another ``entropik``
+  module (shared helpers live under a public name in one home module);
+* every module-level import is used (names listed in ``__all__`` count).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "entropik"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _is_internal(node):
+    return node.level > 0 or (node.module or "").split(".")[0] == "entropik"
+
+
+def _bound_names(node):
+    for alias in node.names:
+        if alias.asname:
+            yield alias.asname
+        else:
+            yield alias.name.split(".")[0]
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    bad = [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and _is_internal(node)
+        for alias in node.names
+        if _is_private(alias.name)
+    ]
+    assert not bad, f"{path.name} imports private names: {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = _tree(path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in _bound_names(node):
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _exported(tree)
+    dead = sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+    assert not dead, f"{path.name} has unused imports: {dead}"

@@ -1,11 +1,14 @@
 """Report serialization: round-trip, determinism, schema, goldens."""
 
+import dataclasses
 import json
 import pathlib
+from collections.abc import Mapping
 
 import jsonschema
 import pytest
 
+from entropik.expr import Expr
 from entropik.report import (
     SCHEMA_VERSION,
     AnalysisReport,
@@ -86,6 +89,37 @@ def test_schema_version_field():
 def test_golden_reports(name, method):
     golden = json.loads((HERE / "golden" / f"{name}.{method}.json").read_text())
     assert _report(name, method).digest_payload() == golden
+
+
+def _coefficients(obj):
+    """Every coefficient of every Expr reachable from ``obj`` through
+    dataclass fields and containers."""
+    stack, seen = [obj], set()
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str) or id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Expr):
+            for p in (x.num, x.den):
+                yield from p.values()
+        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+        elif isinstance(x, Mapping):
+            stack.extend(x.keys())
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            stack.extend(x)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+@pytest.mark.parametrize("method", METHODS)
+def test_no_float_coefficients(name, method):
+    # a reported 0 is an identity only while every coefficient is exact
+    run = solution_run(name) if method == "solution-set" else liu_run(name)
+    coeffs = list(_coefficients(run))
+    assert coeffs
+    assert not [c for c in coeffs if isinstance(c, float)]
 
 
 def test_fingerprint_is_content_digest(gas, fluid):

@@ -16,10 +16,8 @@ from .expr import (
     ONE,
     ZERO,
     DiffContext,
-    SubstitutionMap,
     collect_coefficients,
     eval_numeric,
-    normalize,
     partial_diff,
     substitute,
     total_derivative,
@@ -37,8 +35,6 @@ __all__ = [
     "ONE",
     "ZERO",
     "DiffContext",
-    "SubstitutionMap",
-    "normalize",
     "partial_diff",
     "total_derivative",
     "substitute",

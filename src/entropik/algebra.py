@@ -179,7 +179,7 @@ def arg_derivative(
     coordinates and differentiate to zero.
     """
     total = ZERO
-    for x in set(e.atoms()):
+    for x in e.atoms():
         if x is a:
             total = total + partial_diff(e, x)
             continue

@@ -22,6 +22,7 @@ differentiation; a constraint passes when it normalizes to zero.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +30,7 @@ from ._ratio import Q
 from .algebra import derive_partial
 from .atoms import Atom, ConstitPartial, ConstitSym
 from .errors import ModelError, NonRationalBinding, UnboundSymbol
-from .expr import Expr, substitute
+from .expr import Expr, eval_numeric, substitute
 from .model import ModelDef
 from .parser import CompileEnv, ParseFailure, compile_node, parse_expr_text
 from .render import expr_str
@@ -217,10 +218,6 @@ def sampled_production(
 ) -> tuple[Q, ...]:
     """Entropy-production numerator under the bindings at random exact
     rational points, one value per trial."""
-    import random
-
-    from .expr import eval_numeric
-
     needed: set[Atom] = set(cs.reconstruction().atoms())
     sub = binding_closure(m, bs, needed, use_parameter_values=True)
     num = _close_subst(cs.reconstruction(), sub)

@@ -143,13 +143,6 @@ class CaseTree:
     def leaves(self) -> tuple[CaseNode, ...]:
         return tuple(n for n in self.root.walk() if n.status == "leaf")
 
-    def pivot_set(self) -> tuple[Expr, ...]:
-        out: list[Expr] = []
-        for n in self.root.walk():
-            if n.pivot is not None and n.pivot not in out:
-                out.append(n.pivot)
-        return tuple(out)
-
     def capped(self) -> tuple[DepthCapExceeded, ...]:
         return tuple(n.capped for n in self.root.walk() if n.capped is not None)
 

@@ -36,7 +36,6 @@ from .cases import (
 )
 from .errors import EngineError
 from .latex import relations_document
-from .liu import compare
 from .model import ModelDef
 from .parser import CompileEnv, ParseFailure, compile_node, parse_expr_text, parse_model
 from .render import atom_str, expr_str
@@ -44,6 +43,7 @@ from .report import (
     build_report,
     comparison_to_dict,
     liu_render_ctx,
+    run_comparison,
     run_liu,
     run_solution_set,
     tree_to_dict,
@@ -250,9 +250,7 @@ def compare_cmd(model_file, output, max_order, multiplier_dep):
     """Compare multiplier identities against the solution-set constraints."""
     m = _load_model(model_file, max_order)
     dep = _resolve_dep(m, multiplier_dep) if multiplier_dep else None
-    lrun = run_liu(m, dep)
-    srun = run_solution_set(m)
-    rep = compare(lrun.result, srun.system)
+    rep, lrun, _ = run_comparison(m, dep)
     d = comparison_to_dict(rep, m, lrun.result.multiplier_dep)
     if output == "json":
         click.echo(json.dumps(d, sort_keys=True, indent=2))
@@ -361,7 +359,7 @@ def verify(model_file, trials, seed, bindings_file, max_order):
     """Randomized exact-rational point checks of the splitting."""
     m = _load_model(model_file, max_order)
     run = run_solution_set(m)
-    rep = numeric_oracle(m, run.solved, run.system, trials=trials, seed=seed)
+    rep = numeric_oracle(run.system, trials=trials, seed=seed)
     click.echo(
         f"identity {rep.identity_passes}/{trials}  "
         f"on-variety {rep.variety_passes}/{trials}"

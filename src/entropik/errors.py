@@ -18,7 +18,6 @@ __all__ = [
     "SingularConsequence",
     "NotPolynomialInFreeElements",
     "NonlinearExtendedInequality",
-    "MultiplierEliminationIncomplete",
     "UnboundSymbol",
     "NonRationalBinding",
 ]
@@ -112,14 +111,7 @@ class NonlinearExtendedInequality(EngineError):
         self.monomial = monomial
 
 
-class MultiplierEliminationIncomplete(EngineError):
-    """Some Lagrange multipliers could not be eliminated linearly."""
-
-    code = "E041"
-
-    def __init__(self, message, unsolved=()):
-        super().__init__(message)
-        self.unsolved = tuple(unsolved)
+# E041 is retired; codes are stable, so it is not reused.
 
 
 class UnboundSymbol(EngineError):

@@ -34,16 +34,12 @@ __all__ = [
     "Expr",
     "ZERO",
     "ONE",
-    "normalize",
-    "atom_expr",
     "DiffContext",
-    "SubstitutionMap",
     "partial_diff",
     "total_derivative",
     "substitute",
     "collect_coefficients",
     "monomial_expr",
-    "monomial_atoms",
     "eval_numeric",
     "eval_poly",
     "mono_key",
@@ -286,15 +282,6 @@ def as_expr(x: ExprLike) -> Expr:
     raise TypeError(f"cannot coerce {x!r} to Expr")
 
 
-def normalize(x: ExprLike) -> Expr:
-    """Coerce/renormalize; idempotent on Exprs (they are born canonical)."""
-    return as_expr(x)
-
-
-def atom_expr(a: Atom) -> Expr:
-    return Expr.atom(a)
-
-
 # ---------------------------------------------------------------------------
 # Differentiation.
 
@@ -385,39 +372,6 @@ def total_derivative(e: ExprLike, iv: IndepVar, ctx: DiffContext) -> Expr:
 # ---------------------------------------------------------------------------
 # Substitution.
 
-@dataclass(frozen=True)
-class SubstitutionMap:
-    """Finite map Atom -> Expr.
-
-    ``triangular`` asserts that no right-hand side contains any key atom,
-    which makes one-pass substitution idempotent.  ``validate`` checks the
-    flag by scanning.
-    """
-
-    pairs: Mapping[Atom, Expr]
-    triangular: bool = True
-
-    def validate(self) -> None:
-        if not self.triangular:
-            return
-        keys = set(self.pairs)
-        for k, rhs in self.pairs.items():
-            bad = keys.intersection(rhs.atoms())
-            if bad:
-                raise ValueError(
-                    f"map marked triangular but RHS of {k} contains {sorted(bad)[0]}"
-                )
-
-    def items(self):
-        return self.pairs.items()
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __contains__(self, a):
-        return a in self.pairs
-
-
 def eval_poly(
     p: Poly,
     lookup: Callable[[Atom], Expr],
@@ -438,19 +392,14 @@ def eval_poly(
     return total
 
 
-def substitute(
-    e: ExprLike,
-    m: Union[SubstitutionMap, Mapping[Atom, Expr]],
-    simultaneous: bool = False,
-) -> Expr:
-    """Replace every key atom by its image, in one simultaneous pass.
+def substitute(e: ExprLike, pairs: Mapping[Atom, Expr]) -> Expr:
+    """Replace every key atom by its image, all at once (images are not
+    themselves substituted).
 
-    For triangular maps the result contains no key atom and the operation
-    is idempotent.  ``simultaneous=True`` merely documents intent for
-    non-triangular maps; the pass is always simultaneous.
+    For triangular maps (no image contains a key atom) the result contains
+    no key atom and the operation is idempotent.
     """
     e = as_expr(e)
-    pairs = m.pairs if isinstance(m, SubstitutionMap) else m
     if not pairs:
         return e
     present = any(a in pairs for a in e.atoms())
@@ -474,10 +423,6 @@ def monomial_expr(m: Monomial) -> Expr:
     for a, k in m:
         e = e * Expr.atom(a) ** k
     return e
-
-
-def monomial_atoms(m: Monomial) -> tuple[Atom, ...]:
-    return tuple(a for a, _ in m)
 
 
 def collect_coefficients(e: ExprLike, vars: Iterable[Atom]) -> dict[Monomial, Expr]:

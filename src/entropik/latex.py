@@ -13,7 +13,7 @@ from typing import Optional
 
 from ._ratio import Q
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar
-from .render import RenderContext
+from .render import RenderContext, signed_sum
 
 __all__ = ["atom_tex", "poly_tex", "expr_tex", "relations_document"]
 
@@ -112,27 +112,7 @@ def _mono_tex(m, ctx) -> str:
 
 
 def poly_tex(p, ctx: Optional[RenderContext] = None) -> str:
-    from .expr import mono_key
-
-    if not p:
-        return "0"
-    out = []
-    for m in sorted(p, key=mono_key, reverse=True):
-        c = p[m]
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        if not m:
-            body = _coeff_tex(mag)
-        elif mag == 1:
-            body = _mono_tex(m, ctx)
-        else:
-            body = _coeff_tex(mag) + r"\," + _mono_tex(m, ctx)
-        out.append((sign, body))
-    first_sign, first_body = out[0]
-    s = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in out[1:]:
-        s += f" {sign} {body}"
-    return s
+    return signed_sum(p, _coeff_tex, lambda m: _mono_tex(m, ctx), r"\,")
 
 
 def expr_tex(e, ctx: Optional[RenderContext] = None) -> str:

@@ -30,10 +30,7 @@ from .algebra import (
     try_divexact,
 )
 from .atoms import Atom, ConstitPartial, ConstitSym, JetVar, mi_total
-from .errors import (
-    MultiplierEliminationIncomplete,
-    NonlinearExtendedInequality,
-)
+from .errors import NonlinearExtendedInequality
 from .expr import (
     Expr,
     Monomial,
@@ -66,15 +63,11 @@ def multiplier_symbols(m: ModelDef) -> tuple[ConstitSym, ...]:
     return tuple(ConstitSym(_MULTIPLIER_PREFIX + eq.label) for eq in m.equations)
 
 
-def liu_extended(
-    m: ModelDef, multiplier_dep: Optional[Sequence[Atom]] = None
-) -> Expr:
+def liu_extended(m: ModelDef) -> Expr:
     """Entropy lhs minus multiplier-weighted equation lhs's.
 
-    ``multiplier_dep`` records the postulated multiplier dependency; it
-    does not change the expression (multipliers are never differentiated
-    here) but is honoured by :func:`liu_split` when the caller passes the
-    same list there.
+    The postulated multiplier dependency does not change the expression
+    (multipliers are never differentiated here); :func:`liu_split` takes it.
     """
     e = m.entropy_lhs
     for lam, eq in zip(multiplier_symbols(m), m.equations):
@@ -522,9 +515,7 @@ class ComparisonReport:
     generic_assumptions: tuple[Atom, ...] = ()
 
 
-def compare(
-    lr: LiuResult, cs: ConstraintSystem, strict: bool = False
-) -> ComparisonReport:
+def compare(lr: LiuResult, cs: ConstraintSystem) -> ComparisonReport:
     """Classify the multiplier-method identity set against the
     solution-manifold constraint set.
 
@@ -538,11 +529,6 @@ def compare(
     """
     nonzero = list(cs.nonzero)
     solved, liu_raw, unsolved = eliminate_multipliers(lr, nonzero)
-    incomplete = bool(unsolved)
-    if incomplete and strict:
-        raise MultiplierEliminationIncomplete(
-            f"could not eliminate multipliers: {', '.join(a.name for a in unsolved)}"
-        )
 
     def refined(exprs: Iterable[Expr]) -> list[Expr]:
         out: list[Expr] = []
@@ -584,6 +570,6 @@ def compare(
         liu_only=tuple(liu_only),
         solution_only=tuple(solution_only),
         unsolved_multipliers=unsolved,
-        incomplete=incomplete,
+        incomplete=bool(unsolved),
         generic_assumptions=lr.generic_assumptions,
     )

@@ -32,7 +32,6 @@ __all__ = [
     "Equation",
     "ModelDef",
     "Classification",
-    "expand_model",
     "classify_atoms",
 ]
 
@@ -98,17 +97,11 @@ class ModelDef:
         )
 
     def render_ctx(self) -> RenderContext:
-        names = self.indep_names
-        arg_names = {}
-        for d in self.decls:
-            labels = []
-            for a in d.args:
-                if isinstance(a, JetVar) and any(a.orders):
-                    labels.append(a.field + "_" + a.suffix(names))
-                else:
-                    labels.append(atom_str(a))
-            arg_names[d.name] = tuple(labels)
-        return RenderContext(indep_names=names, arg_names=arg_names)
+        base = RenderContext(indep_names=self.indep_names, arg_names={})
+        arg_names = {
+            d.name: tuple(atom_str(a, base) for a in d.args) for d in self.decls
+        }
+        return RenderContext(indep_names=self.indep_names, arg_names=arg_names)
 
     def dependency_atoms(self) -> set[Atom]:
         out: set[Atom] = set()
@@ -218,16 +211,6 @@ class Classification:
     free: frozenset[Atom]
     excluded: frozenset[Atom]
     conflicts: tuple[Atom, ...]  # dependency atoms claimed by the leading class
-
-
-def expand_model(m: ModelDef) -> tuple[tuple[tuple[str, Expr], ...], Expr]:
-    """The chain-expanded equation lhs forms and entropy lhs.
-
-    Expansion happens when a ModelDef is built (the canonical Expr form
-    cannot hold an unapplied derivative operator), so this is a lookup; it
-    exists as the single place downstream passes take expanded forms from.
-    """
-    return tuple((eq.label, eq.lhs) for eq in m.equations), m.entropy_lhs
 
 
 def classify_atoms(m: ModelDef, exprs: Iterable[Expr]) -> Classification:

@@ -36,6 +36,7 @@ from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar
 from .errors import DivisionByZeroExpr, ModelError
 from .expr import DiffContext, Expr, total_derivative
 from .model import ConstitDecl, Equation, ModelDef
+from .render import RenderContext, atom_str
 
 __all__ = [
     "SourceSpan",
@@ -304,11 +305,9 @@ class CompileEnv:
             indep=self.indep, args={n: d.args for n, d in self.decls.items()}
         )
         self.deriv_ops = {"d" + v.name: v for v in self.indep}
-
-    def arg_label(self, a: Atom) -> str:
-        if isinstance(a, JetVar) and any(a.orders):
-            return a.field + "_" + a.suffix(tuple(v.name for v in self.indep))
-        return str(a)
+        self.render_ctx = RenderContext(
+            indep_names=tuple(v.name for v in self.indep), arg_names={}
+        )
 
     def resolve_jet_suffix(self, ident: str) -> Optional[JetVar]:
         if "_" not in ident:
@@ -356,7 +355,7 @@ def compile_node(node: Node, env: CompileEnv) -> Expr:
         decl = env.decls.get(node.sym)
         if decl is None:
             raise _err(node, f"unknown constitutive symbol '{node.sym}'")
-        labels = [env.arg_label(a) for a in decl.args]
+        labels = [atom_str(a, env.render_ctx) for a in decl.args]
         slots = [0] * decl.arity
         for arg in node.args:
             if arg not in labels:
@@ -388,7 +387,7 @@ def compile_node(node: Node, env: CompileEnv) -> Expr:
                     raise _err(
                         node,
                         f"'{node.func}' argument mismatch: expected "
-                        f"{env.arg_label(declared)}",
+                        f"{atom_str(declared, env.render_ctx)}",
                     )
             return Expr.atom(ConstitSym(node.func))
         raise _err(node, f"unknown function '{node.func}'")

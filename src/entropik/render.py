@@ -10,12 +10,13 @@ order, so rendering is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from ._ratio import Q
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar
+from .expr import mono_key
 
-__all__ = ["RenderContext", "atom_str", "expr_str", "poly_str"]
+__all__ = ["RenderContext", "atom_str", "expr_str", "poly_str", "signed_sum"]
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,6 @@ def atom_str(a: Atom, ctx: Optional[RenderContext] = None) -> str:
     return str(a)
 
 
-def _coeff_str(c: Q) -> str:
-    return str(c)
-
-
 def _mono_str(m, ctx) -> str:
     parts = []
     for a, e in m:
@@ -60,28 +57,38 @@ def _mono_str(m, ctx) -> str:
     return "*".join(parts)
 
 
-def poly_str(p, ctx: Optional[RenderContext] = None) -> str:
-    from .expr import mono_key
+def signed_sum(
+    p,
+    coeff: Callable[[Q], str],
+    mono: Callable[[tuple], str],
+    times: str,
+) -> str:
+    """Terms of ``p`` in descending canonical order, joined by their signs.
 
+    ``coeff`` formats a positive coefficient, ``mono`` a monomial, and
+    ``times`` goes between a coefficient other than one and its monomial.
+    """
     if not p:
         return "0"
-    out = []
+    s = ""
     for m in sorted(p, key=mono_key, reverse=True):
         c = p[m]
-        sign = "-" if c < 0 else "+"
         mag = -c if c < 0 else c
         if not m:
-            body = _coeff_str(mag)
+            body = coeff(mag)
         elif mag == 1:
-            body = _mono_str(m, ctx)
+            body = mono(m)
         else:
-            body = f"{_coeff_str(mag)}*{_mono_str(m, ctx)}"
-        out.append((sign, body))
-    first_sign, first_body = out[0]
-    s = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in out[1:]:
-        s += f" {sign} {body}"
+            body = coeff(mag) + times + mono(m)
+        if s:
+            s += (" - " if c < 0 else " + ") + body
+        else:
+            s = ("-" if c < 0 else "") + body
     return s
+
+
+def poly_str(p, ctx: Optional[RenderContext] = None) -> str:
+    return signed_sum(p, str, lambda m: _mono_str(m, ctx), "*")
 
 
 def expr_str(e, ctx: Optional[RenderContext] = None) -> str:

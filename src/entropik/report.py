@@ -23,6 +23,7 @@ from .liu import (
     LiuResult,
     compare,
     eliminate_multipliers,
+    liu_extended,
     liu_split,
     multiplier_symbols,
 )
@@ -61,17 +62,11 @@ def liu_render_ctx(
     """Render context that also labels the multiplier argument slots, so
     multiplier partials print like ``dLam_energy/drho``."""
     base = m.render_ctx()
+    dep_labels = tuple(atom_str(a, base) for a in multiplier_dep)
     arg_names = dict(base.arg_names)
-    names = base.indep_names
-    dep_labels = tuple(
-        a.field + "_" + a.suffix(names)
-        if hasattr(a, "orders") and any(a.orders)
-        else atom_str(a)
-        for a in multiplier_dep
-    )
     for lam in multiplier_symbols(m):
         arg_names[lam.name] = dep_labels
-    return RenderContext(indep_names=names, arg_names=arg_names)
+    return RenderContext(indep_names=base.indep_names, arg_names=arg_names)
 
 
 # -- runs -----------------------------------------------------------------
@@ -115,11 +110,9 @@ def run_solution_set(m: ModelDef) -> SolutionSetRun:
 def run_liu(
     m: ModelDef, multiplier_dep: Optional[Sequence[Atom]] = None
 ) -> LiuRun:
-    from .liu import liu_extended
-
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    e = liu_extended(m, multiplier_dep)
+    e = liu_extended(m)
     lr = liu_split(e, m, multiplier_dep)
     timings["liu_split"] = time.perf_counter() - t0
     t0 = time.perf_counter()

@@ -30,14 +30,13 @@ from .errors import (
 from .expr import (
     Expr,
     ONE,
-    SubstitutionMap,
     collect_coefficients,
     mono_key,
     poly_divexact,
     substitute,
     total_derivative,
 )
-from .model import ModelDef, expand_model
+from .model import ModelDef
 
 __all__ = [
     "SolvedSystem",
@@ -73,16 +72,16 @@ class ConsequenceStep:
 
 @dataclass(frozen=True)
 class SolvedSystem:
-    substitution: SubstitutionMap
+    substitution: dict[JetVar, Expr]
     pivots: tuple[Expr, ...]
     consequence_log: tuple[ConsequenceStep, ...] = ()
     determinant: Expr = ONE
 
     def keys(self) -> tuple[JetVar, ...]:
-        return tuple(self.substitution.pairs)
+        return tuple(self.substitution)
 
     def is_triangular(self, m: ModelDef) -> bool:
-        pairs = self.substitution.pairs
+        pairs = self.substitution
         for rhs in pairs.values():
             for a in rhs.atoms():
                 if a in pairs or m.is_consequence(a):
@@ -97,7 +96,6 @@ def _divexact(a: Expr, b: Expr) -> Expr:
 def solve_leading(m: ModelDef) -> SolvedSystem:
     """Exact linear solve of the expanded equations for the leading
     derivatives; raises NonlinearInLeading / SingularSystem."""
-    eqs, _ = expand_model(m)
     leading = list(m.leading)
     lead_set = set(leading)
     n = len(leading)
@@ -105,7 +103,8 @@ def solve_leading(m: ModelDef) -> SolvedSystem:
 
     # Row i: sum_j A[i][j] * leading_j + b[i] = 0, over cleared numerators.
     matrix: list[list[Expr]] = []
-    for label, lhs in eqs:
+    for eq in m.equations:
+        lhs = eq.lhs
         if not lhs.is_polynomial():
             # Clearing the denominator preserves the equation where the
             # denominator does not vanish; record it.
@@ -118,7 +117,7 @@ def solve_leading(m: ModelDef) -> SolvedSystem:
                 continue
             if len(mono) > 1 or mono[0][1] > 1:
                 raise NonlinearInLeading(
-                    f"equation {label} is not linear in the leading derivatives"
+                    f"equation {eq.label} is not linear in the leading derivatives"
                 )
             atom = mono[0][0]
             row[leading.index(atom)] = coeff
@@ -162,12 +161,8 @@ def solve_leading(m: ModelDef) -> SolvedSystem:
         pivot_exprs.extend(pivot_factors(d))
     pivots = _dedup_exprs(pivot_exprs)
 
-    triangular = not any(
-        any(a in solution or m.is_consequence(a) for a in rhs.atoms())
-        for rhs in solution.values()
-    )
     return SolvedSystem(
-        substitution=SubstitutionMap(solution, triangular=triangular),
+        substitution=solution,
         pivots=pivots,
         determinant=diag[-1] if diag else ONE,
     )
@@ -193,7 +188,7 @@ def close_consequences(
     side, then reduces all right-hand sides to a triangular form.
     """
     ctx = m.diff_ctx()
-    pairs: dict[JetVar, Expr] = dict(s.substitution.pairs)
+    pairs: dict[JetVar, Expr] = dict(s.substitution)
     log: list[ConsequenceStep] = list(s.consequence_log)
     # Source equation label for each key (leading keys come from their
     # equation by position).
@@ -275,11 +270,7 @@ def close_consequences(
             "consequence substitution did not reach a fixed point"
         )
 
-    sub = SubstitutionMap(pairs, triangular=True)
-    sub.validate()
-    return replace(
-        s, substitution=sub, consequence_log=tuple(log)
-    )
+    return replace(s, substitution=pairs, consequence_log=tuple(log))
 
 
 @dataclass(frozen=True)

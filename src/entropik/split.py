@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
 
 from ._ratio import Q
 from .algebra import Cancellation, nonzero_factors, normalize_constraint
@@ -101,16 +100,8 @@ def symmetrization_constraints(m: ModelDef) -> tuple[Expr, ...]:
     return tuple(out)
 
 
-def split(
-    m: ModelDef,
-    e: Expr,
-    extra_nonzero: Iterable[Expr] = (),
-) -> ConstraintSystem:
-    """Coefficient extraction over the free elements of ``e``.
-
-    ``extra_nonzero`` lets the caller thread solver pivots into the side
-    conditions (they also participate in coefficient cancellation).
-    """
+def split(m: ModelDef, e: Expr) -> ConstraintSystem:
+    """Coefficient extraction over the free elements of ``e``."""
     cls: Classification = classify_atoms(m, [e])
     free = sorted(cls.free, key=lambda a: a.key)
 
@@ -126,7 +117,7 @@ def split(
         raise NotPolynomialInFreeElements(str(err), atom=err.atom) from err
 
     nonzero: list[Expr] = []
-    for cond in list(m.nonzero) + list(extra_nonzero) + [den]:
+    for cond in (*m.nonzero, den):
         for f in nonzero_factors(cond):
             if f not in nonzero:
                 nonzero.append(f)
@@ -193,43 +184,44 @@ def _draw(rnd: random.Random) -> Q:
 
 
 def numeric_oracle(
-    m: ModelDef,
-    s: SolvedSystem,
-    c: ConstraintSystem,
-    trials: int = 100,
-    seed: int = 0,
-    bindings: Optional[Mapping[Atom, Expr]] = None,
+    cs: ConstraintSystem, trials: int = 100, seed: int = 0
 ) -> OracleReport:
     """Point checks of the splitting at random exact-rational jets.
 
-    Per trial: assign every atom an exact rational (rejecting draws that
-    violate a nonzero side condition) and check the coefficient
-    decomposition identity.  Then repair the unknown-function values so
-    that every constraint vanishes (solving each for one linearly
-    occurring unknown) and check that the entropy numerator equals the
-    residual numerator on that constraint variety.
-
-    ``bindings`` optionally fixes some unknown-function atoms to
-    expressions in the remaining atoms before values are drawn.
+    Per trial: assign every atom an exact rational, drawn in atom order
+    (rejecting draws that violate a nonzero side condition), and check
+    the coefficient decomposition identity.  Then repair the
+    unknown-function values so that every constraint vanishes (solving
+    each for one linearly occurring unknown) and check that the entropy
+    numerator equals the residual numerator on that constraint variety.
     """
     # Rebuild the full numerator from the table; using the reconstruction
     # keeps the oracle independent from the caller's entropy expression.
-    entropy_num = c.reconstruction()
-    if bindings:
-        entropy_num = substitute(entropy_num, dict(bindings))
+    entropy_num = cs.reconstruction()
+    table = [(monomial_expr(mono), coeff) for mono, coeff in cs.table]
+    pieces = (entropy_num, cs.residual_numerator, cs.denominator, *cs.nonzero,
+              *(coeff for _, coeff in cs.table), *cs.constraints)
+    atoms = sorted({a for p in pieces for a in p.atoms()}, key=lambda a: a.key)
 
-    atoms: set[Atom] = set(entropy_num.atoms())
-    pieces = [c.residual_numerator, c.denominator, *c.nonzero]
-    pieces += [coeff for _, coeff in c.table]
-    pieces += list(c.constraints)
-    for p in pieces:
-        atoms.update(substitute(p, dict(bindings)).atoms() if bindings else p.atoms())
-    unknowns = sorted(
-        (a for a in atoms if isinstance(a, (ConstitSym, ConstitPartial))),
-        key=lambda a: a.key,
-    )
-    if bindings:
-        unknowns = [a for a in unknowns if a not in bindings]
+    # Each constraint's repair list: the unknowns it holds to degree one,
+    # least shared first.  Solving through an unknown private to a single
+    # constraint cannot disturb constraints already zeroed.
+    degrees: list[dict[Atom, int]] = []
+    occurrence: dict[Atom, int] = {}
+    for con in cs.constraints:
+        deg: dict[Atom, int] = {}
+        for mono in con.num:
+            for a, k in mono:
+                if isinstance(a, (ConstitSym, ConstitPartial)):
+                    deg[a] = max(deg.get(a, 0), k)
+        degrees.append(deg)
+        for a in deg:
+            occurrence[a] = occurrence.get(a, 0) + 1
+    ranked = sorted(occurrence, key=lambda a: (occurrence[a], a.key))
+    repairs = [
+        (con, [x for x in ranked if deg.get(x) == 1])
+        for con, deg in zip(cs.constraints, degrees)
+    ]
 
     failures: list[OracleFailure] = []
     id_pass = var_pass = var_skip = 0
@@ -240,23 +232,16 @@ def numeric_oracle(
         for _ in range(64):
             point = {a: _draw(rnd) for a in atoms}
             try:
-                if all(
-                    eval_numeric(
-                        substitute(nz, dict(bindings)) if bindings else nz, point
-                    )
-                    for nz in c.nonzero
-                ):
+                if all(eval_numeric(nz, point) for nz in cs.nonzero):
                     break
             except DenominatorVanishes:
                 continue
-        ev = lambda x: eval_numeric(
-            substitute(x, dict(bindings)) if bindings else x, point
-        )
 
         # Identity: numerator == sum over the table + constant term.
-        lhs = ev(entropy_num)
-        rhs = ev(c.residual_numerator) + sum(
-            (ev(coeff) * ev(monomial_expr(mono)) for mono, coeff in c.table),
+        lhs = eval_numeric(entropy_num, point)
+        rhs = eval_numeric(cs.residual_numerator, point) + sum(
+            (eval_numeric(c, point) * eval_numeric(mono, point)
+             for mono, c in table),
             Q(0),
         )
         if lhs == rhs:
@@ -273,71 +258,40 @@ def numeric_oracle(
             continue
 
         # Projection onto the constraint variety: repair unknowns so all
-        # constraints vanish, then entropy == residual at the point.
+        # constraints vanish, then entropy == residual at the point.  A
+        # constraint a*x + b gives b at x = 0 and a + b at x = 1.
         repaired = dict(point)
         used: set[Atom] = set()
         solvable = True
-        # Prefer repairing through unknowns private to a single constraint:
-        # solving those cannot disturb constraints already zeroed.
-        occurrence: dict[Atom, int] = {}
-        cons_b = [
-            substitute(con, dict(bindings)) if bindings else con
-            for con in c.constraints
-        ]
-        for conb in cons_b:
-            for a in conb.atoms():
-                if isinstance(a, (ConstitSym, ConstitPartial)):
-                    occurrence[a] = occurrence.get(a, 0) + 1
-        ranked = sorted(unknowns, key=lambda a: (occurrence.get(a, 0), a.key))
-        for conb in cons_b:
-            val = eval_numeric(conb, repaired)
-            if val == 0:
+        for con, candidates in repairs:
+            if eval_numeric(con, repaired) == 0:
                 continue
-            fixed = False
-            for x in ranked:
-                if x in used or x not in conb.atoms():
+            for x in candidates:
+                if x in used:
                     continue
-                coeffs = collect_coefficients(conb, [x])
-                mono_x = ((x, 1),)
-                if set(coeffs) - {(), mono_x}:
-                    continue  # x occurs nonlinearly
-                a_val = eval_numeric(
-                    coeffs[mono_x], {k: v for k, v in repaired.items() if k != x}
-                )
-                if a_val == 0:
+                old = repaired[x]
+                repaired[x] = Q(0)
+                b = eval_numeric(con, repaired)
+                repaired[x] = Q(1)
+                a = eval_numeric(con, repaired) - b
+                if a == 0:
+                    repaired[x] = old
                     continue
-                b_val = eval_numeric(
-                    coeffs.get((), ZERO),
-                    {k: v for k, v in repaired.items() if k != x},
-                )
-                repaired[x] = -b_val / a_val
+                repaired[x] = -b / a
                 used.add(x)
-                fixed = True
                 break
-            if not fixed:
+            else:
                 solvable = False
                 break
-        if not solvable:
+        if not solvable or any(
+            eval_numeric(con, repaired) != 0 for con in cs.constraints
+        ):
+            # No linear unknown left, or repair order interfered: a skip,
+            # not a soundness failure.
             var_skip += 1
             continue
-        bad = [
-            con
-            for con in c.constraints
-            if eval_numeric(
-                substitute(con, dict(bindings)) if bindings else con, repaired
-            )
-            != 0
-        ]
-        if bad:
-            var_skip += 1  # repair order interfered; not a soundness failure
-            continue
         lhs_v = eval_numeric(entropy_num, repaired)
-        rhs_v = eval_numeric(
-            substitute(c.residual_numerator, dict(bindings))
-            if bindings
-            else c.residual_numerator,
-            repaired,
-        )
+        rhs_v = eval_numeric(cs.residual_numerator, repaired)
         if lhs_v == rhs_v:
             var_pass += 1
         else:

@@ -190,9 +190,8 @@ def test_criterion_6_derivative_laws_bulk():
 
 @pytest.mark.parametrize("name", ["gas1d", "fluid2d"])
 def test_criterion_7_point_verification(name):
-    m = load_model(name)
     run = solution_run(name)
-    rep = numeric_oracle(m, run.solved, run.system, trials=200, seed=7)
+    rep = numeric_oracle(run.system, trials=200, seed=7)
     assert rep.ok
     assert rep.identity_passes == 200
     assert rep.variety_passes == 200

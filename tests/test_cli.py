@@ -1,6 +1,9 @@
 """End-to-end command-line behaviour and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -192,3 +195,21 @@ def test_version(runner):
     r = runner.invoke(main, ["--version"])
     assert r.exit_code == 0
     assert "0.1.0" in r.output
+
+
+def test_split_output_is_the_same_in_every_process():
+    # Atoms hash by identity, so iterating a set of them follows the
+    # memory layout of the process; no output may depend on that order.
+    env = dict(os.environ)
+    src = str(MODELS.parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = set()
+    for hash_seed in range(4):
+        env["PYTHONHASHSEED"] = str(hash_seed)
+        r = subprocess.run(
+            [sys.executable, "-m", "entropik.cli", "split", model("nonsimple2d"),
+             "--output", "json"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outputs.add(r.stdout)
+    assert len(outputs) == 1

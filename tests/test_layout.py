@@ -1,10 +1,12 @@
 """Module layout guard for the ``entropik`` package.
 
-Two rules, checked on the source with ``ast``:
+Three rules, checked on the source with ``ast``:
 
 * no module imports an underscore-prefixed name from another ``entropik``
   module (shared helpers live under a public name in one home module);
-* every module-level import is used (names listed in ``__all__`` count).
+* every module-level import is used (names listed in ``__all__`` count);
+* no function imports from an ``entropik`` module that its file already
+  imports at module level (a deferred import only breaks a cycle).
 """
 
 import ast
@@ -26,6 +28,13 @@ def _is_private(name):
 
 def _is_internal(node):
     return node.level > 0 or (node.module or "").split(".")[0] == "entropik"
+
+
+def _internal_module(node):
+    """The imported ``entropik`` module, relative to the package."""
+    if node.level > 0:
+        return node.module or ""
+    return (node.module or "").partition(".")[2]
 
 
 def _bound_names(node):
@@ -71,3 +80,23 @@ def test_module_level_imports_are_used(path):
     used |= _exported(tree)
     dead = sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
     assert not dead, f"{path.name} has unused imports: {dead}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_deferred_import_of_a_module_imported_at_top(path):
+    tree = _tree(path)
+    top = {
+        _internal_module(node)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and _is_internal(node)
+    }
+    bad = {
+        f"line {inner.lineno}: from {inner.module or '.'}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(fn)
+        if isinstance(inner, ast.ImportFrom)
+        and _is_internal(inner)
+        and _internal_module(inner) in top
+    }
+    assert not bad, f"{path.name} defers imports it already has at the top: {sorted(bad)}"

@@ -50,7 +50,7 @@ def test_extended_inequality_consistency(gas):
     # then the lead solutions reproduces the entropy rate on solutions
     run = liu_run("gas1d")
     srun = solution_run("gas1d")
-    e = liu_extended(gas, run.result.multiplier_dep)
+    e = liu_extended(gas)
     e = substitute(e, dict(run.solved_multipliers))
     e = substitute(e, srun.solved.substitution)
     target = entropy_on_solutions(gas, srun.solved)

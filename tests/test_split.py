@@ -8,9 +8,10 @@ import dataclasses
 
 import pytest
 
-from entropik.expr import ZERO, monomial_expr
+from entropik.atoms import ConstitSym, JetVar
+from entropik.expr import ONE, ZERO, Expr, monomial_expr
 from entropik.render import atom_str, expr_str
-from entropik.split import numeric_oracle, split
+from entropik.split import ConstraintSystem, numeric_oracle, split
 
 from conftest import load_model, solution_run
 
@@ -99,9 +100,8 @@ def test_granular_symmetrization_per_symbol(granular):
 
 @pytest.mark.parametrize("name", ["gas1d", "fluid2d"])
 def test_numeric_oracle_passes(name):
-    m = load_model(name)
     run = solution_run(name)
-    rep = numeric_oracle(m, run.solved, run.system, trials=30, seed=3)
+    rep = numeric_oracle(run.system, trials=30, seed=3)
     assert rep.ok
     assert rep.identity_passes == 30
 
@@ -115,22 +115,19 @@ def test_numeric_oracle_catches_tampering(gas):
     mono, coeff = bad_table[0]
     bad_table[0] = (mono, coeff + 1)
     tampered = dataclasses.replace(cs, table=tuple(bad_table))
-    rep = numeric_oracle(gas, run.solved, tampered, trials=10, seed=3)
+    rep = numeric_oracle(tampered, trials=10, seed=3)
     assert not rep.ok
     f = rep.failures[0]
     assert f.witness  # a concrete rational counterexample point
 
 
 def test_oracle_catches_wrong_constraint(gas):
-    from entropik.atoms import ConstitSym
-    from entropik.expr import Expr
-
     run = solution_run("gas1d")
     cs = run.system
     # replace a constraint by something the variety check cannot absorb
     wrong = (Expr.atom(ConstitSym("p")) + 1,) + cs.constraints[1:]
     tampered = dataclasses.replace(cs, constraints=wrong)
-    rep = numeric_oracle(gas, run.solved, tampered, trials=10, seed=3)
+    rep = numeric_oracle(tampered, trials=10, seed=3)
     assert not rep.ok
 
 
@@ -138,3 +135,40 @@ def test_split_denominator_certified(fluid):
     cs = solution_run("fluid2d").system
     rc = fluid.render_ctx()
     assert expr_str(cs.denominator, rc) == "deps/dtheta"
+
+
+def _one_constraint_system(constraint, residual):
+    # entropy numerator v*constraint + residual over one free element v
+    v = JetVar("rho", (1,))
+    return ConstraintSystem(
+        constraints=(constraint,),
+        residual_numerator=residual,
+        denominator=ONE,
+        nonzero=(),
+        free_elements=(v,),
+        table=((((v, 1),), constraint),),
+    )
+
+
+def test_oracle_repair_solves_a_linear_unknown_exactly():
+    a, b = Expr.atom(ConstitSym("a")), Expr.atom(ConstitSym("b"))
+    # a ranks first but is squared, so the repair goes through the linear
+    # b = a^2/2; solving through a would leave the constraint nonzero
+    cs = _one_constraint_system(2 * b - a**2, a**2)
+    rep = numeric_oracle(cs, trials=20, seed=1)
+    assert rep.ok
+    assert rep.identity_passes == 20
+    assert rep.variety_passes == 20
+    assert rep.variety_skips == 0
+
+
+def test_oracle_never_repairs_through_a_squared_unknown():
+    f, g = Expr.atom(ConstitSym("f")), Expr.atom(ConstitSym("g"))
+    # both unknowns are squared: no linear repair exists, so every trial
+    # is a skip (the point stays off the variety), never a failure
+    cs = _one_constraint_system(f**2 + g**2 + 1, g)
+    rep = numeric_oracle(cs, trials=20, seed=1)
+    assert rep.ok
+    assert rep.identity_passes == 20
+    assert rep.variety_passes == 0
+    assert rep.variety_skips == 20

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from ._ratio import Q
+from ._ratio import qdiv
 from .atoms import (
     Atom,
     ConstitPartial,
@@ -55,7 +55,7 @@ def try_divexact(a: Expr, b: Expr) -> Optional[Expr]:
     if not a.is_polynomial() or not b.is_polynomial() or b.is_zero():
         return None
     try:
-        return Expr(poly_divexact(a.num, b.num), {(): Q(1)})
+        return Expr(poly_divexact(a.num, b.num), {(): 1})
     except ArithmeticError:
         return None
 
@@ -93,7 +93,7 @@ def certified_nonzero(e: Expr, nonzero: Iterable[Expr]) -> bool:
 
 def _monic(p: dict) -> Expr:
     lead = p[max(p, key=mono_key)]
-    return Expr({m: c / lead for m, c in p.items()}, {(): Q(1)})
+    return Expr({m: qdiv(c, lead) for m, c in p.items()}, {(): 1})
 
 
 @dataclass(frozen=True)

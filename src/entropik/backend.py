@@ -1,9 +1,12 @@
 """Sparse multivariate polynomial kernels.
 
 A polynomial is a dict mapping monomials to nonzero exact rational
-coefficients.  A monomial is a tuple of ``(atom, exponent)`` pairs with
-positive exponents, sorted by the global atom order; the empty tuple is the
-unit monomial.  Zero is the empty dict.
+coefficients: a plain ``int`` when the value is integral and a
+``fractions.Fraction`` when it is not, never a ``float``.  These kernels
+only add, subtract and multiply, so int coefficients stay ints; division
+goes through ``entropik._ratio.qdiv``.  A monomial is a tuple of
+``(atom, exponent)`` pairs with positive exponents, sorted by the global
+atom order; the empty tuple is the unit monomial.  Zero is the empty dict.
 
 ``BACKEND`` names the kernel in benchmark stamps; there is only this one.
 """
@@ -69,12 +72,6 @@ def p_sub(p1, p2):
     return p_add(p1, p_neg(p2))
 
 
-def p_scale(p, q):
-    if not q:
-        return {}
-    return {m: c * q for m, c in p.items()}
-
-
 def p_mul(p1, p2):
     if not p1 or not p2:
         return {}
@@ -99,7 +96,7 @@ def p_mul(p1, p2):
 
 def p_pow(p, n):
     if n == 0:
-        return {(): _one_coeff(p)}
+        return {(): 1}
     result = None
     base = p
     while True:
@@ -109,15 +106,6 @@ def p_pow(p, n):
         if not n:
             return result
         base = p_mul(base, base)
-
-
-def _one_coeff(p):
-    # 1 with the same coefficient type as p's entries (Fraction(1) default).
-    for c in p.values():
-        return c / c
-    from ._ratio import Q
-
-    return Q(1)
 
 
 def p_diff(p, atom):

@@ -17,11 +17,12 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from ._ratio import Q
+from ._ratio import Q, qdiv
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_add, mi_unit
-from .backend import p_add, p_diff, p_mul, p_neg, p_pow, p_scale, p_sub
+from .backend import p_add, p_diff, p_mul, p_neg, p_pow, p_sub
 from .errors import (
     DenominatorVanishes,
     DivisionByZeroExpr,
@@ -103,7 +104,7 @@ class Expr:
 
     @staticmethod
     def rational(q) -> "Expr":
-        q = Q(q)
+        q = qdiv(q, 1)
         num = {(): q} if q else {}
         return Expr(num, dict(_ONE_POLY), _canonical=True)
 
@@ -111,7 +112,7 @@ class Expr:
     def atom(a: Atom) -> "Expr":
         e = _ATOM_CACHE.get(a)
         if e is None:
-            e = Expr({((a, 1),): Q(1)}, dict(_ONE_POLY), _canonical=True)
+            e = Expr({((a, 1),): 1}, dict(_ONE_POLY), _canonical=True)
             _ATOM_CACHE[a] = e
         return e
 
@@ -128,7 +129,7 @@ class Expr:
     def as_rational(self) -> Q:
         if not self.is_rational():
             raise ValueError(f"not a rational constant: {self}")
-        return self.num.get((), Q(0))
+        return self.num.get((), 0)
 
     def is_polynomial(self) -> bool:
         return self.den == _ONE_POLY
@@ -248,9 +249,8 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     # Scale: leading denominator coefficient becomes 1.
     lc = den[max(den, key=mono_key)]
     if lc != 1:
-        inv = 1 / lc
-        num = p_scale(num, inv)
-        den = p_scale(den, inv)
+        num = {m: qdiv(c, lc) for m, c in num.items()}
+        den = {m: qdiv(c, lc) for m, c in den.items()}
     return num, den
 
 
@@ -261,7 +261,7 @@ _ATOM_CACHE: dict[Atom, Expr] = {}
 
 def _init_constants():
     global _ONE_POLY, ZERO, ONE
-    _ONE_POLY = {(): Q(1)}
+    _ONE_POLY = {(): 1}
     ZERO = Expr({}, dict(_ONE_POLY), _canonical=True)
     ONE = Expr(dict(_ONE_POLY), dict(_ONE_POLY), _canonical=True)
 
@@ -479,49 +479,63 @@ def _eval_poly_numeric(p: Poly, assignment: Mapping[Atom, Q]) -> Q:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomial division (used by the fraction-free linear solver).
+# Exact polynomial division.
 
 def poly_divexact(p: Poly, q: Poly) -> Poly:
-    """Divide ``p`` by ``q`` assuming the division is exact.
+    """The exact quotient ``p / q``; ArithmeticError when ``q`` does not
+    divide ``p``.
 
-    Standard leading-term elimination under a graded-lex term order built
-    over the atoms of the operands.  Raises ArithmeticError if a remainder
-    survives (which would indicate a solver bug, not user error).
+    The error is an ordinary answer, not a fault: ``algebra.try_divexact``
+    uses this function as its divisibility test, and most of its calls
+    fail.  So ``q`` is rejected before any elimination when its degree in
+    some atom exceeds that in ``p``, or when its leading or trailing term
+    does not divide ``p``'s: the extreme terms of a product are the
+    products of its factors' extreme terms.  Otherwise leading terms are
+    eliminated under the graded-lex order over ``p``'s atoms.  Exponent
+    vectors carry their total degree first, so native tuple order is that
+    order, and the two term checks include the top and bottom total
+    degrees.
     """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     if not p:
         return {}
-    atoms = sorted({a for m in (*p, *q) for a, _ in m}, key=lambda a: a.key)
-    index = {a: i for i, a in enumerate(atoms)}
-    n = len(atoms)
+    top: dict = {}
+    for m in p:
+        for a, e in m:
+            if e > top.get(a, 0):
+                top[a] = e
+    for m in q:
+        for a, e in m:
+            if e > top.get(a, 0):
+                raise ArithmeticError("inexact polynomial division")
+    atoms = sorted(top, key=lambda a: a.key)
+    index = {a: i for i, a in enumerate(atoms, 1)}
+    width = len(atoms) + 1
 
     def dense(m):
-        v = [0] * n
+        v = [0] * width
         for a, e in m:
             v[index[a]] = e
+        v[0] = sum(v)
         return tuple(v)
-
-    def grlex(v):
-        return (sum(v), v)
-
-    def sparse(v):
-        return tuple((atoms[i], e) for i, e in enumerate(v) if e)
 
     r = {dense(m): c for m, c in p.items()}
     qd = {dense(m): c for m, c in q.items()}
-    lq = max(qd, key=grlex)
+    lq = max(qd)
+    if min(map(sub, max(r), lq)) < 0 or min(map(sub, min(r), min(qd))) < 0:
+        raise ArithmeticError("inexact polynomial division")
     cq = qd[lq]
     out: Poly = {}
     while r:
-        lr = max(r, key=grlex)
-        diff = tuple(a - b for a, b in zip(lr, lq))
-        if any(d < 0 for d in diff):
+        lr = max(r)
+        diff = tuple(map(sub, lr, lq))
+        if min(diff) < 0:
             raise ArithmeticError("inexact polynomial division")
-        coeff = r[lr] / cq
-        out[sparse(diff)] = coeff
+        coeff = qdiv(r[lr], cq)
+        out[tuple((x, e) for x, e in zip(atoms, diff[1:]) if e)] = coeff
         for mq, c in qd.items():
-            m = tuple(a + b for a, b in zip(diff, mq))
+            m = tuple(map(add, diff, mq))
             s = r.get(m)
             nc = (s if s is not None else 0) - coeff * c
             if nc:

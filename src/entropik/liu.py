@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from ._ratio import qdiv
 from .algebra import (
     arg_derivative,
     certified_nonzero,
@@ -450,7 +451,7 @@ def _in_rational_span(target: Expr, base: Sequence[Expr]) -> bool:
         if row:
             lead = min(row, key=mono_key)
             lc = row[lead]
-            pivots.append((lead, {m: v / lc for m, v in row.items()}))
+            pivots.append((lead, {m: qdiv(v, lc) for m, v in row.items()}))
     for mono, prow in pivots:
         c = t.get(mono)
         if c:

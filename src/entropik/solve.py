@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from ._ratio import Q
 from .algebra import pivot_factors
 from .atoms import JetVar, mi_total
 from .errors import (
@@ -90,7 +89,7 @@ class SolvedSystem:
 
 
 def _divexact(a: Expr, b: Expr) -> Expr:
-    return Expr(poly_divexact(a.num, b.num), {(): Q(1)})
+    return Expr(poly_divexact(a.num, b.num), {(): 1})
 
 
 def solve_leading(m: ModelDef) -> SolvedSystem:

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entropik
 from entropik import backend
+from entropik._ratio import qdiv
 from entropik.atoms import ConstitPartial, ConstitSym, IndepVar, JetVar
 from entropik.errors import DivisionByZeroExpr, MissingAssignment
 from entropik.expr import (
@@ -20,6 +21,7 @@ from entropik.expr import (
     eval_numeric,
     monomial_expr,
     partial_diff,
+    poly_divexact,
     substitute,
     total_derivative,
 )
@@ -211,3 +213,83 @@ def test_single_kernel_exports():
 def test_mono_mul_merges_sorted():
     a, b = sorted((T, RHO), key=lambda x: x.key)
     assert backend.mono_mul(((a, 2),), ((a, 1), (b, 1))) == ((a, 3), (b, 1))
+
+
+# -- coefficient form -----------------------------------------------------
+
+def test_qdiv_keeps_integral_quotients_int():
+    assert qdiv(6, 3) == 2 and type(qdiv(6, 3)) is int
+    assert qdiv(Q(6, 3), 2) == 1 and type(qdiv(Q(6, 3), 2)) is int
+    assert qdiv(1, 2) == Q(1, 2) and type(qdiv(1, 2)) is Q
+
+
+@given(st.integers(), st.integers().filter(bool))
+@settings(max_examples=300, deadline=None)
+def test_qdiv_is_exact_and_never_float(a, b):
+    q = qdiv(a, b)
+    assert not isinstance(q, float)
+    assert q * b == a
+    assert type(q) is (int if a % b == 0 else Q)
+
+
+def test_rational_constructor_stores_int():
+    e = Expr.rational(Q(4, 2))
+    assert e.num == {(): 2}
+    assert type(e.num[()]) is int
+
+
+def test_pow_zero_has_no_float():
+    out = backend.p_pow({((RHO, 1),): 3, (): 2}, 0)
+    assert out == {(): 1}
+    assert type(out[()]) is int
+
+
+# -- exact polynomial division (property-based) ---------------------------
+
+DIV_ATOMS = sorted((RHO, U, EPS, P), key=lambda a: a.key)
+
+coeffs = st.builds(qdiv, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+monomials = st.builds(
+    lambda exps: tuple((a, e) for a, e in zip(DIV_ATOMS, exps) if e),
+    st.tuples(*(st.integers(0, 2) for _ in DIV_ATOMS)),
+)
+polys = st.dictionaries(monomials, coeffs, min_size=1, max_size=4)
+
+
+def _degree(p):
+    return max(sum(e for _, e in m) for m in p)
+
+
+@given(polys, polys)
+@settings(max_examples=200, deadline=None)
+def test_divexact_recovers_the_cofactor(a, q):
+    # the degree and support checks never reject a true multiple
+    assert poly_divexact(backend.p_mul(a, q), q) == a
+
+
+@given(polys, polys)
+@settings(max_examples=200, deadline=None)
+def test_divexact_result_is_a_quotient(p, q):
+    try:
+        out = poly_divexact(p, q)
+    except ArithmeticError:
+        return
+    assert backend.p_mul(out, q) == p
+
+
+@given(polys, polys)
+@settings(max_examples=200, deadline=None)
+def test_divexact_rejects_a_missing_atom(p, q):
+    # drop the last atom from p, and make sure q has it
+    p = {tuple(x for x in m if x[0] is not DIV_ATOMS[-1]): c for m, c in p.items()}
+    q = backend.p_mul(q, {((DIV_ATOMS[-1], 1),): 1})
+    with pytest.raises(ArithmeticError):
+        poly_divexact(p, q)
+
+
+@given(polys, polys)
+@settings(max_examples=200, deadline=None)
+def test_divexact_rejects_a_larger_degree(p, q):
+    assume(_degree(p) < _degree(q))
+    with pytest.raises(ArithmeticError):
+        poly_divexact(p, q)

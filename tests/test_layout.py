@@ -1,12 +1,14 @@
 """Module layout guard for the ``entropik`` package.
 
-Three rules, checked on the source with ``ast``:
+Four rules, checked on the source with ``ast``:
 
 * no module imports an underscore-prefixed name from another ``entropik``
   module (shared helpers live under a public name in one home module);
 * every module-level import is used (names listed in ``__all__`` count);
 * no function imports from an ``entropik`` module that its file already
-  imports at module level (a deferred import only breaks a cycle).
+  imports at module level (a deferred import only breaks a cycle);
+* only ``entropik._ratio`` imports ``fractions`` (the one home of the
+  coefficient type).
 """
 
 import ast
@@ -100,3 +102,22 @@ def test_no_deferred_import_of_a_module_imported_at_top(path):
         and _internal_module(inner) in top
     }
     assert not bad, f"{path.name} defers imports it already has at the top: {sorted(bad)}"
+
+
+def _imports_fractions(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+    return (
+        isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and (node.module or "").split(".")[0] == "fractions"
+    )
+
+
+def test_only_the_ratio_module_imports_fractions():
+    importers = sorted(
+        path.name
+        for path in MODULES
+        if any(_imports_fractions(node) for node in ast.walk(_tree(path)))
+    )
+    assert importers == ["_ratio.py"]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import pathlib
 from collections.abc import Mapping
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -120,6 +121,20 @@ def test_no_float_coefficients(name, method):
     coeffs = list(_coefficients(run))
     assert coeffs
     assert not [c for c in coeffs if isinstance(c, float)]
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+@pytest.mark.parametrize("method", METHODS)
+def test_integral_coefficients_are_ints(name, method):
+    # the int fast path: a Fraction only where the value is not an integer
+    run = solution_run(name) if method == "solution-set" else liu_run(name)
+    bad = [
+        c
+        for c in _coefficients(run)
+        if type(c) is not int
+        and not (type(c) is Fraction and c.denominator != 1)
+    ]
+    assert not bad
 
 
 def test_fingerprint_is_content_digest(gas, fluid):

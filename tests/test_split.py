@@ -1,7 +1,8 @@
 """Coefficient splitting: constraint identities and residual inequality.
 
 The gas constraint strings below were re-derived independently with a
-computer-algebra system (tools/oracles/gas1d_oracle.py) and frozen here.
+computer-algebra system (tools/oracles/gas1d_oracle.py) and frozen here;
+tests/test_sympy_oracle.py re-runs that derivation where sympy is installed.
 """
 
 import dataclasses

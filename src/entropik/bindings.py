@@ -218,9 +218,9 @@ def sampled_production(
 ) -> tuple[Q, ...]:
     """Entropy-production numerator under the bindings at random exact
     rational points, one value per trial."""
-    needed: set[Atom] = set(cs.reconstruction().atoms())
-    sub = binding_closure(m, bs, needed, use_parameter_values=True)
-    num = _close_subst(cs.reconstruction(), sub)
+    total = cs.reconstruction()
+    sub = binding_closure(m, bs, set(total.atoms()), use_parameter_values=True)
+    num = _close_subst(total, sub)
     out = []
     atoms = sorted(num.atoms(), key=lambda a: a.key)
     for trial in range(trials):

@@ -399,7 +399,6 @@ def _reduce(st: _State) -> list[_Blocked]:
 
 def _repeated_pairs(
     constraints: Sequence[Expr],
-    nonzero: Sequence[Expr],
 ) -> list[tuple[ConstitPartial, ConstitPartial]]:
     """Coefficient-atom pairs that recur across two-monomial constraints.
 
@@ -464,7 +463,7 @@ def pivot_candidates(cs: ConstraintSystem) -> tuple[Expr, ...]:
     ranked = sorted(occurrence, key=lambda a: (-occurrence[a], a.key))
     out: list[Expr] = [Expr.atom(a) for a in ranked]
     args_of = dict(cs.args_of)
-    for pair in _repeated_pairs(cs.constraints, cs.nonzero):
+    for pair in _repeated_pairs(cs.constraints):
         for w in _pair_wronskians(pair, cs.nonzero, args_of):
             if w not in out:
                 out.append(w)
@@ -484,7 +483,7 @@ def force_residual(cs: ConstraintSystem) -> ConstraintSystem:
     coefficient pair of the system degenerates; those pair atoms are
     asserted nonzero alongside."""
     nonzero = list(cs.nonzero)
-    for pair in _repeated_pairs(cs.constraints, cs.nonzero):
+    for pair in _repeated_pairs(cs.constraints):
         for a in pair:
             e = Expr.atom(a)
             if e not in nonzero:
@@ -606,15 +605,23 @@ def build_tree(
     reduces, asks the reducer what division it is blocked on, and forks
     on the first admissible answer — falling back to a still-relevant
     composite candidate when no division is blocked.  A fork whose two
-    children reduce to the same system is skipped as vacuous."""
+    children reduce to the same system is skipped as vacuous.  The root
+    is reduced before the pool is ranked; when it closes, no fork
+    consults the pool and the tree reports an empty one."""
     if depth < 1:
         raise ValueError("depth cap must be at least 1")
-    pool = tuple(pivot_candidates(cs) if pivots is None else pivots)
+
+    def reduced(path: tuple[Assumption, ...]):
+        st = _make_state(cs, path)
+        return path, st, _reduce(st)
+
+    root = reduced(tuple(assumptions))
+    pool: tuple[Expr, ...] = ()
+    if not root[1].inconsistent:
+        pool = tuple(pivot_candidates(cs) if pivots is None else pivots)
     statics = [p for p in pool if len(p.numerator_expr().num) > 1]
 
-    def node(path: tuple[Assumption, ...]) -> CaseNode:
-        st = _make_state(cs, path)
-        blocked = _reduce(st)
+    def node(path, st: _State, blocked: list[_Blocked]) -> CaseNode:
         system = _finish(st, path)
         if system.inconsistent:
             return CaseNode(
@@ -638,8 +645,8 @@ def build_tree(
                     status="open",
                     capped=DepthCapExceeded(path=path, pending_pivot=cand),
                 )
-            hi = node(path + (Assumption.nonzero(cand),))
-            lo = node(path + (Assumption.zero(cand),))
+            hi = node(*reduced(path + (Assumption.nonzero(cand),)))
+            lo = node(*reduced(path + (Assumption.zero(cand),)))
             if hi.system.same_content(lo.system):
                 continue  # the fork changes nothing; vacuous pivot
             return CaseNode(
@@ -651,4 +658,4 @@ def build_tree(
             )
         return CaseNode(assumptions=path, system=system, status="leaf")
 
-    return CaseTree(root=node(tuple(assumptions)), pivots=pool)
+    return CaseTree(root=node(*root), pivots=pool)

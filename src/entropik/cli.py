@@ -30,7 +30,6 @@ from .bindings import (
 )
 from .cases import (
     Assumption,
-    apply_assumptions,
     build_tree,
     force_residual,
 )
@@ -311,7 +310,8 @@ def _tree_text(node, rc, depth=0):
 )
 @click.option("--force-residual-zero", is_flag=True,
               help="Treat the residual as a constraint (no production).")
-@click.option("--depth", type=int, default=3, show_default=True)
+@click.option("--depth", type=click.IntRange(min=1), default=3,
+              show_default=True)
 @click.option("--output", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
 @_max_order_opt
@@ -327,11 +327,7 @@ def split(model_file, assumes, force_residual_zero, depth, output, max_order):
         _parse_assume(m, text, i) for i, text in enumerate(assumes)
     )
     rc = m.render_ctx()
-    root_rs = apply_assumptions(cs, assumptions)
-    if root_rs.inconsistent:
-        tree = build_tree(cs, pivots=(), depth=1, assumptions=assumptions)
-    else:
-        tree = build_tree(cs, depth=depth, assumptions=assumptions)
+    tree = build_tree(cs, depth=depth, assumptions=assumptions)
     if output == "json":
         click.echo(json.dumps(tree_to_dict(tree, m), sort_keys=True,
                               indent=2))

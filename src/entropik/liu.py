@@ -20,7 +20,7 @@ whose energy pair depends on a derivative the fluxes do not see.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ._ratio import qdiv
 from .algebra import (
@@ -52,7 +52,6 @@ __all__ = [
     "liu_extended",
     "liu_split",
     "eliminate_multipliers",
-    "implied_by",
     "compare",
 ]
 
@@ -117,6 +116,16 @@ def _apply_zeros(e: Expr, zeros: Iterable[Atom]) -> Expr:
     return substitute(e, sub) if sub else e
 
 
+def _normal_set(exprs: Iterable[Expr], nonzero: Sequence[Expr]) -> list[Expr]:
+    """Normal forms of ``exprs`` with zeros dropped, first copy kept."""
+    out: dict[Expr, None] = {}
+    for e in exprs:
+        n, _ = normalize_constraint(e, nonzero)
+        if not n.is_zero():
+            out.setdefault(n)
+    return list(out)
+
+
 def _field_pieces(e: Expr, free_fields: Sequence[JetVar]) -> list[Expr]:
     """Split over undifferentiated fields outside every dependency: no
     unknown function sees them, so each coefficient vanishes on its own."""
@@ -124,6 +133,15 @@ def _field_pieces(e: Expr, free_fields: Sequence[JetVar]) -> list[Expr]:
     if not fs:
         return [e]
     return list(collect_coefficients(e, fs).values())
+
+
+def _refine(
+    exprs: Iterable[Expr], free_fields: Sequence[JetVar], nonzero: Sequence[Expr]
+) -> list[Expr]:
+    """The normal set of every field piece of ``exprs``."""
+    return _normal_set(
+        (p for e in exprs for p in _field_pieces(e, free_fields)), nonzero
+    )
 
 
 def _forced_zero(e: Expr, nonzero: Sequence[Expr]) -> Optional[Atom]:
@@ -182,14 +200,7 @@ def _harvest(
         ]
 
     while True:
-        pool = []
-        for p in pieces:
-            r = _apply_zeros(p, zeros)
-            if r.is_zero():
-                continue
-            r, _ = normalize_constraint(r, nonzero)
-            if not r.is_zero() and r not in pool:
-                pool.append(r)
+        pool = _normal_set((_apply_zeros(p, zeros) for p in pieces), nonzero)
 
         forced = False
         # Rule 1: single monomial with one uncertified symbol.
@@ -290,11 +301,7 @@ def liu_split(
         ((mono, c) for mono, c in coeffs.items() if mono),
         key=lambda kv: mono_key(kv[0]),
     )
-    identities: list[Expr] = []
-    for _, c in table:
-        n, _ = normalize_constraint(c, nonzero)
-        if not n.is_zero() and n not in identities:
-            identities.append(n)
+    identities = _normal_set((c for _, c in table), nonzero)
 
     free_fields = tuple(
         sorted(
@@ -306,12 +313,7 @@ def liu_split(
             key=lambda a: a.key,
         )
     )
-    pieces: list[Expr] = []
-    for ident in identities:
-        for p in _field_pieces(ident, free_fields):
-            n, _ = normalize_constraint(p, nonzero)
-            if not n.is_zero() and n not in pieces:
-                pieces.append(n)
+    pieces = _refine(identities, free_fields, nonzero)
     args_of = _args_map(m, multiplier_dep)
     zeros, generic = _harvest(pieces, multiplier_dep, args_of, nonzero)
 
@@ -391,22 +393,15 @@ def eliminate_multipliers(
         if not dirty:
             break
 
-    physical: list[Expr] = []
-    for ident in pending:
-        atoms = set(ident.atoms())
-        if atoms & remaining:
-            continue
-        n, _ = normalize_constraint(ident, nonzero)
-        if not n.is_zero() and n not in physical:
-            physical.append(n)
+    physical = _normal_set(
+        (x for x in pending if not set(x.atoms()) & remaining), nonzero
+    )
     return solved, tuple(physical), tuple(sorted(remaining, key=lambda a: a.key))
 
 
-def _zero_closure(
-    base: Sequence[Expr], nonzero: Sequence[Expr]
-) -> tuple[set[Atom], list[Expr]]:
+def _zero_closure(base: Sequence[Expr], nonzero: Sequence[Expr]) -> set[Atom]:
     """Symbols forced to zero by single-monomial members of ``base``
-    (certified cofactor), iterated, plus the base reduced modulo them."""
+    (certified cofactor), iterated over the base reduced modulo them."""
     zeros: set[Atom] = set()
     current = list(base)
     while True:
@@ -417,91 +412,62 @@ def _zero_closure(
                 zeros.add(z)
                 new = True
         if not new:
-            break
-        reduced = []
-        for c in current:
-            r = _apply_zeros(c, zeros)
-            if r.is_zero():
-                continue
-            r, _ = normalize_constraint(r, nonzero)
-            if not r.is_zero() and r not in reduced:
-                reduced.append(r)
-        current = reduced + [Expr.atom(a) for a in sorted(zeros, key=lambda a: a.key)]
-    return zeros, current
+            return zeros
+        current = _normal_set((_apply_zeros(c, zeros) for c in current), nonzero)
 
 
-def _in_rational_span(target: Expr, base: Sequence[Expr]) -> bool:
-    """Whether ``target``'s numerator is a rational-coefficient linear
-    combination of the base numerators (Gaussian elimination over the
-    monomial basis)."""
-    rows = [dict(b.numerator_expr().num) for b in base if not b.is_zero()]
-    t = dict(target.numerator_expr().num)
+def _reduce_row(row: dict, pivots: Sequence[tuple[Monomial, dict]]) -> dict:
+    """``row`` minus its multiples of the monic echelon ``pivots``, in place."""
+    for mono, prow in pivots:
+        c = row.get(mono)
+        if c:
+            for m2, v in prow.items():
+                nv = row.get(m2, 0) - c * v
+                if nv:
+                    row[m2] = nv
+                else:
+                    row.pop(m2, None)
+    return row
+
+
+def _implication_test(
+    base: Sequence[Expr], nonzero: Sequence[Expr]
+) -> Callable[[Expr], bool]:
+    """Sound, incomplete test of whether ``target = 0`` follows from
+    ``base`` (all = 0, normalized) under the nonzero assumptions.
+
+    The base's forced zeros, members and echelon form over the monomial
+    basis are computed here, once; :func:`compare` lists the routes.
+    """
+    members = set(base)
+    zeros = _zero_closure(base, nonzero)
+    divisors = [b.numerator_expr() for b in base]
     pivots: list[tuple[Monomial, dict]] = []
-    for row in rows:
-        row = dict(row)
-        for mono, prow in pivots:
-            c = row.get(mono)
-            if c:
-                for m2, v in prow.items():
-                    nv = row.get(m2, 0) - c * v
-                    if nv:
-                        row[m2] = nv
-                    else:
-                        row.pop(m2, None)
+    for d in divisors:
+        row = _reduce_row(dict(d.num), pivots)
         if row:
             lead = min(row, key=mono_key)
             lc = row[lead]
             pivots.append((lead, {m: qdiv(v, lc) for m, v in row.items()}))
-    for mono, prow in pivots:
-        c = t.get(mono)
-        if c:
-            for m2, v in prow.items():
-                nv = t.get(m2, 0) - c * v
-                if nv:
-                    t[m2] = nv
-                else:
-                    t.pop(m2, None)
-    return not t
 
-
-def implied_by(
-    target: Expr,
-    base: Sequence[Expr],
-    nonzero: Iterable[Expr],
-    zeros: Optional[set[Atom]] = None,
-) -> bool:
-    """Sound, incomplete implication test: ``target = 0`` follows from
-    ``base`` (all = 0) under the nonzero assumptions.
-
-    Accepts: exact membership after normalization, vanishing after
-    substituting symbols the base forces to zero, and polynomial
-    multiples of a base element (before or after the zero substitution).
-    """
-    nonzero = list(nonzero)
-    n, _ = normalize_constraint(target, nonzero)
-    if n.is_zero() or n in base:
-        return True
-    if zeros is None:
-        zeros, _ = _zero_closure(base, nonzero)
-    candidates = [n]
-    if zeros:
-        r = _apply_zeros(n, zeros)
-        if r.is_zero():
+    def implied(target: Expr) -> bool:
+        n, _ = normalize_constraint(target, nonzero)
+        if n.is_zero() or n in members:
             return True
-        r, _ = normalize_constraint(r, nonzero)
-        if r.is_zero() or r in base:
-            return True
-        candidates.append(r)
-    for cand in candidates:
-        for b in base:
-            if b.is_zero():
-                continue
-            if try_divexact(cand.numerator_expr(), b.numerator_expr()) is not None:
+        candidates = [n]
+        if zeros:
+            r, _ = normalize_constraint(_apply_zeros(n, zeros), nonzero)
+            if r.is_zero() or r in members:
                 return True
-    for cand in candidates:
-        if _in_rational_span(cand, base):
-            return True
-    return False
+            candidates.append(r)
+        nums = [c.numerator_expr() for c in candidates]
+        for c in nums:
+            for d in divisors:
+                if try_divexact(c, d) is not None:
+                    return True
+        return any(not _reduce_row(dict(c.num), pivots) for c in nums)
+
+    return implied
 
 
 @dataclass(frozen=True)
@@ -522,41 +488,34 @@ def compare(lr: LiuResult, cs: ConstraintSystem) -> ComparisonReport:
 
     The multiplier symbols are eliminated linearly first, and both sides
     are refined over dependency-free fields (sound: no unknown function
-    sees them).  Then each side is tested for implication by the other;
-    the verdict is ``identical`` when both directions close,
+    sees them).  Then each side is tested for implication by the other.
+    The test is sound but incomplete; it accepts, in this order:
+
+    * membership of the normalized identity in the other side;
+    * vanishing after substituting the symbols the other side forces to
+      zero (single monomials with a certified cofactor, iterated);
+    * a polynomial multiple of a member, before or after that
+      substitution;
+    * a rational-coefficient linear combination of the members'
+      numerators, before or after that substitution.
+
+    The verdict is ``identical`` when both directions close,
     ``liu-over-restricts`` when the multiplier set implies everything the
     solution set requires and strictly more, and ``incomparable``
     otherwise.
     """
     nonzero = list(cs.nonzero)
     solved, liu_raw, unsolved = eliminate_multipliers(lr, nonzero)
-
-    def refined(exprs: Iterable[Expr]) -> list[Expr]:
-        out: list[Expr] = []
-        for e in exprs:
-            if e.is_zero():
-                continue
-            for p in _field_pieces(e, lr.free_fields):
-                n, _ = normalize_constraint(p, nonzero)
-                if not n.is_zero() and n not in out:
-                    out.append(n)
-        return out
-
-    liu_ids = refined(liu_raw)
-    sol = refined(cs.constraints)
-    liu_zeros, _ = _zero_closure(liu_ids, nonzero)
-    sol_zeros, _ = _zero_closure(sol, nonzero)
+    liu_ids = _refine(liu_raw, lr.free_fields, nonzero)
+    sol = _refine(cs.constraints, lr.free_fields, nonzero)
+    by_sol = _implication_test(sol, nonzero)
+    by_liu = _implication_test(liu_ids, nonzero)
 
     common: list[Expr] = []
     liu_only: list[Expr] = []
     for ident in liu_ids:
-        if implied_by(ident, sol, nonzero, zeros=sol_zeros):
-            common.append(ident)
-        else:
-            liu_only.append(ident)
-    solution_only = [
-        c for c in sol if not implied_by(c, liu_ids, nonzero, zeros=liu_zeros)
-    ]
+        (common if by_sol(ident) else liu_only).append(ident)
+    solution_only = [c for c in sol if not by_liu(c)]
 
     if not liu_only and not solution_only:
         verdict = "identical"

@@ -12,7 +12,7 @@ retained for formatting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .ast_nodes import Node
 from .atoms import (
@@ -31,8 +31,6 @@ __all__ = [
     "ConstitDecl",
     "Equation",
     "ModelDef",
-    "Classification",
-    "classify_atoms",
 ]
 
 
@@ -199,58 +197,3 @@ class ModelDef:
 
     def __hash__(self):
         return hash((self.indep, self.fields, self.leading))
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Disjoint partition of the atoms occurring in a set of expressions
-    (plus the model's independent variables)."""
-
-    leading: frozenset[Atom]
-    dependency: frozenset[Atom]
-    free: frozenset[Atom]
-    excluded: frozenset[Atom]
-    conflicts: tuple[Atom, ...]  # dependency atoms claimed by the leading class
-
-
-def classify_atoms(m: ModelDef, exprs: Iterable[Expr]) -> Classification:
-    """Partition atoms into {leading, dependency, free, excluded}.
-
-    Leading derivatives and their differential consequences win over
-    dependency membership (the conflict is recorded); constitutive symbols
-    and partials are excluded (they are the unknown functions).  All of the
-    model's independent variables count as free elements whether or not
-    they occur.
-    """
-    atoms: set[Atom] = set(m.indep)
-    for e in exprs:
-        atoms.update(e.atoms())
-    deps = m.dependency_atoms()
-    # Declared dependencies are in scope even when no expression mentions
-    # the bare atom (e.g. an energy density that only ever appears inside
-    # derivatives).
-    atoms.update(deps)
-    leading: set[Atom] = set()
-    dependency: set[Atom] = set()
-    free: set[Atom] = set()
-    excluded: set[Atom] = set()
-    conflicts: list[Atom] = []
-    for a in atoms:
-        if isinstance(a, (ConstitSym, ConstitPartial)):
-            excluded.add(a)
-        elif m.is_consequence(a):
-            leading.add(a)
-            if a in deps:
-                conflicts.append(a)
-        elif a in deps:
-            dependency.add(a)
-        else:
-            free.add(a)
-    conflicts.sort()
-    return Classification(
-        leading=frozenset(leading),
-        dependency=frozenset(dependency),
-        free=frozenset(free),
-        excluded=frozenset(excluded),
-        conflicts=tuple(conflicts),
-    )

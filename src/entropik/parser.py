@@ -545,7 +545,6 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
 
     indep_t = tuple(indep)
     fields_t = tuple(fields)
-    zero = (0,) * len(indep_t)
 
     # Environment without constitutive declarations: for argument lists.
     arg_env = CompileEnv(indep=indep_t, fields=fields_t, decls={})
@@ -757,7 +756,6 @@ def format_model(m: ModelDef) -> str:
     """Canonical source form; parses back to an equal ModelDef."""
     names = m.indep_names
     out = [f"independent {' '.join(names)}", f"field {' '.join(m.fields)}"]
-    env = CompileEnv(indep=m.indep, fields=m.fields, decls={})
     for d in m.decls:
         args = ", ".join(_arg_text(a, names) for a in d.args)
         line = f"constitutive {d.name}({args})"

@@ -32,7 +32,7 @@ from .expr import (
     monomial_expr,
     substitute,
 )
-from .model import Classification, ModelDef, classify_atoms
+from .model import ModelDef
 from .solve import SolvedSystem
 
 __all__ = [
@@ -101,13 +101,23 @@ def symmetrization_constraints(m: ModelDef) -> tuple[Expr, ...]:
 
 
 def split(m: ModelDef, e: Expr) -> ConstraintSystem:
-    """Coefficient extraction over the free elements of ``e``."""
-    cls: Classification = classify_atoms(m, [e])
-    free = sorted(cls.free, key=lambda a: a.key)
+    """Coefficient extraction over the free elements of ``e``: the model's
+    independent variables and the atoms of ``e`` that are neither unknown
+    functions, nor leading derivatives or their consequences, nor declared
+    dependencies."""
+    deps = m.dependency_atoms()
+    free_set = {
+        a
+        for a in (*m.indep, *e.atoms())
+        if not isinstance(a, (ConstitSym, ConstitPartial))
+        and not m.is_consequence(a)
+        and a not in deps
+    }
+    free = sorted(free_set, key=lambda a: a.key)
 
     den = e.denominator_expr()
     for a in den.atoms():
-        if a in cls.free:
+        if a in free_set:
             raise NotPolynomialInFreeElements(
                 f"denominator contains the free element {a}", atom=a
             )

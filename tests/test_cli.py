@@ -8,6 +8,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from entropik import cases
 from entropik.cli import main
 
 from conftest import MODELS
@@ -116,16 +117,44 @@ def test_split_with_assumption(runner):
 
 
 def test_split_contradictory_assumptions(runner):
-    r = runner.invoke(
-        main,
-        [
-            "split", model("gas1d"),
-            "--assume", "deta/deps = 0",
-            "--assume", "deta/deps != 0",
-        ],
-    )
+    args = [
+        "split", model("gas1d"),
+        "--assume", "deta/deps = 0",
+        "--assume", "deta/deps != 0",
+    ]
+    r = runner.invoke(main, args)
     assert r.exit_code == 0
     assert "0 leaves, 1 closed" in r.output
+    # a closed root forks on nothing, so it reports no pivot pool
+    r = runner.invoke(main, args + ["--output", "json"])
+    assert r.exit_code == 0
+    assert json.loads(r.output)["pivots"] == []
+
+
+def test_split_reduces_each_node_once(runner, monkeypatch):
+    calls = []
+    reduce = cases._reduce
+
+    def counting(st):
+        calls.append(st)
+        return reduce(st)
+
+    monkeypatch.setattr(cases, "_reduce", counting)
+    r = runner.invoke(
+        main, ["split", model("gas1d"), "--depth", "3", "--output", "json"]
+    )
+    assert r.exit_code == 0
+
+    def count(node):
+        return 1 + sum(count(c) for c in node.get("children", ()))
+
+    assert len(calls) == count(json.loads(r.output)["root"])
+
+
+def test_split_rejects_depth_below_one(runner):
+    r = runner.invoke(main, ["split", model("gas1d"), "--depth", "0"])
+    assert r.exit_code == 2
+    assert "--depth" in r.output
 
 
 def test_split_force_residual_zero_json(runner):

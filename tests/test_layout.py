@@ -1,6 +1,6 @@
 """Module layout guard for the ``entropik`` package.
 
-Four rules, checked on the source with ``ast``:
+Five rules, checked on the source with ``ast``:
 
 * no module imports an underscore-prefixed name from another ``entropik``
   module (shared helpers live under a public name in one home module);
@@ -8,7 +8,10 @@ Four rules, checked on the source with ``ast``:
 * no function imports from an ``entropik`` module that its file already
   imports at module level (a deferred import only breaks a cycle);
 * only ``entropik._ratio`` imports ``fractions`` (the one home of the
-  coefficient type).
+  coefficient type);
+* no function assigns a local or takes a parameter that nothing in it
+  (nested functions included) reads; names starting with ``_``, and
+  ``self``/``cls``, are exempt.
 """
 
 import ast
@@ -121,3 +124,53 @@ def test_only_the_ratio_module_imports_fractions():
         if any(_imports_fractions(node) for node in ast.walk(_tree(path)))
     )
     assert importers == ["_ratio.py"]
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn):
+    """Nodes of ``fn``'s body outside nested functions and classes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_names(fn):
+    """Parameters and assigned locals of ``fn`` that nothing in it reads."""
+    a = fn.args
+    bound = {
+        x.arg: x.lineno
+        for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+        if x is not None
+    }
+    outer = set()
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.setdefault(node.id, node.lineno)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            outer.update(node.names)
+    read = {
+        n.id
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    for name, line in bound.items():
+        if name in read or name in outer or name in ("self", "cls"):
+            continue
+        if not name.startswith("_"):
+            yield f"line {line}: {fn.name}: {name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_and_parameter_is_read(path):
+    dead = sorted(
+        entry
+        for fn in ast.walk(_tree(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for entry in _unread_names(fn)
+    )
+    assert not dead, f"{path.name} has unread names: {dead}"

@@ -3,17 +3,18 @@ solution-manifold constraints."""
 
 import pytest
 
-from entropik.atoms import ConstitSym
-from entropik.expr import Expr, substitute
+from entropik.atoms import ConstitPartial, ConstitSym
+from entropik.expr import ONE, ZERO, Expr, substitute
 from entropik.liu import (
+    LiuResult,
     compare,
     eliminate_multipliers,
     liu_extended,
     liu_split,
     multiplier_symbols,
 )
-from entropik.render import atom_str, expr_str
-from entropik.split import entropy_on_solutions
+from entropik.render import RenderContext, atom_str, expr_str
+from entropik.split import ConstraintSystem, entropy_on_solutions
 
 from conftest import liu_run, load_model, solution_run
 
@@ -116,3 +117,41 @@ def test_custom_multiplier_dep(nonsimple):
     rho = nonsimple.decl_map()["T11"].args[0]
     run = run_liu(nonsimple, (rho,))
     assert run.result.multiplier_dep == (rho,)
+
+
+def test_compare_accepts_by_each_implication_route():
+    # One multiplier identity per acceptance route against the base
+    # (f, g + h, g - h): membership, vanishing under the forced zero f
+    # (which kills df/da0 too), a polynomial multiple of g + h, and the
+    # rational span (g = ((g + h) + (g - h))/2).  g*h follows by none.
+    f, g, h = (Expr.atom(ConstitSym(n)) for n in "fgh")
+    df = Expr.atom(ConstitPartial("f", (1,)))
+    lr = LiuResult(
+        multipliers=(),
+        multiplier_dep=(),
+        identities=(g + h, df, g * (g + h), g, g * h),
+        residual=ZERO,
+        split_atoms=(),
+        table=(),
+    )
+    cs = ConstraintSystem(
+        constraints=(f, g + h, g - h),
+        residual_numerator=ZERO,
+        denominator=ONE,
+        nonzero=(),
+        free_elements=(),
+        table=(),
+    )
+    rep = compare(lr, cs)
+    rc = RenderContext(indep_names=(), arg_names={})
+    shown = {
+        k: [expr_str(e, rc) for e in getattr(rep, k)]
+        for k in ("common", "liu_only", "solution_only")
+    }
+    assert shown == {
+        "common": ["h + g", "df/da0", "g^2 + g*h", "g"],
+        "liu_only": ["g*h"],
+        "solution_only": ["f"],
+    }
+    assert rep.common == (g + h, df, g * g + g * h, g)
+    assert rep.verdict == "incomparable"

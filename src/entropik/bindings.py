@@ -34,7 +34,8 @@ from .expr import Expr, eval_numeric, substitute
 from .model import ModelDef
 from .parser import CompileEnv, ParseFailure, compile_node, parse_expr_text
 from .render import expr_str
-from .split import ConstraintSystem
+from .solve import SolvedSystem
+from .split import ConstraintSystem, entropy_on_solutions
 
 __all__ = [
     "BindingSet",
@@ -174,13 +175,11 @@ def parse_bindings(
 
 
 def binding_closure(
-    m: ModelDef,
-    bs: BindingSet,
-    needed: set[Atom],
-    use_parameter_values: bool = False,
+    m: ModelDef, bs: BindingSet, needed: set[Atom]
 ) -> dict[Atom, Expr]:
     """Substitution map covering ``needed``: direct assignments plus any
-    partials derivable from a bound value by slot differentiation."""
+    partials derivable from a bound value by slot differentiation, with
+    the parameters' test values substituted in."""
     args_of = {d.name: d.args for d in m.decls}
     out: dict[Atom, Expr] = dict(bs.assignments)
 
@@ -197,11 +196,10 @@ def binding_closure(
             break
         out.update(new)
         frontier = {a for v in new.values() for a in v.atoms()}
-    if use_parameter_values:
-        vals = bs.parameter_values()
-        if vals:
-            out = {k: substitute(v, vals) for k, v in out.items()}
-            out.update(vals)
+    vals = bs.parameter_values()
+    if vals:
+        out = {k: substitute(v, vals) for k, v in out.items()}
+        out.update(vals)
     return out
 
 
@@ -214,12 +212,12 @@ def _close_subst(e: Expr, sub: dict[Atom, Expr]) -> Expr:
 
 
 def sampled_production(
-    m: ModelDef, cs: ConstraintSystem, bs: BindingSet, trials: int, seed: int
+    m: ModelDef, s: SolvedSystem, bs: BindingSet, trials: int, seed: int
 ) -> tuple[Q, ...]:
-    """Entropy-production numerator under the bindings at random exact
-    rational points, one value per trial."""
-    total = cs.reconstruction()
-    sub = binding_closure(m, bs, set(total.atoms()), use_parameter_values=True)
+    """Entropy-production numerator on the solutions, under the bindings,
+    at random exact rational points, one value per trial."""
+    total = entropy_on_solutions(m, s).numerator_expr()
+    sub = binding_closure(m, bs, set(total.atoms()))
     num = _close_subst(total, sub)
     out = []
     atoms = sorted(num.atoms(), key=lambda a: a.key)
@@ -237,7 +235,7 @@ def check_candidate(
     needed: set[Atom] = set()
     for c in list(cs.constraints) + [cs.residual_numerator, cs.denominator]:
         needed.update(c.atoms())
-    sub = binding_closure(m, bs, needed, use_parameter_values=True)
+    sub = binding_closure(m, bs, needed)
     rc = m.render_ctx()
     checks = []
     for c in cs.constraints:

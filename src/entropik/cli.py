@@ -345,17 +345,18 @@ def split(model_file, assumes, force_residual_zero, depth, output, max_order):
 
 @main.command()
 @_model_arg
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--bindings", "bindings_file", type=click.Path(), default=None,
               help="Also sample entropy production under these bindings.")
 @_max_order_opt
 @_engine_errors
 def verify(model_file, trials, seed, bindings_file, max_order):
-    """Randomized exact-rational point checks of the splitting."""
+    """Randomized exact-rational point checks on the model's solutions."""
     m = _load_model(model_file, max_order)
     run = run_solution_set(m)
-    rep = numeric_oracle(run.system, trials=trials, seed=seed)
+    rep = numeric_oracle(m, run.solved, run.system, trials=trials, seed=seed)
     click.echo(
         f"identity {rep.identity_passes}/{trials}  "
         f"on-variety {rep.variety_passes}/{trials}"
@@ -368,11 +369,13 @@ def verify(model_file, trials, seed, bindings_file, max_order):
     if bindings_file is not None:
         text = pathlib.Path(bindings_file).read_text()
         bs = parse_bindings(text, m, filename=bindings_file)
-        values = sampled_production(m, run.system, bs, trials, seed)
+        values = sampled_production(m, run.solved, bs, trials, seed)
         zeros = sum(1 for v in values if v == 0)
         click.echo(f"bound entropy production zero at {zeros}/{trials} points")
     if not rep.ok:
         sys.exit(1)
+    if not rep.variety_passes:
+        _fail_diag("no trial reached the constraint variety")
 
 
 @main.command()

@@ -473,7 +473,7 @@ def _eval_poly_numeric(p: Poly, assignment: Mapping[Atom, Q]) -> Q:
                 v = assignment[a]
             except KeyError:
                 raise MissingAssignment(f"no value assigned to {a}") from None
-            term = term * v**e
+            term = term * v if e == 1 else term * v**e
         total += term
     return total
 

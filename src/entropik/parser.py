@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ._ratio import Q
 from .ast_nodes import BinOp, Call, Name, Neg, Node, Num, PartialRef, to_text
@@ -44,7 +44,6 @@ __all__ = [
     "ParseResult",
     "parse_model",
     "format_model",
-    "ModelBuilder",
     "CompileEnv",
     "compile_node",
     "parse_expr_text",
@@ -277,11 +276,11 @@ def _parse_primary(c: _Cursor, extended: bool) -> Node:
 
 
 def parse_expr_text(
-    text: str, extended: bool = True, filename: str = "<expr>", lineno: int = 1
+    text: str, filename: str = "<expr>", lineno: int = 1
 ) -> Node:
-    """Parse a standalone expression (extended grammar by default)."""
+    """Parse a standalone expression in the extended grammar."""
     c = _Cursor(_lex(text, lineno, filename), lineno, filename)
-    node = _parse_expr(c, extended)
+    node = _parse_expr(c, extended=True)
     t = c.peek()
     if not c.at_end():
         raise ParseFailure(f"unexpected trailing input {t.text!r}", c.span(t))
@@ -797,64 +796,3 @@ def _arg_text(a: Atom, indep_names: tuple[str, ...]) -> str:
             return a.field
         return _jet_call_text(a, indep_names)
     return str(a)
-
-
-# ---------------------------------------------------------------------------
-# Programmatic construction, mirroring the DSL one to one.
-
-class ModelBuilder:
-    """Build a ModelDef programmatically with DSL expression syntax.
-
-    The builder assembles canonical source text and runs it through the
-    parser, so programmatic and file-based models cannot drift apart.
-    """
-
-    def __init__(self):
-        self._lines: list[str] = []
-
-    def independent(self, *names: str) -> "ModelBuilder":
-        self._lines.append("independent " + " ".join(names))
-        return self
-
-    def field(self, *names: str) -> "ModelBuilder":
-        self._lines.append("field " + " ".join(names))
-        return self
-
-    def constitutive(
-        self,
-        name: str,
-        *args: str,
-        symmetric: Iterable[tuple[str, str]] = (),
-    ) -> "ModelBuilder":
-        line = f"constitutive {name}({', '.join(args)})"
-        pairs = " ".join(f"({a}, {b})" for a, b in symmetric)
-        if pairs:
-            line += f" symmetric {pairs}"
-        self._lines.append(line)
-        return self
-
-    def equation(self, label: str, lhs: str, rhs: str = "0") -> "ModelBuilder":
-        self._lines.append(f"equation {label}: {lhs} = {rhs}")
-        return self
-
-    def entropy(self, lhs: str) -> "ModelBuilder":
-        self._lines.append(f"entropy: {lhs} >= 0")
-        return self
-
-    def leading(self, *derivs: str) -> "ModelBuilder":
-        self._lines.append("leading: " + ", ".join(derivs))
-        return self
-
-    def assume_nonzero(self, *exprs: str) -> "ModelBuilder":
-        self._lines.append("assume nonzero: " + ", ".join(exprs))
-        return self
-
-    def max_order(self, n: int) -> "ModelBuilder":
-        self._lines.append(f"max_order: {n}")
-        return self
-
-    def source(self) -> str:
-        return "\n".join(self._lines) + "\n"
-
-    def build(self) -> ModelDef:
-        return parse_model(self.source(), filename="<builder>").raise_on_error()

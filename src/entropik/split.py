@@ -13,15 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._ratio import Q
+from ._ratio import Q, qdiv
 from .algebra import Cancellation, nonzero_factors, normalize_constraint
 from .atoms import Atom, ConstitPartial, ConstitSym, mi_unit
-from .errors import (
-    DenominatorVanishes,
-    EngineError,
-    NotPolynomialInFreeElements,
-    NotPolynomialInVars,
-)
+from .errors import DenominatorVanishes, EngineError, NotPolynomialInFreeElements
 from .expr import (
     Expr,
     Monomial,
@@ -45,6 +40,10 @@ __all__ = [
     "symmetrization_constraints",
 ]
 
+_UNKNOWN = (ConstitSym, ConstitPartial)  # atoms of the unknown functions
+# Oracle draws are never 0: a 0 would empty coefficient rows of the repair.
+_NUMERATORS = (*range(-9, 0), *range(1, 10))
+
 
 @dataclass(frozen=True)
 class ConstraintSystem:
@@ -63,14 +62,6 @@ class ConstraintSystem:
     def residual(self) -> Expr:
         """The residual entropy production (>= 0 where denominator > 0)."""
         return self.residual_numerator / self.denominator
-
-    def reconstruction(self) -> Expr:
-        """Sum of monomial*coefficient over the full table plus the
-        constant term; equals the cleared entropy numerator exactly."""
-        total = self.residual_numerator
-        for mono, coeff in self.table:
-            total = total + monomial_expr(mono) * coeff
-        return total
 
 
 def entropy_on_solutions(m: ModelDef, s: SolvedSystem) -> Expr:
@@ -106,13 +97,8 @@ def split(m: ModelDef, e: Expr) -> ConstraintSystem:
     functions, nor leading derivatives or their consequences, nor declared
     dependencies."""
     deps = m.dependency_atoms()
-    free_set = {
-        a
-        for a in (*m.indep, *e.atoms())
-        if not isinstance(a, (ConstitSym, ConstitPartial))
-        and not m.is_consequence(a)
-        and a not in deps
-    }
+    free_set = {a for a in (*m.indep, *e.atoms()) if not isinstance(a, _UNKNOWN)
+                and not m.is_consequence(a) and a not in deps}
     free = sorted(free_set, key=lambda a: a.key)
 
     den = e.denominator_expr()
@@ -121,16 +107,10 @@ def split(m: ModelDef, e: Expr) -> ConstraintSystem:
             raise NotPolynomialInFreeElements(
                 f"denominator contains the free element {a}", atom=a
             )
-    try:
-        coeffs = collect_coefficients(e, free)
-    except NotPolynomialInVars as err:  # pragma: no cover - guarded above
-        raise NotPolynomialInFreeElements(str(err), atom=err.atom) from err
+    coeffs = collect_coefficients(e, free)
 
-    nonzero: list[Expr] = []
-    for cond in (*m.nonzero, den):
-        for f in nonzero_factors(cond):
-            if f not in nonzero:
-                nonzero.append(f)
+    nonzero = list(dict.fromkeys(
+        f for cond in (*m.nonzero, den) for f in nonzero_factors(cond)))
 
     table = sorted(
         ((mono, c) for mono, c in coeffs.items() if mono),
@@ -171,7 +151,7 @@ def split(m: ModelDef, e: Expr) -> ConstraintSystem:
 @dataclass(frozen=True)
 class OracleFailure:
     trial: int
-    kind: str  # "identity" | "variety"
+    kind: str  # "point" | "identity" | "variety"
     detail: str
     witness: dict
 
@@ -189,135 +169,155 @@ class OracleReport:
         return not self.failures
 
 
-def _draw(rnd: random.Random) -> Q:
-    return Q(rnd.randint(-9, 9), rnd.randint(1, 9))
+def _repair_layers(cs: ConstraintSystem) -> list[tuple[list[Expr], set[Atom]]]:
+    """Each repair layer's constraints and the atoms it solves for.
+
+    Unknown functions are coupled when one constraint monomial holds atoms
+    of both.  While a remaining function is coupled with another remaining
+    one, the first such function (in declaration order) is a layer of its
+    own; the rest form the last layer.  A constraint joins the layer of its
+    latest function.  A layer solves for its atoms that occur to the first
+    power and never two to a monomial: its constraints are affine in them.
+    """
+    names = [name for name, _ in cs.args_of]
+    coupled: dict[str, set[str]] = {f: set() for f in names}
+    for con in cs.constraints:
+        for mono in con.num:
+            fs = {a.name for a, _ in mono if isinstance(a, _UNKNOWN)}
+            for f in fs & coupled.keys():
+                coupled[f] |= fs - {f}
+    layer_of: dict[str, int] = {}
+    rest = list(names)
+    while first := next((f for f in rest if coupled[f].intersection(rest)), None):
+        layer_of[first] = len(layer_of)
+        rest.remove(first)
+    out = [([], set()) for _ in range(len(layer_of) + 1)]
+    layer_of.update(dict.fromkeys(rest, len(layer_of)))
+    for con in cs.constraints:
+        i = max((layer_of.get(a.name, 0) for a in con.atoms()
+                 if isinstance(a, _UNKNOWN)), default=0)
+        out[i][0].append(con)
+    for i, (cons, xs) in enumerate(out):
+        nonlinear: set[Atom] = set()
+        for mono in (mono for con in cons for mono in con.num):
+            mine = [(a, k) for a, k in mono
+                    if isinstance(a, _UNKNOWN) and layer_of.get(a.name) == i]
+            xs.update(a for a, _ in mine)
+            if len(mine) > 1 or any(k > 1 for _, k in mine):
+                nonlinear.update(a for a, _ in mine)
+        xs -= nonlinear
+    return out
+
+
+def _solve_layer(cons: list[Expr], xs: set[Atom], point: dict[Atom, Q]) -> bool:
+    """Set the atoms ``xs`` of ``point`` so that every constraint of
+    ``cons`` (affine in them) vanishes, by exact Gaussian elimination over
+    Q; atoms without a pivot keep their values.  False when inconsistent."""
+    echelon = []  # (pivot, monic rest, constant), free of earlier pivots
+    for con in cons:
+        row: dict[Atom, Q] = {}
+        const = 0
+        for mono, c in con.num.items():
+            x = None
+            for a, e in mono:
+                if a in xs:
+                    x = a
+                else:
+                    c = c * point[a] if e == 1 else c * point[a] ** e
+            if x is None:
+                const += c
+            else:
+                row[x] = row.get(x, 0) + c
+        for p, prow, pconst in echelon:
+            if f := row.pop(p, 0):
+                for x, v in prow.items():
+                    row[x] = row.get(x, 0) - f * v
+                const -= f * pconst
+        row = {x: v for x, v in row.items() if v}
+        if not row:
+            if const:
+                return False
+            continue
+        p = min(row)
+        lead = row.pop(p)
+        echelon.append((p, {x: qdiv(v, lead) for x, v in row.items()},
+                        qdiv(const, lead)))
+    for p, row, const in reversed(echelon):
+        point[p] = -(const + sum(v * point[x] for x, v in row.items()))
+    return True
 
 
 def numeric_oracle(
-    cs: ConstraintSystem, trials: int = 100, seed: int = 0
+    m: ModelDef, s: SolvedSystem, cs: ConstraintSystem,
+    trials: int = 100, seed: int = 0,
 ) -> OracleReport:
-    """Point checks of the splitting at random exact-rational jets.
+    """Point checks of the derivation at random solutions of the model.
 
-    Per trial: assign every atom an exact rational, drawn in atom order
-    (rejecting draws that violate a nonzero side condition), and check
-    the coefficient decomposition identity.  Then repair the
-    unknown-function values so that every constraint vanishes (solving
-    each for one linearly occurring unknown) and check that the entropy
-    numerator equals the residual numerator on that constraint variety.
+    Per trial: draw a nonzero rational for every atom but the solved map's
+    keys, set the keys from their values, and redraw (up to 64 times) while
+    a denominator or a nonzero factor vanishes.  There every model and
+    consequence equation must vanish, and the entropy production times the
+    denominator must equal the residual numerator plus the table sum.  Then
+    solve the constraints layer by layer (:func:`_repair_layers`); the table
+    sum must vanish there.  An inconsistent layer, or a nonzero factor the
+    repair zeroes, makes the trial a skip.
     """
-    # Rebuild the full numerator from the table; using the reconstruction
-    # keeps the oracle independent from the caller's entropy expression.
-    entropy_num = cs.reconstruction()
+    solved = s.substitution
+    equations = [(eq.label, eq.lhs) for eq in m.equations] + [
+        (f"d{st.direction}({st.source})", st.equation) for st in s.consequence_log]
     table = [(monomial_expr(mono), coeff) for mono, coeff in cs.table]
-    pieces = (entropy_num, cs.residual_numerator, cs.denominator, *cs.nonzero,
-              *(coeff for _, coeff in cs.table), *cs.constraints)
-    atoms = sorted({a for p in pieces for a in p.atoms()}, key=lambda a: a.key)
+    pieces = (m.entropy_lhs, cs.residual_numerator, cs.denominator,
+              *cs.nonzero, *cs.constraints, *solved.values(),
+              *(e for _, e in equations), *(e for row in table for e in row))
+    drawn = sorted({a for p in pieces for a in p.atoms()} - solved.keys(),
+                   key=lambda a: a.key)
+    layers = _repair_layers(cs)
 
-    # Each constraint's repair list: the unknowns it holds to degree one,
-    # least shared first.  Solving through an unknown private to a single
-    # constraint cannot disturb constraints already zeroed.
-    degrees: list[dict[Atom, int]] = []
-    occurrence: dict[Atom, int] = {}
-    for con in cs.constraints:
-        deg: dict[Atom, int] = {}
-        for mono in con.num:
-            for a, k in mono:
-                if isinstance(a, (ConstitSym, ConstitPartial)):
-                    deg[a] = max(deg.get(a, 0), k)
-        degrees.append(deg)
-        for a in deg:
-            occurrence[a] = occurrence.get(a, 0) + 1
-    ranked = sorted(occurrence, key=lambda a: (occurrence[a], a.key))
-    repairs = [
-        (con, [x for x in ranked if deg.get(x) == 1])
-        for con, deg in zip(cs.constraints, degrees)
-    ]
+    def table_sum(point: dict[Atom, Q]) -> Q:
+        return sum((eval_numeric(c, point) * eval_numeric(mono, point)
+                    for mono, c in table), Q(0))
 
     failures: list[OracleFailure] = []
     id_pass = var_pass = var_skip = 0
 
+    def fail(trial: int, kind: str, detail: str, point: dict[Atom, Q]) -> None:
+        witness = {str(a): str(v) for a, v in point.items()}
+        failures.append(OracleFailure(trial, kind, detail, witness))
+
     for trial in range(trials):
         rnd = random.Random(seed * 1000003 + trial)
-        point: dict[Atom, Q] = {}
         for _ in range(64):
-            point = {a: _draw(rnd) for a in atoms}
+            point = {a: Q(rnd.choice(_NUMERATORS), rnd.randint(1, 9))
+                     for a in drawn}
             try:
+                for k, v in solved.items():
+                    point[k] = eval_numeric(v, point)
                 if all(eval_numeric(nz, point) for nz in cs.nonzero):
                     break
             except DenominatorVanishes:
                 continue
-
-        # Identity: numerator == sum over the table + constant term.
-        lhs = eval_numeric(entropy_num, point)
-        rhs = eval_numeric(cs.residual_numerator, point) + sum(
-            (eval_numeric(c, point) * eval_numeric(mono, point)
-             for mono, c in table),
-            Q(0),
-        )
-        if lhs == rhs:
-            id_pass += 1
         else:
-            failures.append(
-                OracleFailure(
-                    trial,
-                    "identity",
-                    f"decomposition mismatch {lhs} != {rhs}",
-                    {str(a): str(v) for a, v in point.items()},
-                )
-            )
+            fail(trial, "point", "no admissible point in 64 draws", point)
             continue
 
-        # Projection onto the constraint variety: repair unknowns so all
-        # constraints vanish, then entropy == residual at the point.  A
-        # constraint a*x + b gives b at x = 0 and a + b at x = 1.
-        repaired = dict(point)
-        used: set[Atom] = set()
-        solvable = True
-        for con, candidates in repairs:
-            if eval_numeric(con, repaired) == 0:
-                continue
-            for x in candidates:
-                if x in used:
-                    continue
-                old = repaired[x]
-                repaired[x] = Q(0)
-                b = eval_numeric(con, repaired)
-                repaired[x] = Q(1)
-                a = eval_numeric(con, repaired) - b
-                if a == 0:
-                    repaired[x] = old
-                    continue
-                repaired[x] = -b / a
-                used.add(x)
-                break
-            else:
-                solvable = False
-                break
-        if not solvable or any(
-            eval_numeric(con, repaired) != 0 for con in cs.constraints
-        ):
-            # No linear unknown left, or repair order interfered: a skip,
-            # not a soundness failure.
-            var_skip += 1
+        # The point solves the model; the table must rebuild its entropy.
+        bad = [f"{label} is {v}" for label, e in equations
+               if (v := eval_numeric(e, point))]
+        lhs = eval_numeric(m.entropy_lhs, point) * eval_numeric(cs.denominator, point)
+        rhs = eval_numeric(cs.residual_numerator, point) + table_sum(point)
+        if lhs != rhs:
+            bad.append(f"entropy numerator {lhs}, table {rhs}")
+        if bad:
+            fail(trial, "identity", "; ".join(bad), point)
             continue
-        lhs_v = eval_numeric(entropy_num, repaired)
-        rhs_v = eval_numeric(cs.residual_numerator, repaired)
-        if lhs_v == rhs_v:
+        id_pass += 1
+
+        if not all(_solve_layer(cons, xs, point) for cons, xs in layers) or (
+                not all(eval_numeric(nz, point) for nz in cs.nonzero)):
+            var_skip += 1
+        elif (v := table_sum(point)) == 0:
             var_pass += 1
         else:
-            failures.append(
-                OracleFailure(
-                    trial,
-                    "variety",
-                    f"on-variety mismatch {lhs_v} != {rhs_v}",
-                    {str(a): str(v) for a, v in repaired.items()},
-                )
-            )
+            fail(trial, "variety", f"table sum {v} != 0 on the variety", point)
 
-    return OracleReport(
-        trials=trials,
-        identity_passes=id_pass,
-        variety_passes=var_pass,
-        variety_skips=var_skip,
-        failures=tuple(failures),
-    )
+    return OracleReport(trials, id_pass, var_pass, var_skip, tuple(failures))

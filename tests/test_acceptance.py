@@ -24,7 +24,7 @@ from entropik.parser import format_model, parse_model
 from entropik.render import atom_str, expr_str
 from entropik.report import run_liu, run_solution_set
 from entropik.solve import verify_solved
-from entropik.split import numeric_oracle
+from entropik.split import entropy_on_solutions, numeric_oracle
 
 from conftest import bindings_text, load_model, solution_run
 from test_split import FLUID_CONSTRAINTS, FLUID_RESIDUAL, GAS_CONSTRAINTS
@@ -169,7 +169,7 @@ def test_criterion_6_invariants(name):
     total = cs.residual_numerator
     for mono, coeff in cs.table:
         total = total + coeff * monomial_expr(mono)
-    assert total == cs.reconstruction()
+    assert total == entropy_on_solutions(m, run.solved).numerator_expr()
     # triangular solved system whose residues vanish on back-substitution
     assert run.solved.is_triangular(m)
     assert verify_solved(m, run.solved).all_zero
@@ -191,7 +191,7 @@ def test_criterion_6_derivative_laws_bulk():
 @pytest.mark.parametrize("name", ["gas1d", "fluid2d"])
 def test_criterion_7_point_verification(name):
     run = solution_run(name)
-    rep = numeric_oracle(run.system, trials=200, seed=7)
+    rep = numeric_oracle(load_model(name), run.solved, run.system, trials=200, seed=7)
     assert rep.ok
     assert rep.identity_passes == 200
     assert rep.variety_passes == 200
@@ -200,7 +200,7 @@ def test_criterion_7_point_verification(name):
 
 def test_criterion_7_ideal_gas_production_vanishes(gas):
     bs = parse_bindings(bindings_text("gas1d_ideal"), gas)
-    values = sampled_production(gas, solution_run("gas1d").system, bs, 200, 7)
+    values = sampled_production(gas, solution_run("gas1d").solved, bs, 200, 7)
     assert len(values) == 200
     assert all(v == 0 for v in values)
 
@@ -238,5 +238,5 @@ def test_criterion_9_granular(granular):
     total = cs.residual_numerator
     for mono, coeff in cs.table:
         total = total + coeff * monomial_expr(mono)
-    assert total == cs.reconstruction()
+    assert total == entropy_on_solutions(granular, run.solved).numerator_expr()
     assert not cs.residual_numerator.is_zero()

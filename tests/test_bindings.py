@@ -53,7 +53,7 @@ def test_partial_bindings_close_under_differentiation(gas):
     # dp/drho is never written in the file; it is derived from p
     bs = _gas_bindings(gas)
     needed = {ConstitPartial("p", (1, 0))}
-    sub = binding_closure(gas, bs, needed, use_parameter_values=True)
+    sub = binding_closure(gas, bs, needed)
     val = sub[ConstitPartial("p", (1, 0))]
     # d/drho[(gamma-1)*rho*eps] with gamma = 7/5
     eps_atom = gas.decl_map()["p"].args[1]
@@ -117,5 +117,5 @@ def test_irrational_parameter_value_rejected(gas):
 
 def test_entropy_production_exactly_zero_under_family(gas):
     bs = _gas_bindings(gas)
-    values = sampled_production(gas, solution_run("gas1d").system, bs, 50, 7)
+    values = sampled_production(gas, solution_run("gas1d").solved, bs, 50, 7)
     assert all(v == 0 for v in values)

@@ -12,6 +12,7 @@ from entropik import cases
 from entropik.cli import main
 
 from conftest import MODELS
+from test_split import tiny_model_text
 
 
 def model(name):
@@ -175,6 +176,23 @@ def test_verify(runner):
     assert r.exit_code == 0
     assert "identity 25/25" in r.output
     assert "on-variety 25/25" in r.output
+
+
+def test_verify_rejects_trials_below_one(runner):
+    for trials in ("0", "-3"):
+        r = runner.invoke(main, ["verify", model("gas1d"), "--trials", trials])
+        assert r.exit_code == 2
+        assert "--trials" in r.output
+
+
+def test_verify_fails_when_no_trial_reaches_the_variety(runner, tmp_path):
+    # the one constraint f^2 + g^2 + 1 has no linear unknown to repair
+    path = tmp_path / "squares.epk"
+    path.write_text(tiny_model_text("f^2 + g^2 + 1", "g"))
+    r = runner.invoke(main, ["verify", str(path), "--trials", "5"])
+    assert r.exit_code == 1
+    assert "identity 5/5  on-variety 0/5  (skipped 5)" in r.output
+    assert "error: no trial reached the constraint variety" in r.output
 
 
 def test_verify_with_bindings(runner):

@@ -5,7 +5,6 @@ import pytest
 from entropik.atoms import ConstitPartial, ConstitSym, JetVar
 from entropik.parser import (
     CompileEnv,
-    ModelBuilder,
     compile_node,
     format_model,
     parse_expr_text,
@@ -108,26 +107,6 @@ def test_expression_render_reparse(name):
             text = expr_str(part, rc)
             back = compile_node(parse_expr_text(text), env)
             assert back == part, text
-
-
-def test_model_builder_matches_file(gas):
-    b = (
-        ModelBuilder()
-        .independent("t", "x")
-        .field("rho", "u", "eps")
-        .constitutive("p", "rho", "eps")
-        .constitutive("q1", "rho", "eps")
-        .constitutive("eta", "rho", "eps")
-        .constitutive("Phi1", "rho", "eps")
-        .equation("mass", "dt(rho) + dx(rho*u)")
-        .equation("momentum", "rho*(dt(u) + u*dx(u)) + dx(p)")
-        .equation("energy", "rho*(dt(eps) + u*dx(eps)) + dx(q1) + p*dx(u)")
-        .entropy("rho*(dt(eta) + u*dx(eta)) + dx(Phi1) >= 0")
-        .leading("dt(rho)", "dt(u)", "dt(eps)")
-        .assume_nonzero("rho")
-    )
-    m = b.build()
-    assert format_model(m) == format_model(gas)
 
 
 def test_fingerprint_tracks_canonical_model(gas):

@@ -25,6 +25,14 @@ pattern: when the same pair of coefficient atoms multiplies unknown
 pairs across several constraints, the ratio of the two coefficients is
 pinned down, and whether it actually varies with each shared argument —
 the slot Wronskian of the pair — becomes a branching question.
+
+A reduction does each piece of work once: its state caches each
+constraint's scan for linear atoms and each slot derivative, and a
+refresh substitutes only into constraints it did not output last time or
+that hold a function zeroed or solved since, and renormalizes only what
+the substitution changed.  That is exact since the nonzero list is fixed
+once the state is made: a refreshed constraint has nothing to substitute
+until one of its functions is touched, and a normal form stays one.
 """
 
 from __future__ import annotations
@@ -43,7 +51,9 @@ from .algebra import (
     strip_certified,
 )
 from .atoms import Atom, ConstitPartial, ConstitSym, mi_dominates, mi_total
+from .errors import ReductionCapExceeded
 from .expr import Expr, ZERO, collect_coefficients, substitute
+from .render import RenderContext, atom_str, expr_str
 from .split import ConstraintSystem
 
 __all__ = [
@@ -60,6 +70,7 @@ __all__ = [
 ]
 
 _MAX_ROUNDS = 64
+_MAX_PASSES = 12
 
 
 @dataclass(frozen=True)
@@ -152,7 +163,7 @@ class CaseTree:
 
 
 class _State:
-    def __init__(self, cs: ConstraintSystem):
+    def __init__(self, cs: ConstraintSystem, assumptions: Iterable[Assumption]):
         self.constraints: list[Expr] = list(cs.constraints)
         self.nonzero: list[Expr] = list(cs.nonzero)
         self.zeros: set[Atom] = set()
@@ -160,6 +171,20 @@ class _State:
         self.log: list[Certificate] = []
         self.args_of: dict[str, tuple[Atom, ...]] = dict(cs.args_of)
         self.inconsistent: Optional[str] = None
+        self.assumptions = tuple(assumptions)
+        self.clean: set[Expr] = set()   # what the last refresh output
+        self.touched: set[str] = set()  # functions zeroed or solved since
+        self.scans: dict[Expr, list[tuple[Atom, Expr, Expr, Optional[Expr]]]] = {}
+        self.slot_derivatives: dict[tuple[Expr, Atom], Expr] = {}
+
+    def cap_error(self, what: str) -> ReductionCapExceeded:
+        names = {f: tuple(map(atom_str, args)) for f, args in self.args_of.items()}
+        path = ", ".join(
+            f"{expr_str(a.expr, RenderContext((), names))} "
+            + ("= 0" if a.polarity == "zero" else "!= 0")
+            for a in self.assumptions
+        )
+        return ReductionCapExceeded(f"reduction {what}; assumptions: {path or 'none'}")
 
     # -- zero substitution, function-level ---------------------------------
 
@@ -179,7 +204,7 @@ class _State:
         return False
 
     def subst_known(self, e: Expr) -> Expr:
-        for _ in range(12):
+        for _ in range(_MAX_PASSES):
             sub: dict[Atom, Expr] = {}
             for x in e.atoms():
                 if self._is_zeroed(x):
@@ -194,10 +219,11 @@ class _State:
             if not sub:
                 return e
             e = substitute(e, sub)
-        return e
+        raise self.cap_error(f"substitution did not settle in {_MAX_PASSES} passes")
 
     def add_zero(self, a: Atom, constraint: Expr, factor: Expr) -> None:
         self.zeros.add(a)
+        self.touched.add(a.name)
         self.log.append(Certificate("zero", constraint, factor, atom=a))
 
     def add_solved(self, a: Atom, v: Expr, constraint: Expr, factor: Expr) -> None:
@@ -209,7 +235,34 @@ class _State:
             if a in set(old.atoms()):
                 self.solved[k] = substitute(old, {a: v})
         self.solved[a] = v
+        self.touched.add(a.name)
         self.log.append(Certificate("solve", constraint, factor, atom=a, value=v))
+
+    def linear_atoms(self, c: Expr) -> list[tuple[Atom, Expr, Expr, Optional[Expr]]]:
+        """Each function atom ``c`` holds only to the first power, in atom order,
+        with its coefficient, stripped residue and blocked candidate."""
+        out = self.scans.get(c)
+        if out is None:
+            linear: dict[Atom, dict] = {}
+            higher: set[Atom] = set()
+            for m, k in c.num.items():
+                for i, (a, e) in enumerate(m):
+                    if e > 1:
+                        higher.add(a)
+                    elif isinstance(a, (ConstitSym, ConstitPartial)):
+                        linear.setdefault(a, {})[m[:i] + m[i + 1:]] = k
+            out = []
+            for u in sorted(linear.keys() - higher, key=lambda a: a.key):
+                coeff = Expr(linear[u], {(): 1}, _canonical=True)
+                residue = strip_certified(coeff, self.nonzero)
+                out.append((u, coeff, residue, _blocked_candidate(residue)))
+            self.scans[c] = out
+        return out
+
+    def slot_derivative(self, e: Expr, arg: Atom) -> Expr:
+        if (e, arg) not in self.slot_derivatives:
+            self.slot_derivatives[e, arg] = arg_derivative(e, arg, self.args_of)
+        return self.slot_derivatives[e, arg]
 
 
 def _circular(u: Atom, value: Expr) -> bool:
@@ -235,18 +288,22 @@ def _refresh(st: _State) -> bool:
     out: list[Expr] = []
     changed = False
     for c in st.constraints:
-        r = st.subst_known(c)
-        n, logs = normalize_constraint(r, st.nonzero)
-        for lg in logs:
-            st.log.append(Certificate("cancel", c, lg.factor))
-        if n.is_zero():
-            changed = changed or not c.is_zero()
-            continue
-        if not constit_atoms(n):
-            st.inconsistent = (
-                "constraint reduces to a nonvanishing function-free expression"
-            )
-            return False
+        clean = c in st.clean
+        r = c if clean and not _holds(c, st.touched) else st.subst_known(c)
+        if clean and r is c:
+            n = c  # nothing substituted into a normal form: it stays
+        else:
+            n, logs = normalize_constraint(r, st.nonzero)
+            for lg in logs:
+                st.log.append(Certificate("cancel", c, lg.factor))
+            if n.is_zero():
+                changed = changed or not c.is_zero()
+                continue
+            if not constit_atoms(n):
+                st.inconsistent = (
+                    "constraint reduces to a nonvanishing function-free expression"
+                )
+                return False
         if n != c:
             changed = True
         if n not in out:
@@ -256,11 +313,21 @@ def _refresh(st: _State) -> bool:
     if len(out) != len(st.constraints):
         changed = True
     st.constraints = out
+    st.clean = set(out)
+    st.touched.clear()
     for nz in st.nonzero:
         if st.subst_known(nz).is_zero():
             st.inconsistent = "a nonzero side condition vanishes identically"
             return False
     return changed
+
+
+def _holds(c: Expr, names: set[str]) -> bool:
+    """Does ``c`` hold an atom of one of the named functions?"""
+    fns = (ConstitSym, ConstitPartial)
+    return bool(names) and any(
+        isinstance(a, fns) and a.name in names for a in c.atoms()
+    )
 
 
 def _zero_rule(st: _State) -> bool:
@@ -311,23 +378,17 @@ def _eliminate(st: _State) -> tuple[bool, list[_Blocked]]:
     divisions, the uncancelled part of the coefficient."""
     blocked: list[_Blocked] = []
     for c in list(st.constraints):
-        for u in constit_atoms(c):
-            coeffs = collect_coefficients(c, [u])
-            mono_u = ((u, 1),)
-            if set(coeffs) - {(), mono_u} or mono_u not in coeffs:
-                continue
-            coeff = coeffs[mono_u]
-            residue = strip_certified(coeff, st.nonzero)
+        for u, coeff, residue, cand in st.linear_atoms(c):
             if residue.is_rational():
                 if coeff.is_rational():
                     continue  # no genuine pivot backs this division
-                value = st.subst_known(-coeffs.get((), ZERO) / coeff)
+                rest = collect_coefficients(c, [u]).get((), ZERO)
+                value = st.subst_known(-rest / coeff)
                 if _circular(u, value):
                     continue  # not triangular: value feeds back into u
                 st.add_solved(u, value, c, coeff)
                 st.constraints.remove(c)
                 return True, blocked
-            cand = _blocked_candidate(residue)
             if cand is not None:
                 blocked.append(_Blocked(c, cand))
     return False, blocked
@@ -357,8 +418,8 @@ def _compat(st: _State) -> bool:
                 pi, pj = parts[i], parts[j]
                 ai = args[pi.slots.index(1)]
                 aj = args[pj.slots.index(1)]
-                k = arg_derivative(values[pi], aj, st.args_of) - arg_derivative(
-                    values[pj], ai, st.args_of
+                k = st.slot_derivative(values[pi], aj) - st.slot_derivative(
+                    values[pj], ai
                 )
                 k = st.subst_known(k)
                 n, _ = normalize_constraint(k, st.nonzero)
@@ -376,7 +437,6 @@ def _compat(st: _State) -> bool:
 
 
 def _reduce(st: _State) -> list[_Blocked]:
-    blocked: list[_Blocked] = []
     for _ in range(_MAX_ROUNDS):
         changed = _refresh(st)
         if st.inconsistent:
@@ -387,10 +447,10 @@ def _reduce(st: _State) -> list[_Blocked]:
         if fired:
             changed = True
         if not changed and not _compat(st):
-            break
+            return blocked
         if st.inconsistent:
             return []
-    return blocked
+    raise st.cap_error(f"reached no fixed point in {_MAX_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +564,9 @@ def force_residual(cs: ConstraintSystem) -> ConstraintSystem:
 # Public reduction and tree construction.
 
 
-def _make_state(cs: ConstraintSystem, assumptions: Sequence[Assumption]) -> _State:
-    st = _State(cs)
-    for a in assumptions:
+def _make_state(cs: ConstraintSystem, assumptions: Iterable[Assumption]) -> _State:
+    st = _State(cs, assumptions)
+    for a in st.assumptions:
         if a.polarity == "nonzero":
             for f in nonzero_factors(a.expr):
                 if f not in st.nonzero:
@@ -523,9 +583,9 @@ def _make_state(cs: ConstraintSystem, assumptions: Sequence[Assumption]) -> _Sta
     return st
 
 
-def _finish(st: _State, assumptions: Sequence[Assumption]) -> ReducedSystem:
+def _finish(st: _State) -> ReducedSystem:
     assumed: set[Atom] = set()
-    for a in assumptions:
+    for a in st.assumptions:
         if a.polarity == "zero":
             atoms = constit_atoms(a.expr)
             if len(atoms) == 1:
@@ -550,10 +610,9 @@ def apply_assumptions(
     Returns the triangularized remainder; an unsatisfiable combination
     is reported through ``inconsistent`` rather than raised, so a tree
     build can close the branch and move on."""
-    assumptions = tuple(assumptions)
     st = _make_state(cs, assumptions)
     _reduce(st)
-    return _finish(st, assumptions)
+    return _finish(st)
 
 
 def _assumed_exprs(assumptions: Sequence[Assumption]) -> set[Expr]:
@@ -622,7 +681,7 @@ def build_tree(
     statics = [p for p in pool if len(p.numerator_expr().num) > 1]
 
     def node(path, st: _State, blocked: list[_Blocked]) -> CaseNode:
-        system = _finish(st, path)
+        system = _finish(st)
         if system.inconsistent:
             return CaseNode(
                 assumptions=path,

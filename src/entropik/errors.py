@@ -20,6 +20,7 @@ __all__ = [
     "NonlinearExtendedInequality",
     "UnboundSymbol",
     "NonRationalBinding",
+    "ReductionCapExceeded",
 ]
 
 
@@ -124,3 +125,10 @@ class NonRationalBinding(EngineError):
     """Candidate checking: a binding leaves the rational-function fragment."""
 
     code = "E051"
+
+
+class ReductionCapExceeded(EngineError):
+    """Case trees: a reduction hit its round or substitution-pass cap
+    before reaching its fixed point."""
+
+    code = "E060"

@@ -8,7 +8,6 @@ three small models, plain and with ``--force-residual-zero``;
 :func:`render_reduced` prints it.
 """
 
-import functools
 import json
 import pathlib
 
@@ -61,18 +60,15 @@ def test_granular_root_reduction_matches_golden(granular):
     assert render_reduced(rs, granular) == golden
 
 
-@functools.lru_cache(maxsize=None)
-def _tree(name, forced):
-    cs = solution_run(name).system
-    return build_tree(force_residual(cs) if forced else cs, depth=3)
-
-
 @pytest.mark.parametrize("name,forced", TREES)
 def test_reduced_constraints_are_in_normal_form(name, forced):
-    # The reducer renormalizes only the constraints a round touched; that
-    # is exact only while a normalized constraint normalizes to itself
-    # under the same nonzero list, with nothing cancelled.
-    for node in _tree(name, forced).root.walk():
+    # A refresh keeps a constraint it output before, unrenormalized, when
+    # nothing was substituted into it; that is exact only while a normal
+    # form normalizes to itself under the same nonzero list, with nothing
+    # cancelled.
+    cs = solution_run(name).system
+    tree = build_tree(force_residual(cs) if forced else cs, depth=3)
+    for node in tree.root.walk():
         rs = node.system
         for c in rs.constraints:
             assert normalize_constraint(c, rs.nonzero) == (c, [])

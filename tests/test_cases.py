@@ -1,7 +1,11 @@
 """Case analysis: branching on undetermined coefficient factors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entropik import cases
+from entropik.algebra import constit_atoms, strip_certified
 from entropik.atoms import ConstitPartial, ConstitSym
 from entropik.cases import (
     Assumption,
@@ -10,7 +14,8 @@ from entropik.cases import (
     force_residual,
     pivot_candidates,
 )
-from entropik.expr import Expr
+from entropik.errors import ReductionCapExceeded
+from entropik.expr import Expr, collect_coefficients
 from entropik.render import atom_str, expr_str
 
 from conftest import load_model, solution_run
@@ -191,3 +196,72 @@ def test_force_residual_moves_residual():
     forced = force_residual(cs)
     assert forced.residual_numerator.is_zero()
     assert len(forced.constraints) == len(cs.constraints) + 1
+
+
+# -- the reducer's work caches --------------------------------------------
+
+def _check_scan(state, c):
+    # the scan against the per-atom collection it replaced
+    want = []
+    for u in constit_atoms(c):
+        coeffs = collect_coefficients(c, [u])
+        if set(coeffs) <= {(), ((u, 1),)}:
+            want.append((u, coeffs[((u, 1),)]))
+    got = state.linear_atoms(c)
+    assert [u for u, *_ in got] == [u for u, _ in want]
+    for (_, coeff, residue, _), (_, ref) in zip(got, want):
+        assert coeff == ref and list(coeff.num) == list(ref.num)
+        assert residue == strip_certified(ref, state.nonzero)
+
+
+@pytest.mark.parametrize("name", ["gas1d", "fluid2d", "nonsimple2d", "granular2d"])
+def test_linear_scan_matches_collect_coefficients(name):
+    cs = solution_run(name).system
+    state = cases._make_state(cs, ())
+    for c in cs.constraints:
+        _check_scan(state, c)
+
+
+SCAN_ATOMS = 5  # four unknown-function atoms and rho, a nonzero coordinate
+
+
+@given(
+    st.dictionaries(
+        st.tuples(*(st.integers(0, 2) for _ in range(SCAN_ATOMS))),
+        st.integers(-6, 6).filter(bool),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_linear_scan_on_random_polynomials(terms):
+    cs = solution_run("gas1d").system
+    rho = dict(cs.args_of)["eta"][0]
+    atoms = (ETA_EPS, PHI1_RHO, PHI1_EPS, Expr.atom(ConstitSym("p")), Expr.atom(rho))
+    c = Expr.rational(0)
+    for exps, k in terms.items():
+        term = Expr.rational(k)
+        for a, e in zip(atoms, exps):
+            term = term * a**e
+        c = c + term
+    state = cases._make_state(cs, (Assumption.nonzero(ETA_EPS),))
+    _check_scan(state, c)
+
+
+def test_round_cap_fails_loudly(monkeypatch):
+    monkeypatch.setattr(cases, "_MAX_ROUNDS", 1)
+    cs = solution_run("gas1d").system
+    with pytest.raises(ReductionCapExceeded) as err:
+        apply_assumptions(cs, (Assumption.nonzero(ETA_EPS),))
+    assert err.value.code == "E060"
+    assert str(err.value) == (
+        "reduction reached no fixed point in 1 rounds; "
+        "assumptions: deta/deps != 0"
+    )
+
+
+def test_substitution_cap_fails_loudly(monkeypatch):
+    monkeypatch.setattr(cases, "_MAX_PASSES", 1)
+    cs = solution_run("gas1d").system
+    with pytest.raises(ReductionCapExceeded, match="assumptions: dPhi1/deps = 0"):
+        apply_assumptions(cs, (Assumption.zero(PHI1_EPS),))

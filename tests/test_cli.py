@@ -152,6 +152,14 @@ def test_split_reduces_each_node_once(runner, monkeypatch):
     assert len(calls) == count(json.loads(r.output)["root"])
 
 
+def test_split_reduction_cap_exits_2_with_code(runner, monkeypatch):
+    monkeypatch.setattr(cases, "_MAX_ROUNDS", 1)
+    r = runner.invoke(main, ["split", model("gas1d")])
+    assert r.exit_code == 2
+    assert "error[E060]" in r.output
+    assert "assumptions: none" in r.output
+
+
 def test_split_rejects_depth_below_one(runner):
     r = runner.invoke(main, ["split", model("gas1d"), "--depth", "0"])
     assert r.exit_code == 2

@@ -4,14 +4,16 @@ Solving, splitting, the multiplier route, case trees and binding checks
 all reason about polynomial constraints ``c = 0`` under a list of factors
 assumed nonzero.  The operations they share live here, once: exact
 division, dividing out assumed-nonzero factors, the monic normal form,
-the recorded factors of a nonzero condition, and slot derivatives of the
-unknown material functions.
+the recorded factors of a nonzero condition, slot derivatives of the
+unknown material functions, the zero rule (:func:`forced_zero`), and
+substitution of known values and zeros (:func:`subst_known`, and
+:func:`settle` for a map substituted into itself).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, MutableMapping, Optional
 
 from ._ratio import qdiv
 from .atoms import (
@@ -32,6 +34,7 @@ from .expr import (
     partial_diff,
     poly_content,
     poly_divexact,
+    substitute,
 )
 
 __all__ = [
@@ -47,6 +50,9 @@ __all__ = [
     "constit_atoms",
     "arg_derivative",
     "derive_partial",
+    "forced_zero",
+    "subst_known",
+    "settle",
 ]
 
 
@@ -231,3 +237,67 @@ def derive_partial(
         for _ in range(x.slots[j] - base_slots[j]):
             v = arg_derivative(v, a, args_of)
     return v
+
+
+def forced_zero(c: Expr, nonzero: Iterable[Expr]) -> Optional[Atom]:
+    """The unknown function a single-monomial identity ``c = 0`` forces to
+    vanish: its one function factor not certified nonzero, or None.
+    Jet-coordinate factors ride along, since the identity holds for every
+    value of the coordinates."""
+    mono = single_monomial(c)
+    if mono is None:
+        return None
+    fns = [a for a, _k in mono if isinstance(a, (ConstitSym, ConstitPartial))]
+    uncert = [a for a in fns if not certified_nonzero(Expr.atom(a), nonzero)]
+    return uncert[0] if len(uncert) == 1 else None
+
+
+def subst_known(
+    e: Expr,
+    values: MutableMapping[Atom, Expr],
+    zeros: Collection[Atom],
+    args_of: Mapping[str, tuple[Atom, ...]],
+    passes: int,
+) -> Optional[Expr]:
+    """``e`` with the known zeros and values substituted to a fixed point,
+    or None when it has not settled in ``passes`` passes.
+
+    ``zeros`` vanish as functions: a vanishing symbol kills all its
+    partials, a vanishing partial every partial that dominates it.  Then
+    come the known ``values``, then partials derived from a known value
+    (:func:`derive_partial`), which are stored into ``values``."""
+    fns = [z for z in zeros if isinstance(z, (ConstitSym, ConstitPartial))]
+    for _ in range(passes):
+        sub: dict[Atom, Expr] = {}
+        for x in e.atoms():
+            if x in zeros or isinstance(x, ConstitPartial) and any(
+                z.name == x.name
+                and (isinstance(z, ConstitSym) or mi_dominates(x.slots, z.slots))
+                for z in fns
+            ):
+                sub[x] = ZERO
+            elif x in values:
+                sub[x] = values[x]
+            else:
+                dv = derive_partial(x, values, args_of)
+                if dv is not None:
+                    values[x] = dv
+                    sub[x] = dv
+        if not sub:
+            return e
+        e = substitute(e, sub)
+    return None
+
+
+def settle(pairs: MutableMapping[Atom, Expr], passes: int) -> bool:
+    """Substitute ``pairs`` into its own values, in place, until no value
+    holds a key.  False when that takes more than ``passes`` passes."""
+    for _ in range(passes):
+        dirty = False
+        for k, v in list(pairs.items()):
+            if any(a in pairs for a in v.atoms()):
+                pairs[k] = substitute(v, pairs)
+                dirty = True
+        if not dirty:
+            return True
+    return False

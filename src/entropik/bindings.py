@@ -15,22 +15,32 @@ Format, one statement per line (``#`` comments)::
     bind deta/deps = Cv/eps
     bind q1 = 0
 
-Checking substitutes the bindings into every constraint, deriving any
+Each target is bound, and each parameter declared, at most once.
+Checking substitutes the bindings and the parameters' test values into
+every constraint (:func:`~entropik.algebra.subst_known`), deriving any
 partial the constraints mention from the nearest bound value by slot
-differentiation; a constraint passes when it normalizes to zero.
+differentiation; a constraint passes when it normalizes to zero.  When
+no binding refers back to itself, substitution settles in one pass per
+bound name plus one; a file that does not is circular and fails with
+``E052``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from ._ratio import Q
-from .algebra import derive_partial
+from .algebra import subst_known
 from .atoms import Atom, ConstitPartial, ConstitSym
-from .errors import ModelError, NonRationalBinding, UnboundSymbol
-from .expr import Expr, eval_numeric, substitute
+from .errors import (
+    ModelError,
+    NonRationalBinding,
+    UnboundSymbol,
+    UnsettledBindings,
+)
+from .expr import Expr, eval_numeric
 from .model import ModelDef
 from .parser import CompileEnv, ParseFailure, compile_node, parse_expr_text
 from .render import expr_str
@@ -42,7 +52,6 @@ __all__ = [
     "ConstraintCheck",
     "CheckReport",
     "parse_bindings",
-    "binding_closure",
     "check_candidate",
     "sampled_production",
 ]
@@ -55,8 +64,9 @@ class BindingSet:
     parameters: tuple[tuple[str, Optional[Q]], ...]
     assignments: tuple[tuple[Atom, Expr], ...]
 
-    def parameter_values(self) -> dict[Atom, Expr]:
-        return {
+    def values(self) -> dict[Atom, Expr]:
+        """The assignments and the parameters' test values, as one map."""
+        return dict(self.assignments) | {
             ConstitSym(name): Expr.rational(v)
             for name, v in self.parameters
             if v is not None
@@ -119,6 +129,10 @@ def parse_bindings(
             name = name.strip()
             if not name.isidentifier():
                 raise ModelError(f"{filename}:{lineno}: bad parameter name {name!r}")
+            if name in dict(params):
+                raise ModelError(
+                    f"{filename}:{lineno}: parameter {name!r} declared twice"
+                )
             value = None
             if eq:
                 try:
@@ -129,13 +143,7 @@ def parse_bindings(
                         f"rational, got {valtext.strip()!r}"
                     ) from err
             params.append((name, value))
-            env = CompileEnv(
-                indep=env.indep,
-                fields=env.fields,
-                decls=env.decls,
-                extended=True,
-                parameters=env.parameters | {name},
-            )
+            env = replace(env, parameters=env.parameters | {name})
             continue
         if head == "bind":
             target_text, eq, value_text = rest.partition("=")
@@ -166,6 +174,10 @@ def parse_bindings(
                     f"{filename}:{lineno}: cannot bind the parameter "
                     f"'{atoms[0].name}'"
                 )
+            if atoms[0] in dict(assigns):
+                raise ModelError(
+                    f"{filename}:{lineno}: {target_text.strip()!r} bound twice"
+                )
             assigns.append((atoms[0], _compile(value_node, env)))
             continue
         raise ModelError(
@@ -174,41 +186,23 @@ def parse_bindings(
     return BindingSet(parameters=tuple(params), assignments=tuple(assigns))
 
 
-def binding_closure(
-    m: ModelDef, bs: BindingSet, needed: set[Atom]
-) -> dict[Atom, Expr]:
-    """Substitution map covering ``needed``: direct assignments plus any
-    partials derivable from a bound value by slot differentiation, with
-    the parameters' test values substituted in."""
+def _substituter(m: ModelDef, bs: BindingSet) -> Callable[[Expr], Expr]:
+    """Substitution of the bindings to a fixed point; the calls share one
+    values map and the partials derived into it."""
     args_of = {d.name: d.args for d in m.decls}
-    out: dict[Atom, Expr] = dict(bs.assignments)
+    values = bs.values()
+    passes = len(values) + 1
 
-    frontier = set(needed)
-    for _ in range(16):
-        new: dict[Atom, Expr] = {}
-        for x in frontier:
-            if x in out or not isinstance(x, ConstitPartial):
-                continue
-            v = derive_partial(x, out, args_of)
-            if v is not None:
-                new[x] = v
-        if not new:
-            break
-        out.update(new)
-        frontier = {a for v in new.values() for a in v.atoms()}
-    vals = bs.parameter_values()
-    if vals:
-        out = {k: substitute(v, vals) for k, v in out.items()}
-        out.update(vals)
-    return out
+    def bound(e: Expr) -> Expr:
+        v = subst_known(e, values, (), args_of, passes)
+        if v is None:
+            raise UnsettledBindings(
+                f"bindings did not settle in {passes} substitution passes; "
+                f"a binding refers back to itself"
+            )
+        return v
 
-
-def _close_subst(e: Expr, sub: dict[Atom, Expr]) -> Expr:
-    for _ in range(16):
-        if not any(a in sub for a in e.atoms()):
-            return e
-        e = substitute(e, sub)
-    return e
+    return bound
 
 
 def sampled_production(
@@ -216,9 +210,7 @@ def sampled_production(
 ) -> tuple[Q, ...]:
     """Entropy-production numerator on the solutions, under the bindings,
     at random exact rational points, one value per trial."""
-    total = entropy_on_solutions(m, s).numerator_expr()
-    sub = binding_closure(m, bs, set(total.atoms()))
-    num = _close_subst(total, sub)
+    num = _substituter(m, bs)(entropy_on_solutions(m, s).numerator_expr())
     out = []
     atoms = sorted(num.atoms(), key=lambda a: a.key)
     for trial in range(trials):
@@ -232,14 +224,11 @@ def check_candidate(
     m: ModelDef, cs: ConstraintSystem, bs: BindingSet
 ) -> CheckReport:
     """Evaluate every constraint under the bindings; pass = exactly zero."""
-    needed: set[Atom] = set()
-    for c in list(cs.constraints) + [cs.residual_numerator, cs.denominator]:
-        needed.update(c.atoms())
-    sub = binding_closure(m, bs, needed)
+    bound = _substituter(m, bs)
     rc = m.render_ctx()
     checks = []
     for c in cs.constraints:
-        v = _close_subst(c, sub)
+        v = bound(c)
         checks.append(
             ConstraintCheck(
                 constraint=expr_str(c, rc),
@@ -247,7 +236,7 @@ def check_candidate(
                 passed=v.is_zero(),
             )
         )
-    residual = _close_subst(cs.residual, sub)
+    residual = bound(cs.residual)
     return CheckReport(
         checks=tuple(checks),
         residual=expr_str(residual, rc),

@@ -26,13 +26,14 @@ pairs across several constraints, the ratio of the two coefficients is
 pinned down, and whether it actually varies with each shared argument —
 the slot Wronskian of the pair — becomes a branching question.
 
-A reduction does each piece of work once: its state caches each
-constraint's scan for linear atoms and each slot derivative, and a
-refresh substitutes only into constraints it did not output last time or
-that hold a function zeroed or solved since, and renormalizes only what
-the substitution changed.  That is exact since the nonzero list is fixed
-once the state is made: a refreshed constraint has nothing to substitute
-until one of its functions is touched, and a normal form stays one.
+A reduction does each piece of work once: its state caches the linear
+scan of each live constraint and the slot derivatives of each live
+value, and a refresh substitutes only into constraints it did not output
+last time or that hold a function zeroed or solved since, and
+renormalizes only what the substitution changed.  That is exact since
+the nonzero list is fixed once the state is made: a refreshed constraint
+has nothing to substitute until one of its functions is touched, and a
+normal form stays one.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ from .algebra import (
     arg_derivative,
     certified_nonzero,
     constit_atoms,
-    derive_partial,
+    forced_zero,
     nonzero_factors,
     normalize_constraint,
     single_monomial,
     strip_certified,
+    subst_known,
 )
 from .atoms import Atom, ConstitPartial, ConstitSym, mi_dominates, mi_total
 from .errors import ReductionCapExceeded
@@ -186,40 +188,13 @@ class _State:
         )
         return ReductionCapExceeded(f"reduction {what}; assumptions: {path or 'none'}")
 
-    # -- zero substitution, function-level ---------------------------------
-
-    def _is_zeroed(self, x: Atom) -> bool:
-        if x in self.zeros:
-            return True
-        if isinstance(x, ConstitPartial):
-            for z in self.zeros:
-                if isinstance(z, ConstitSym) and z.name == x.name:
-                    return True
-                if (
-                    isinstance(z, ConstitPartial)
-                    and z.name == x.name
-                    and mi_dominates(x.slots, z.slots)
-                ):
-                    return True
-        return False
-
     def subst_known(self, e: Expr) -> Expr:
-        for _ in range(_MAX_PASSES):
-            sub: dict[Atom, Expr] = {}
-            for x in e.atoms():
-                if self._is_zeroed(x):
-                    sub[x] = ZERO
-                elif x in self.solved:
-                    sub[x] = self.solved[x]
-                else:
-                    dv = derive_partial(x, self.solved, self.args_of)
-                    if dv is not None:
-                        self.solved[x] = dv
-                        sub[x] = dv
-            if not sub:
-                return e
-            e = substitute(e, sub)
-        raise self.cap_error(f"substitution did not settle in {_MAX_PASSES} passes")
+        v = subst_known(e, self.solved, self.zeros, self.args_of, _MAX_PASSES)
+        if v is None:
+            raise self.cap_error(
+                f"substitution did not settle in {_MAX_PASSES} passes"
+            )
+        return v
 
     def add_zero(self, a: Atom, constraint: Expr, factor: Expr) -> None:
         self.zeros.add(a)
@@ -314,6 +289,7 @@ def _refresh(st: _State) -> bool:
         changed = True
     st.constraints = out
     st.clean = set(out)
+    st.scans = {c: st.scans[c] for c in out if c in st.scans}
     st.touched.clear()
     for nz in st.nonzero:
         if st.subst_known(nz).is_zero():
@@ -332,22 +308,12 @@ def _holds(c: Expr, names: set[str]) -> bool:
 
 def _zero_rule(st: _State) -> bool:
     """A single-monomial constraint kills its one uncertified function
-    factor (jet-coordinate factors may ride along: the identity holds
-    for all values of the coordinates)."""
+    factor (:func:`~entropik.algebra.forced_zero`)."""
     changed = False
     for c in list(st.constraints):
-        mono = single_monomial(c)
-        if mono is None:
-            continue
-        uncert = [
-            a
-            for a, _k in mono
-            if isinstance(a, (ConstitSym, ConstitPartial))
-            and not certified_nonzero(Expr.atom(a), st.nonzero)
-        ]
-        if len(uncert) == 1:
-            cofactor = c / Expr.atom(uncert[0])
-            st.add_zero(uncert[0], c, cofactor.numerator_expr())
+        u = forced_zero(c, st.nonzero)
+        if u is not None:
+            st.add_zero(u, c, (c / Expr.atom(u)).numerator_expr())
             st.constraints.remove(c)
             changed = True
     return changed
@@ -407,6 +373,10 @@ def _compat(st: _State) -> bool:
         if isinstance(k, ConstitPartial) and mi_total(k.slots) == 1:
             by_name.setdefault(k.name, []).append(k)
             values[k] = ZERO
+    live = set(values.values())
+    st.slot_derivatives = {
+        k: d for k, d in st.slot_derivatives.items() if k[0] in live
+    }
     changed = False
     for name, parts in by_name.items():
         args = st.args_of.get(name)
@@ -652,18 +622,16 @@ def _relevant_static(w: Expr, st: _State) -> bool:
 
 def build_tree(
     cs: ConstraintSystem,
-    pivots: Optional[Sequence[Expr]] = None,
     depth: int = 3,
     assumptions: Sequence[Assumption] = (),
 ) -> CaseTree:
     """Binary case analysis over undetermined pivots, to a depth cap.
 
-    ``pivots`` is the admissible candidate pool (default:
-    :func:`pivot_candidates`); a branch only ever forks on a member of
-    it, so an empty pool yields the single reduced leaf.  Each node
-    reduces, asks the reducer what division it is blocked on, and forks
-    on the first admissible answer — falling back to a still-relevant
-    composite candidate when no division is blocked.  A fork whose two
+    A branch only ever forks on a member of the candidate pool,
+    :func:`pivot_candidates`.  Each node reduces, asks the reducer what
+    division it is blocked on, and forks on the first admissible answer —
+    falling back to a still-relevant composite candidate when no division
+    is blocked.  A fork whose two
     children reduce to the same system is skipped as vacuous.  The root
     is reduced before the pool is ranked; when it closes, no fork
     consults the pool and the tree reports an empty one."""
@@ -677,7 +645,7 @@ def build_tree(
     root = reduced(tuple(assumptions))
     pool: tuple[Expr, ...] = ()
     if not root[1].inconsistent:
-        pool = tuple(pivot_candidates(cs) if pivots is None else pivots)
+        pool = pivot_candidates(cs)
     statics = [p for p in pool if len(p.numerator_expr().num) > 1]
 
     def node(path, st: _State, blocked: list[_Blocked]) -> CaseNode:

@@ -55,12 +55,16 @@ def _fail_diag(message: str) -> "NoReturn":  # noqa: F821
     sys.exit(1)
 
 
-def _load_model(path: str, max_order: Optional[int]) -> ModelDef:
+def _read(path: str) -> str:
+    """The text of an input file; an unreadable one is a diagnostic."""
     try:
-        text = pathlib.Path(path).read_text()
+        return pathlib.Path(path).read_text()
     except OSError as err:
         _fail_diag(str(err))
-    pr = parse_model(text, filename=path)
+
+
+def _load_model(path: str, max_order: Optional[int]) -> ModelDef:
+    pr = parse_model(_read(path), filename=path)
     for d in pr.diagnostics:
         click.echo(str(d), err=True)
     if not pr.ok:
@@ -355,6 +359,7 @@ def split(model_file, assumes, force_residual_zero, depth, output, max_order):
 def verify(model_file, trials, seed, bindings_file, max_order):
     """Randomized exact-rational point checks on the model's solutions."""
     m = _load_model(model_file, max_order)
+    bind_text = None if bindings_file is None else _read(bindings_file)
     run = run_solution_set(m)
     rep = numeric_oracle(m, run.solved, run.system, trials=trials, seed=seed)
     click.echo(
@@ -366,9 +371,8 @@ def verify(model_file, trials, seed, bindings_file, max_order):
         click.echo(f"trial {f.trial} {f.kind}: {f.detail}", err=True)
         click.echo(f"  witness: {json.dumps(f.witness, sort_keys=True)}",
                    err=True)
-    if bindings_file is not None:
-        text = pathlib.Path(bindings_file).read_text()
-        bs = parse_bindings(text, m, filename=bindings_file)
+    if bind_text is not None:
+        bs = parse_bindings(bind_text, m, filename=bindings_file)
         values = sampled_production(m, run.solved, bs, trials, seed)
         zeros = sum(1 for v in values if v == 0)
         click.echo(f"bound entropy production zero at {zeros}/{trials} points")
@@ -387,8 +391,7 @@ def check(model_file, bindings_file, max_order):
     """Check a concrete candidate family against every constraint."""
     m = _load_model(model_file, max_order)
     run = run_solution_set(m)
-    text = pathlib.Path(bindings_file).read_text()
-    bs = parse_bindings(text, m, filename=bindings_file)
+    bs = parse_bindings(_read(bindings_file), m, filename=bindings_file)
     rep = check_candidate(m, run.system, bs)
     for c in rep.checks:
         mark = "ok  " if c.passed else "FAIL"

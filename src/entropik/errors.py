@@ -20,6 +20,7 @@ __all__ = [
     "NonlinearExtendedInequality",
     "UnboundSymbol",
     "NonRationalBinding",
+    "UnsettledBindings",
     "ReductionCapExceeded",
 ]
 
@@ -125,6 +126,12 @@ class NonRationalBinding(EngineError):
     """Candidate checking: a binding leaves the rational-function fragment."""
 
     code = "E051"
+
+
+class UnsettledBindings(EngineError):
+    """Candidate checking: a binding refers back to itself."""
+
+    code = "E052"
 
 
 class ReductionCapExceeded(EngineError):

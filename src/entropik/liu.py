@@ -26,7 +26,9 @@ from ._ratio import qdiv
 from .algebra import (
     arg_derivative,
     certified_nonzero,
+    forced_zero,
     normalize_constraint,
+    settle,
     single_monomial,
     try_divexact,
 )
@@ -144,18 +146,6 @@ def _refine(
     )
 
 
-def _forced_zero(e: Expr, nonzero: Sequence[Expr]) -> Optional[Atom]:
-    """The unknown function a single-monomial identity ``e = 0`` forces to
-    vanish: its one factor not certified nonzero, if that is a function."""
-    mono = single_monomial(e)
-    if mono is None:
-        return None
-    u = [a for a, _k in mono if not certified_nonzero(Expr.atom(a), nonzero)]
-    if len(u) == 1 and isinstance(u[0], (ConstitSym, ConstitPartial)):
-        return u[0]
-    return None
-
-
 def _harvest(
     pieces: Sequence[Expr],
     multiplier_dep: Sequence[Atom],
@@ -166,8 +156,8 @@ def _harvest(
 
     Two sound rules run to a fixed point first:
 
-    * a single-monomial identity whose factors are all certified nonzero
-      except one unknown symbol forces that symbol to zero;
+    * a single-monomial identity whose function factors are all
+      certified nonzero except one forces that one to zero;
     * a slot derivative of an identity that collapses to one multiplier
       partial times a certified cofactor forces that partial to zero
       (the multiplier simply cannot depend on that argument).
@@ -183,35 +173,12 @@ def _harvest(
     zeros: set[Atom] = set()
     generic: set[Atom] = set()
 
-    def uncert(mono: Monomial, skip: Atom | None = None) -> list[Atom]:
-        out = []
-        for a, _k in mono:
-            if a is skip:
-                continue
-            if not certified_nonzero(Expr.atom(a), nonzero):
-                out.append(a)
-        return out
-
-    def mult_partials(mono: Monomial) -> list[tuple[Atom, int]]:
-        return [
-            (a, k)
-            for a, k in mono
-            if isinstance(a, ConstitPartial) and _is_multiplier_name(a.name)
-        ]
-
     while True:
         pool = _normal_set((_apply_zeros(p, zeros) for p in pieces), nonzero)
+        # Rule 1: single monomial with one uncertified function.
+        zeros, pool = _zero_closure(pool, nonzero, zeros)
 
         forced = False
-        # Rule 1: single monomial with one uncertified symbol.
-        for p in pool:
-            z = _forced_zero(p, nonzero)
-            if z is not None and z not in zeros:
-                zeros.add(z)
-                forced = True
-        if forced:
-            continue
-
         # Rule 2: forced multiplier-partial zeros from slot derivatives.
         candidates: list[tuple[Atom, Atom]] = []
         for p in pool:
@@ -222,11 +189,19 @@ def _harvest(
                 mono = single_monomial(j)
                 if mono is None:
                     continue
-                mp = mult_partials(mono)
+                mp = [
+                    (x, k)
+                    for x, k in mono
+                    if isinstance(x, ConstitPartial) and _is_multiplier_name(x.name)
+                ]
                 if len(mp) != 1 or mp[0][1] != 1:
                     continue
                 m_atom = mp[0][0]
-                rest = uncert(mono, skip=m_atom)
+                rest = [
+                    x
+                    for x, _k in mono
+                    if x is not m_atom and not certified_nonzero(Expr.atom(x), nonzero)
+                ]
                 if not rest:
                     if m_atom not in zeros:
                         zeros.add(m_atom)
@@ -383,15 +358,10 @@ def eliminate_multipliers(
                 break
 
     # A solved value may reference a multiplier that was pivoted later;
-    # back-substitute until every value is multiplier-free.
-    for _ in range(len(solved)):
-        dirty = False
-        for lam, v in list(solved.items()):
-            if any(x in solved for x in v.atoms()):
-                solved[lam] = substitute(v, solved)
-                dirty = True
-        if not dirty:
-            break
+    # back-substitute until every value is multiplier-free.  The pivot
+    # order makes the map acyclic, so one pass per value settles it.
+    settled = settle(solved, len(solved) + 1)
+    assert settled, "multiplier values feed back into each other"
 
     physical = _normal_set(
         (x for x in pending if not set(x.atoms()) & remaining), nonzero
@@ -399,21 +369,21 @@ def eliminate_multipliers(
     return solved, tuple(physical), tuple(sorted(remaining, key=lambda a: a.key))
 
 
-def _zero_closure(base: Sequence[Expr], nonzero: Sequence[Expr]) -> set[Atom]:
-    """Symbols forced to zero by single-monomial members of ``base``
-    (certified cofactor), iterated over the base reduced modulo them."""
-    zeros: set[Atom] = set()
-    current = list(base)
+def _zero_closure(
+    pool: Sequence[Expr], nonzero: Sequence[Expr], zeros: Iterable[Atom] = ()
+) -> tuple[set[Atom], Sequence[Expr]]:
+    """Close ``zeros`` under the functions single-monomial members of
+    ``pool`` force to vanish (:func:`~entropik.algebra.forced_zero`),
+    reducing the pool modulo each new batch.  ``pool`` is already reduced
+    modulo the starting ``zeros``; returns the zeros and the reduced pool."""
+    zeros = set(zeros)
     while True:
-        new = False
-        for c in current:
-            z = _forced_zero(c, nonzero)
-            if z is not None and z not in zeros:
-                zeros.add(z)
-                new = True
+        new = {z for c in pool if (z := forced_zero(c, nonzero)) is not None}
+        new -= zeros
         if not new:
-            return zeros
-        current = _normal_set((_apply_zeros(c, zeros) for c in current), nonzero)
+            return zeros, pool
+        zeros |= new
+        pool = _normal_set((_apply_zeros(c, new) for c in pool), nonzero)
 
 
 def _reduce_row(row: dict, pivots: Sequence[tuple[Monomial, dict]]) -> dict:
@@ -440,7 +410,7 @@ def _implication_test(
     basis are computed here, once; :func:`compare` lists the routes.
     """
     members = set(base)
-    zeros = _zero_closure(base, nonzero)
+    zeros, _ = _zero_closure(base, nonzero)
     divisors = [b.numerator_expr() for b in base]
     pivots: list[tuple[Monomial, dict]] = []
     for d in divisors:

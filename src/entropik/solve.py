@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .algebra import pivot_factors
+from .algebra import pivot_factors, settle
 from .atoms import JetVar, mi_total
 from .errors import (
     NonlinearInLeading,
@@ -255,16 +255,7 @@ def close_consequences(
             ensure(a)
 
     # Reduce right-hand sides until no key remains in any of them.
-    for _ in range(len(pairs) + 2):
-        dirty = False
-        for k in list(pairs):
-            rhs = pairs[k]
-            if any(a in pairs for a in rhs.atoms()):
-                pairs[k] = substitute(rhs, pairs)
-                dirty = True
-        if not dirty:
-            break
-    else:
+    if not settle(pairs, len(pairs) + 2):
         raise SingularConsequence(
             "consequence substitution did not reach a fixed point"
         )

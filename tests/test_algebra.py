@@ -1,14 +1,28 @@
-"""Shared constraint algebra: division loops and derived partials."""
+"""Shared constraint algebra: division loops, the zero rule and
+substitution of known values."""
 
-from entropik.algebra import certified_nonzero, derive_partial, divide_out
+from entropik.algebra import (
+    certified_nonzero,
+    divide_out,
+    forced_zero,
+    settle,
+    subst_known,
+)
 from entropik.atoms import ConstitPartial, ConstitSym, JetVar
-from entropik.bindings import binding_closure, parse_bindings
-from entropik.expr import ONE, Expr, substitute
+from entropik.bindings import parse_bindings
+from entropik.expr import ONE, Expr
 
 from conftest import bindings_text
 
 RHO = Expr.atom(JetVar("rho", (0, 0)))
+EPS = Expr.atom(JetVar("eps", (0, 0)))
 P = Expr.atom(ConstitSym("p"))
+Q1 = Expr.atom(ConstitSym("q1"))
+DP_DRHO = ConstitPartial("p", (1, 0))
+
+
+def _args_of(gas):
+    return {d.name: d.args for d in gas.decls}
 
 
 def test_divide_out_skips_rational_factor():
@@ -26,16 +40,54 @@ def test_certified_nonzero_terminates_on_rational_factor():
     assert certified_nonzero(3 * RHO**2, [Expr.rational(2), RHO]) is True
 
 
-def test_derive_partial_matches_binding_closure(gas):
+def test_forced_zero_lets_a_jet_cofactor_ride_along():
+    assert forced_zero(RHO * EPS**2 * Expr.atom(DP_DRHO), []) is DP_DRHO
+
+
+def test_forced_zero_needs_a_single_uncertified_function():
+    assert forced_zero(P * Q1, []) is None
+    assert forced_zero(P * Q1, [P]) is ConstitSym("q1")
+    assert forced_zero(P + Q1, []) is None
+
+
+def test_subst_known_zeroes_dominating_partials(gas):
+    d2q = Expr.atom(ConstitPartial("q1", (2, 0)))
+    dq_deps = Expr.atom(ConstitPartial("q1", (0, 1)))
+    e = RHO * d2q + dq_deps + Expr.atom(DP_DRHO)
+    zeros = {ConstitPartial("q1", (1, 0)), ConstitSym("p")}
+    out = subst_known(e, {}, zeros, _args_of(gas), 2)
+    assert out == dq_deps
+
+
+def test_subst_known_stores_a_derived_partial(gas):
+    values = {ConstitSym("p"): RHO**2 * EPS}
+    out = subst_known(Expr.atom(DP_DRHO) + P, values, (), _args_of(gas), 2)
+    assert out == 2 * RHO * EPS + RHO**2 * EPS
+    assert values[DP_DRHO] == 2 * RHO * EPS
+
+
+def test_subst_known_gives_up_on_a_cycle(gas):
+    values = {ConstitSym("p"): Q1, ConstitSym("q1"): P}
+    assert subst_known(P, values, (), _args_of(gas), 5) is None
+
+
+def test_subst_known_derives_bound_partials(gas):
+    # gas1d_ideal binds p = (gamma - 1)*rho*eps and the first partials of
+    # eta; gamma = 7/5 and Cv = 5/2 are the parameters' test values.
     bs = parse_bindings(bindings_text("gas1d_ideal"), gas)
-    args_of = {d.name: d.args for d in gas.decls}
-    wanted = {
-        ConstitPartial("p", (1, 0)),
-        ConstitPartial("p", (1, 1)),
-        ConstitPartial("eta", (1, 1)),
+    values = bs.values()
+    expected = {
+        DP_DRHO: Expr.rational(2) / 5 * EPS,
+        ConstitPartial("p", (1, 1)): Expr.rational(2) / 5,
+        ConstitPartial("eta", (1, 1)): Expr.rational(0),
     }
-    closure = binding_closure(gas, bs, wanted)
-    for x in wanted:
-        value = derive_partial(x, dict(bs.assignments), args_of)
-        assert value is not None
-        assert substitute(value, bs.parameter_values()) == closure[x]
+    for x, value in expected.items():
+        assert subst_known(Expr.atom(x), values, (), _args_of(gas), 3) == value
+        assert x in values
+
+
+def test_settle_resolves_a_chain_and_rejects_a_cycle():
+    chain = {ConstitSym("p"): Q1 + 1, ConstitSym("q1"): RHO}
+    assert settle(chain, 2)
+    assert chain[ConstitSym("p")] == RHO + 1
+    assert not settle({ConstitSym("p"): Q1, ConstitSym("q1"): P}, 4)

@@ -1,13 +1,14 @@
 """Candidate-family bindings and the constraint checker."""
 
+import re
 from fractions import Fraction as Q
 
 import pytest
 
+from entropik.algebra import subst_known
 from entropik.atoms import ConstitPartial, ConstitSym
 from entropik.bindings import (
     BindingSet,
-    binding_closure,
     check_candidate,
     parse_bindings,
     sampled_production,
@@ -52,9 +53,9 @@ def test_parameter_value_sensitivity(gas):
 def test_partial_bindings_close_under_differentiation(gas):
     # dp/drho is never written in the file; it is derived from p
     bs = _gas_bindings(gas)
-    needed = {ConstitPartial("p", (1, 0))}
-    sub = binding_closure(gas, bs, needed)
-    val = sub[ConstitPartial("p", (1, 0))]
+    args_of = {d.name: d.args for d in gas.decls}
+    dp = ConstitPartial("p", (1, 0))
+    val = subst_known(Expr.atom(dp), bs.values(), (), args_of, 3)
     # d/drho[(gamma-1)*rho*eps] with gamma = 7/5
     eps_atom = gas.decl_map()["p"].args[1]
     assert val == Expr.rational(Q(2, 5)) * Expr.atom(eps_atom)
@@ -108,6 +109,31 @@ def test_bind_target_must_be_single_atom(gas):
 def test_cannot_bind_parameter(gas):
     with pytest.raises(ModelError, match="parameter"):
         parse_bindings("parameter gamma = 2\nbind gamma = 3\n", gas)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("bind q1 = 0\nbind p = rho\nbind q1 = eps\n", "g.bind:3: 'q1' bound twice"),
+        ("bind deta/deps = 1\nbind deta/deps = 2\n", "g.bind:2: 'deta/deps' bound"),
+    ],
+)
+def test_duplicate_bind_rejected(gas, text, where):
+    with pytest.raises(ModelError, match=re.escape(where)):
+        parse_bindings(text, gas, filename="g.bind")
+
+
+def test_symbol_and_its_partial_both_bind(gas):
+    bs = parse_bindings("bind p = rho*eps\nbind dp/drho = eps\n", gas)
+    assert len(bs.assignments) == 2
+
+
+def test_duplicate_parameter_rejected(gas):
+    text = "parameter gamma = 2\n\nparameter gamma = 3\n"
+    with pytest.raises(
+        ModelError, match=re.escape("g.bind:3: parameter 'gamma' declared twice")
+    ):
+        parse_bindings(text, gas, filename="g.bind")
 
 
 def test_irrational_parameter_value_rejected(gas):

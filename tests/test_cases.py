@@ -121,7 +121,6 @@ def test_tree_under_contradictory_assumptions():
     cs = solution_run("gas1d").system
     tree = build_tree(
         cs,
-        pivots=(),
         depth=1,
         assumptions=(Assumption.zero(ETA_EPS), Assumption.nonzero(ETA_EPS)),
     )
@@ -150,13 +149,6 @@ def test_depth_cap_marks_open():
     assert open_nodes
     for n in open_nodes:
         assert n.status == "open"
-
-
-def test_empty_pivot_pool_single_leaf():
-    cs = solution_run("gas1d").system
-    tree = build_tree(cs, pivots=())
-    assert tree.root.children == ()
-    assert len(tree.leaves()) == 1
 
 
 # -- pivot discovery ------------------------------------------------------

@@ -246,6 +246,33 @@ def test_check_transcendental_code(runner, tmp_path):
     assert "error[E051]" in r.output
 
 
+def test_check_missing_bindings_file(runner, tmp_path):
+    missing = str(tmp_path / "none.bind")
+    r = runner.invoke(main, ["check", model("gas1d"), missing])
+    assert r.exit_code == 1
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "error: " in r.output and "none.bind" in r.output
+
+
+def test_verify_missing_bindings_file(runner, tmp_path):
+    missing = str(tmp_path / "none.bind")
+    r = runner.invoke(
+        main, ["verify", model("gas1d"), "--trials", "2", "--bindings", missing]
+    )
+    assert r.exit_code == 1
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "error: " in r.output and "none.bind" in r.output
+
+
+def test_check_circular_bindings_code(runner, tmp_path):
+    bad = tmp_path / "circular.bind"
+    bad.write_text("bind p = q1\nbind q1 = p\n")
+    r = runner.invoke(main, ["check", model("gas1d"), str(bad)])
+    assert r.exit_code == 2
+    assert "error[E052]" in r.output
+    assert "FAIL" not in r.output
+
+
 def test_version(runner):
     r = runner.invoke(main, ["--version"])
     assert r.exit_code == 0

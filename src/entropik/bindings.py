@@ -28,7 +28,7 @@ bound name plus one; a file that does not is circular and fails with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ._ratio import Q
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .expr import Expr, eval_numeric
 from .model import ModelDef
-from .parser import CompileEnv, ParseFailure, compile_node, parse_expr_text
+from .parser import CompileEnv, ParseFailure, compile_node, model_env, parse_expr_text
 from .render import expr_str
 from .solve import SolvedSystem
 from .split import ConstraintSystem, entropy_on_solutions
@@ -113,12 +113,7 @@ def parse_bindings(
 ) -> BindingSet:
     params: list[tuple[str, Optional[Q]]] = []
     assigns: list[tuple[Atom, Expr]] = []
-    env = CompileEnv(
-        indep=m.indep,
-        fields=m.fields,
-        decls={d.name: d for d in m.decls},
-        extended=True,
-    )
+    env = model_env(m)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -143,7 +138,7 @@ def parse_bindings(
                         f"rational, got {valtext.strip()!r}"
                     ) from err
             params.append((name, value))
-            env = replace(env, parameters=env.parameters | {name})
+            env = model_env(m, env.parameters | {name})
             continue
         if head == "bind":
             target_text, eq, value_text = rest.partition("=")

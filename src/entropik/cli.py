@@ -36,8 +36,8 @@ from .cases import (
 from .errors import EngineError
 from .latex import relations_document
 from .model import ModelDef
-from .parser import CompileEnv, ParseFailure, compile_node, parse_expr_text, parse_model
-from .render import atom_str, expr_str
+from .parser import ParseFailure, compile_node, model_env, parse_expr_text, parse_model
+from .render import atom_str
 from .report import (
     build_report,
     comparison_to_dict,
@@ -106,17 +106,11 @@ def _parse_assume(m: ModelDef, text: str, index: int) -> Assumption:
         raise click.UsageError(
             f"assumption {text!r}: right-hand side must be 0"
         )
-    env = CompileEnv(
-        indep=m.indep,
-        fields=m.fields,
-        decls={d.name: d for d in m.decls},
-        extended=True,
-    )
     try:
         node = parse_expr_text(
             lhs.strip(), filename=f"<assume:{index}>", lineno=1
         )
-        e = compile_node(node, env)
+        e = compile_node(node, model_env(m))
     except ParseFailure as err:
         _fail_diag(str(err.diag))
     if e.is_zero():
@@ -207,7 +201,6 @@ def analyze(model_file, method, output, max_order, multiplier_dep):
     click.echo(f"model {name}  fingerprint {rep.model['fingerprint'][:16]}")
     click.echo(f"method {method}")
     if method == "solution-set":
-        rc = m.render_ctx()
         if rep.solved["consequences"]:
             keys = ", ".join(c["key"] for c in rep.solved["consequences"])
             click.echo(f"closure consequences: {keys}")
@@ -253,8 +246,8 @@ def compare_cmd(model_file, output, max_order, multiplier_dep):
     """Compare multiplier identities against the solution-set constraints."""
     m = _load_model(model_file, max_order)
     dep = _resolve_dep(m, multiplier_dep) if multiplier_dep else None
-    rep, lrun, _ = run_comparison(m, dep)
-    d = comparison_to_dict(rep, m, lrun.result.multiplier_dep)
+    rep, lr = run_comparison(m, dep)
+    d = comparison_to_dict(rep, m, lr.multiplier_dep)
     if output == "json":
         click.echo(json.dumps(d, sort_keys=True, indent=2))
         return
@@ -277,32 +270,28 @@ def compare_cmd(model_file, output, max_order, multiplier_dep):
 
 
 
-def _tree_text(node, rc, depth=0):
+def _tree_text(node: dict, depth: int = 0) -> list[str]:
+    """Text lines of one node of ``tree_to_dict`` and its subtree."""
     pad = "  " * depth
-    lines = []
-    if node.assumptions:
-        a = node.assumptions[-1]
-        rel = "= 0" if a.polarity == "zero" else "!= 0"
-        head = f"{pad}case {expr_str(a.expr, rc)} {rel}:"
+    sys_d = node["system"]
+    if node["assumptions"]:
+        a = node["assumptions"][-1]
+        rel = "= 0" if a["polarity"] == "zero" else "!= 0"
+        head = f"{pad}case {a['expr']} {rel}:"
     else:
         head = f"{pad}root:"
-    status = node.status
-    if node.system.inconsistent:
-        status = f"closed ({node.system.inconsistent})"
-    lines.append(f"{head} [{status}]")
-    if node.status == "leaf" or not node.children:
-        for c in node.system.constraints:
-            lines.append(f"{pad}  {expr_str(c, rc)} = 0")
-        for z in sorted(
-            node.system.zeroed, key=lambda x: atom_str(x, rc)
-        ):
-            lines.append(f"{pad}  {atom_str(z, rc)} = 0  (derived)")
-        for k, v in node.system.solved:
-            lines.append(f"{pad}  {atom_str(k, rc)} = {expr_str(v, rc)}")
-        if node.capped is not None:
+    status = node["status"]
+    if sys_d["inconsistent"]:
+        status = f"closed ({sys_d['inconsistent']})"
+    lines = [f"{head} [{status}]"]
+    if node["status"] == "leaf" or "children" not in node:
+        lines += [f"{pad}  {c} = 0" for c in sys_d["constraints"]]
+        lines += [f"{pad}  {z} = 0  (derived)" for z in sys_d["zeroed"]]
+        lines += [f"{pad}  {k} = {v}" for k, v in sys_d["solved"].items()]
+        if node.get("capped"):
             lines.append(f"{pad}  ... depth cap reached")
-    for child in node.children:
-        lines.extend(_tree_text(child, rc, depth + 1))
+    for child in node.get("children", ()):
+        lines.extend(_tree_text(child, depth + 1))
     return lines
 
 
@@ -330,18 +319,16 @@ def split(model_file, assumes, force_residual_zero, depth, output, max_order):
     assumptions = tuple(
         _parse_assume(m, text, i) for i, text in enumerate(assumes)
     )
-    rc = m.render_ctx()
     tree = build_tree(cs, depth=depth, assumptions=assumptions)
+    d = tree_to_dict(tree, m)
     if output == "json":
-        click.echo(json.dumps(tree_to_dict(tree, m), sort_keys=True,
-                              indent=2))
+        click.echo(json.dumps(d, sort_keys=True, indent=2))
         return
-    for line in _tree_text(tree.root, rc):
+    for line in _tree_text(d["root"]):
         click.echo(line)
-    leaves = tree.leaves()
     closed = sum(1 for n in tree.root.walk() if n.system.inconsistent)
     click.echo(
-        f"{len(leaves)} leaves"
+        f"{d['leaf_count']} leaves"
         + (f", {closed} closed" if closed else "")
         + (", capped" if tree.capped() else "")
     )

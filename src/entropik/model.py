@@ -11,7 +11,7 @@ retained for formatting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .ast_nodes import Node
@@ -54,20 +54,13 @@ class Equation:
 
     label: str
     lhs: Expr
-    # Source ASTs of the two sides as written, for round-trip formatting.
-    lhs_ast: Optional[Node] = None
-    rhs_ast: Optional[Node] = None
-
-    def __eq__(self, other):
-        if not isinstance(other, Equation):
-            return NotImplemented
-        return self.label == other.label and self.lhs == other.lhs
-
-    def __hash__(self):
-        return hash((self.label, self.lhs))
+    # Source ASTs of the two sides as written, for round-trip formatting;
+    # equality ignores them.
+    lhs_ast: Optional[Node] = field(default=None, compare=False)
+    rhs_ast: Optional[Node] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ModelDef:
     indep: tuple[IndepVar, ...]
     fields: tuple[str, ...]
@@ -77,8 +70,9 @@ class ModelDef:
     leading: tuple[JetVar, ...]
     nonzero: tuple[Expr, ...] = ()
     max_order: int = 4
-    entropy_ast: Optional[Node] = None
-    nonzero_asts: tuple[Node, ...] = ()
+    # Source ASTs, for round-trip formatting; equality ignores them.
+    entropy_ast: Optional[Node] = field(default=None, compare=False)
+    nonzero_asts: tuple[Node, ...] = field(default=(), compare=False)
 
     # -- derived views ----------------------------------------------------
 
@@ -178,22 +172,3 @@ class ModelDef:
                     f"leading derivative {atom_str(ld, self.render_ctx())} "
                     "appears in no equation"
                 )
-
-    # -- equality (semantic content, ASTs ignored) ------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, ModelDef):
-            return NotImplemented
-        return (
-            self.indep == other.indep
-            and self.fields == other.fields
-            and self.decls == other.decls
-            and self.equations == other.equations
-            and self.entropy_lhs == other.entropy_lhs
-            and self.leading == other.leading
-            and self.nonzero == other.nonzero
-            and self.max_order == other.max_order
-        )
-
-    def __hash__(self):
-        return hash((self.indep, self.fields, self.leading))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from ._ratio import Q
 from .ast_nodes import BinOp, Call, Name, Neg, Node, Num, PartialRef, to_text
@@ -45,6 +45,7 @@ __all__ = [
     "parse_model",
     "format_model",
     "CompileEnv",
+    "model_env",
     "compile_node",
     "parse_expr_text",
     "ParseFailure",
@@ -125,11 +126,16 @@ def _lex(line: str, lineno: int, filename: str) -> list[_Tok]:
 
 
 class _Cursor:
-    def __init__(self, toks: list[_Tok], lineno: int, filename: str):
+    """The tokens of one line.  ``partials`` switches on the extended
+    grammar's partial references ``d<sym>/d<arg>``."""
+
+    def __init__(self, toks: list[_Tok], lineno: int, filename: str,
+                 partials: bool = False):
         self.toks = toks
         self.i = 0
         self.lineno = lineno
         self.filename = filename
+        self.partials = partials
 
     def peek(self, ahead: int = 0) -> _Tok:
         j = min(self.i + ahead, len(self.toks) - 1)
@@ -156,42 +162,50 @@ class _Cursor:
     def at_end(self) -> bool:
         return self.peek().kind == "end"
 
+    def expect_end(self) -> None:
+        t = self.peek()
+        if t.kind != "end":
+            raise ParseFailure(f"unexpected trailing input {t.text!r}", self.span(t))
+
+    def comma_list(self, item: Callable[["_Cursor"], Node]) -> Iterator[Node]:
+        """Comma-separated items, each yielded as soon as it is read."""
+        yield item(self)
+        while self.peek().text == ",":
+            self.next()
+            yield item(self)
+
 
 # ---------------------------------------------------------------------------
 # Expression grammar (tokens -> AST).
 
-def _parse_expr(c: _Cursor, extended: bool) -> Node:
-    return _parse_sum(c, extended)
-
-
-def _parse_sum(c: _Cursor, extended: bool) -> Node:
-    node = _parse_product(c, extended)
+def _parse_expr(c: _Cursor) -> Node:
+    node = _parse_product(c)
     while c.peek().kind == "op" and c.peek().text in "+-":
         op = c.next().text
-        rhs = _parse_product(c, extended)
+        rhs = _parse_product(c)
         node = BinOp(op, node, rhs)
     return node
 
 
-def _parse_product(c: _Cursor, extended: bool) -> Node:
-    node = _parse_unary(c, extended)
+def _parse_product(c: _Cursor) -> Node:
+    node = _parse_unary(c)
     while c.peek().kind == "op" and c.peek().text in "*/":
         op = c.next().text
-        rhs = _parse_unary(c, extended)
+        rhs = _parse_unary(c)
         node = BinOp(op, node, rhs)
     return node
 
 
-def _parse_unary(c: _Cursor, extended: bool) -> Node:
+def _parse_unary(c: _Cursor) -> Node:
     t = c.peek()
     if t.kind == "op" and t.text == "-":
         c.next()
-        return Neg(_parse_unary(c, extended), span=c.span(t))
-    return _parse_power(c, extended)
+        return Neg(_parse_unary(c), span=c.span(t))
+    return _parse_power(c)
 
 
-def _parse_power(c: _Cursor, extended: bool) -> Node:
-    node = _parse_primary(c, extended)
+def _parse_power(c: _Cursor) -> Node:
+    node = _parse_primary(c)
     if c.peek().kind == "op" and c.peek().text == "^":
         c.next()
         exp = _parse_exponent(c)
@@ -221,20 +235,16 @@ def _looks_like_partial(c: _Cursor) -> bool:
     )
 
 
-def _parse_primary(c: _Cursor, extended: bool) -> Node:
+def _parse_primary(c: _Cursor) -> Node:
     t = c.peek()
     if t.kind == "num":
         c.next()
         return Num(Q(t.text), span=c.span(t))
     if t.kind == "name":
-        if extended and _looks_like_partial(c):
+        if c.partials and _looks_like_partial(c):
             sym_tok = c.next()
             c.next()  # '/'
-            head = sym_tok.text[1:]
-            digits = ""
-            while head and head[0].isdigit():
-                digits += head[0]
-                head = head[1:]
+            digits, head = re.match(r"(\d*)(.*)", sym_tok.text[1:]).groups()
             args = [c.next().text[1:]]
             while c.peek().kind == "op" and c.peek().text == ".":
                 c.next()
@@ -260,16 +270,13 @@ def _parse_primary(c: _Cursor, extended: bool) -> Node:
         c.next()
         if c.peek().kind == "op" and c.peek().text == "(":
             c.next()
-            args = [_parse_expr(c, extended)]
-            while c.peek().kind == "op" and c.peek().text == ",":
-                c.next()
-                args.append(_parse_expr(c, extended))
+            args = tuple(c.comma_list(_parse_expr))
             c.expect("op", ")")
-            return Call(t.text, tuple(args), span=c.span(t))
+            return Call(t.text, args, span=c.span(t))
         return Name(t.text, span=c.span(t))
     if t.kind == "op" and t.text == "(":
         c.next()
-        node = _parse_expr(c, extended)
+        node = _parse_expr(c)
         c.expect("op", ")")
         return node
     raise ParseFailure(f"expected an expression, found {t.text!r}", c.span(t))
@@ -279,11 +286,9 @@ def parse_expr_text(
     text: str, filename: str = "<expr>", lineno: int = 1
 ) -> Node:
     """Parse a standalone expression in the extended grammar."""
-    c = _Cursor(_lex(text, lineno, filename), lineno, filename)
-    node = _parse_expr(c, extended=True)
-    t = c.peek()
-    if not c.at_end():
-        raise ParseFailure(f"unexpected trailing input {t.text!r}", c.span(t))
+    c = _Cursor(_lex(text, lineno, filename), lineno, filename, partials=True)
+    node = _parse_expr(c)
+    c.expect_end()
     return node
 
 
@@ -326,6 +331,15 @@ class CompileEnv:
             else:
                 return None
         return JetVar(base, tuple(orders))
+
+
+def model_env(m: ModelDef, parameters: frozenset[str] = frozenset()) -> CompileEnv:
+    """The extended environment for text written against a parsed model:
+    its names, jet-suffix names and the named opaque ``parameters``."""
+    return CompileEnv(
+        indep=m.indep, fields=m.fields, decls=m.decl_map(), extended=True,
+        parameters=parameters,
+    )
 
 
 def _err(node: Node, message: str, hint: Optional[str] = None) -> ParseFailure:
@@ -434,11 +448,6 @@ class ParseResult:
         return self.model
 
 
-def _strip_comment(line: str) -> str:
-    i = line.find("#")
-    return line if i < 0 else line[:i]
-
-
 def _split_top(
     c: _Cursor, op_text: str
 ) -> Optional[int]:
@@ -463,58 +472,43 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
     # Directive lines, comment-stripped, with their numbers.
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw)
+        body = raw.split("#", 1)[0]
         if body.strip():
             lines.append((lineno, body))
 
-    def fail_diag(e: ParseFailure):
-        diags.append(e.diag)
-
     # -- pass 1: declarations -------------------------------------------
-    indep: list[IndepVar] = []
+    indep: list[str] = []
     fields: list[str] = []
-    decl_lines: list[tuple[int, _Cursor]] = []
-    other_lines: list[tuple[str, int, _Cursor]] = []
+    decl_lines: list[_Cursor] = []
+    other_lines: list[tuple[str, _Cursor]] = []
     max_order = 4
 
     for lineno, body in lines:
         try:
-            toks = _lex(body, lineno, filename)
-        except ParseFailure as e:
-            fail_diag(e)
-            continue
-        c = _Cursor(toks, lineno, filename)
-        head = c.peek()
-        if head.kind != "name":
-            diags.append(
-                ParseDiagnostic("error", "expected a directive", c.span(head))
-            )
-            continue
-        kw = head.text
-        c.next()
-        try:
-            if kw == "independent":
+            c = _Cursor(_lex(body, lineno, filename), lineno, filename)
+            head = c.next()
+            if head.kind != "name":
+                raise ParseFailure("expected a directive", c.span(head))
+            kw = head.text
+            if kw in ("independent", "field"):
+                names, what = (
+                    (indep, "independent variable") if kw == "independent"
+                    else (fields, "field")
+                )
                 while not c.at_end():
                     t = c.expect("name")
-                    if any(v.name == t.text for v in indep):
-                        raise ParseFailure(
-                            f"duplicate independent variable '{t.text}'", c.span(t)
-                        )
-                    indep.append(IndepVar(t.text))
-            elif kw == "field":
-                while not c.at_end():
-                    t = c.expect("name")
-                    if t.text in fields:
-                        raise ParseFailure(f"duplicate field '{t.text}'", c.span(t))
-                    fields.append(t.text)
+                    if t.text in names:
+                        raise ParseFailure(f"duplicate {what} '{t.text}'", c.span(t))
+                    names.append(t.text)
             elif kw == "constitutive":
-                decl_lines.append((lineno, c))
+                decl_lines.append(c)
             elif kw == "max_order":
                 c.expect("op", ":")
-                t = c.expect("num")
-                max_order = int(t.text)
+                max_order = int(c.expect("num").text)
+                c.expect_end()
             elif kw in ("equation", "entropy", "leading", "assume"):
-                other_lines.append((kw, lineno, c))
+                c.partials = kw in ("leading", "assume")
+                other_lines.append((kw, c))
             else:
                 raise ParseFailure(
                     f"unknown directive '{kw}'",
@@ -523,33 +517,23 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                     "entropy, leading, assume, or max_order",
                 )
         except ParseFailure as e:
-            fail_diag(e)
+            diags.append(e.diag)
 
     if not indep:
-        diags.append(
-            ParseDiagnostic(
-                "error",
-                "model declares no independent variables",
-                SourceSpan(filename, 1, 1, 2),
-            )
-        )
+        diags.append(_model_diag(filename, "model declares no independent variables"))
     if not fields:
-        diags.append(
-            ParseDiagnostic(
-                "error", "model declares no fields", SourceSpan(filename, 1, 1, 2)
-            )
-        )
-    if diags and (not indep or not fields):
+        diags.append(_model_diag(filename, "model declares no fields"))
+    if not indep or not fields:
         return ParseResult(None, diags)
 
-    indep_t = tuple(indep)
+    indep_t = tuple(IndepVar(n) for n in indep)
     fields_t = tuple(fields)
 
     # Environment without constitutive declarations: for argument lists.
     arg_env = CompileEnv(indep=indep_t, fields=fields_t, decls={})
 
     decls: dict[str, ConstitDecl] = {}
-    for lineno, c in decl_lines:
+    for c in decl_lines:
         try:
             name_tok = c.expect("name")
             name = name_tok.text
@@ -557,48 +541,39 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                 raise ParseFailure(
                     f"duplicate constitutive declaration '{name}'", c.span(name_tok)
                 )
-            if name in fields or any(v.name == name for v in indep_t):
+            if name in fields or name in indep:
                 raise ParseFailure(
                     f"'{name}' is already a field or independent variable",
                     c.span(name_tok),
                 )
             c.expect("op", "(")
             args: list[Atom] = []
-            while True:
-                node = _parse_expr(c, extended=False)
-                e = compile_node(node, arg_env)
-                atom = _single_jet_atom(e)
+            for node in c.comma_list(_parse_expr):
+                atom = _single_jet_atom(compile_node(node, arg_env))
                 if atom is None:
                     raise _err(node, "constitutive argument must be a field derivative")
                 if atom in args:
                     raise _err(node, "repeated constitutive argument")
                 args.append(atom)
-                if c.peek().text == ",":
-                    c.next()
-                    continue
-                break
             c.expect("op", ")")
             symmetric: list[tuple[int, int]] = []
             if c.peek().kind == "name" and c.peek().text == "symmetric":
                 c.next()
                 while c.peek().text == "(":
                     c.next()
-                    n1 = _parse_expr(c, extended=False)
+                    n1 = _parse_expr(c)
                     c.expect("op", ",")
-                    n2 = _parse_expr(c, extended=False)
+                    n2 = _parse_expr(c)
                     c.expect("op", ")")
                     a1 = _single_jet_atom(compile_node(n1, arg_env))
                     a2 = _single_jet_atom(compile_node(n2, arg_env))
                     if a1 not in args or a2 not in args:
                         raise _err(n1, "symmetric pair must name declared arguments")
                     symmetric.append((args.index(a1), args.index(a2)))
-            if not c.at_end():
-                raise ParseFailure(
-                    f"unexpected trailing input {c.peek().text!r}", c.span(c.peek())
-                )
+            c.expect_end()
             decls[name] = ConstitDecl(name, tuple(args), tuple(symmetric))
         except ParseFailure as e:
-            fail_diag(e)
+            diags.append(e.diag)
 
     env = CompileEnv(indep=indep_t, fields=fields_t, decls=decls)
     ext_env = CompileEnv(indep=indep_t, fields=fields_t, decls=decls, extended=True)
@@ -612,7 +587,7 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
     nonzero: list[Expr] = []
     nonzero_asts: list[Node] = []
 
-    for kw, lineno, c in other_lines:
+    for kw, c in other_lines:
         try:
             if kw == "equation":
                 label_tok = c.expect("name")
@@ -621,14 +596,10 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                     raise ParseFailure(
                         "equation needs '<expr> = <expr>'", c.span(c.peek())
                     )
-                lhs_ast = _parse_expr(c, extended=False)
+                lhs_ast = _parse_expr(c)
                 c.expect("op", "=")
-                rhs_ast = _parse_expr(c, extended=False)
-                if not c.at_end():
-                    raise ParseFailure(
-                        f"unexpected trailing input {c.peek().text!r}",
-                        c.span(c.peek()),
-                    )
+                rhs_ast = _parse_expr(c)
+                c.expect_end()
                 if any(eq.label == label_tok.text for eq in equations):
                     raise ParseFailure(
                         f"duplicate equation label '{label_tok.text}'",
@@ -640,14 +611,14 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                 )
             elif kw == "entropy":
                 c.expect("op", ":")
-                lhs_ast = _parse_expr(c, extended=False)
+                lhs_ast = _parse_expr(c)
                 t = c.expect("op", ">=")
-                zero_node = _parse_expr(c, extended=False)
-                z = compile_node(zero_node, env)
-                if not z.is_zero():
+                if not compile_node(_parse_expr(c), env).is_zero():
                     raise ParseFailure(
                         "entropy inequality must compare against 0", c.span(t)
                     )
+                # Counted before the end check: a line with trailing input
+                # is still the model's entropy line.
                 entropy_count += 1
                 if entropy_count > 1:
                     raise ParseFailure(
@@ -655,59 +626,37 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                         c.span(t),
                         hint="a previous entropy line exists",
                     )
+                c.expect_end()
                 entropy = compile_node(lhs_ast, env)
                 entropy_ast = lhs_ast
             elif kw == "leading":
                 c.expect("op", ":")
-                while True:
-                    node = _parse_expr(c, extended=True)
-                    e = compile_node(node, ext_env)
-                    atom = _single_jet_atom(e)
+                for node in c.comma_list(_parse_expr):
+                    atom = _single_jet_atom(compile_node(node, ext_env))
                     if atom is None or not any(atom.orders):
                         raise _err(node, "leading entry must be a field derivative")
                     leading.append(atom)
-                    if c.peek().text == ",":
-                        c.next()
-                        continue
-                    break
-                if not c.at_end():
-                    raise ParseFailure(
-                        f"unexpected trailing input {c.peek().text!r}",
-                        c.span(c.peek()),
-                    )
+                c.expect_end()
             elif kw == "assume":
                 t = c.expect("name")
                 if t.text != "nonzero":
                     raise ParseFailure("expected 'assume nonzero:'", c.span(t))
                 c.expect("op", ":")
-                while True:
-                    node = _parse_expr(c, extended=True)
+                for node in c.comma_list(_parse_expr):
                     nonzero.append(compile_node(node, ext_env))
                     nonzero_asts.append(node)
-                    if c.peek().text == ",":
-                        c.next()
-                        continue
-                    break
+                c.expect_end()
         except ParseFailure as e:
-            fail_diag(e)
+            diags.append(e.diag)
 
-    if entropy is None and entropy_count == 0:
-        diags.append(
-            ParseDiagnostic(
-                "error",
-                "model requires exactly one entropy inequality",
-                SourceSpan(filename, lines[-1][0] if lines else 1, 1, 2),
-                hint="add a line: entropy: <expr> >= 0",
-            )
-        )
+    last = lines[-1][0] if lines else 1
+    if entropy_count == 0:
+        diags.append(_model_diag(
+            filename, "model requires exactly one entropy inequality", last,
+            hint="add a line: entropy: <expr> >= 0",
+        ))
     if not leading:
-        diags.append(
-            ParseDiagnostic(
-                "error",
-                "model requires a 'leading:' line",
-                SourceSpan(filename, lines[-1][0] if lines else 1, 1, 2),
-            )
-        )
+        diags.append(_model_diag(filename, "model requires a 'leading:' line", last))
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, diags)
 
@@ -726,11 +675,16 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
     try:
         model.validate()
     except ModelError as e:
-        diags.append(
-            ParseDiagnostic("error", str(e), SourceSpan(filename, 1, 1, 2))
-        )
+        diags.append(_model_diag(filename, str(e)))
         return ParseResult(None, diags)
     return ParseResult(model, diags)
+
+
+def _model_diag(
+    filename: str, message: str, line: int = 1, hint: Optional[str] = None
+) -> ParseDiagnostic:
+    """An error about the model as a whole, placed at the start of a line."""
+    return ParseDiagnostic("error", message, SourceSpan(filename, line, 1, 2), hint)
 
 
 def _single_jet_atom(e: Expr) -> Optional[JetVar]:

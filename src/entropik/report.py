@@ -130,10 +130,11 @@ def run_liu(
 
 def run_comparison(
     m: ModelDef, multiplier_dep: Optional[Sequence[Atom]] = None
-) -> tuple[ComparisonReport, LiuRun, SolutionSetRun]:
-    lrun = run_liu(m, multiplier_dep)
-    srun = run_solution_set(m)
-    return compare(lrun.result, srun.system), lrun, srun
+) -> tuple[ComparisonReport, LiuResult]:
+    """Compare eliminates the multipliers itself, under the solution set's
+    nonzero assumptions, so the multiplier route stops at its split."""
+    lr = liu_split(liu_extended(m), m, multiplier_dep)
+    return compare(lr, run_solution_set(m).system), lr
 
 
 # -- serialization --------------------------------------------------------

@@ -6,6 +6,12 @@ with the diagnostics the parser gave for each: message, hint and span.
 The validate checks that the parser already rules out (duplicate names,
 repeated or non-jet arguments, undeclared symbols, multi-index length)
 have no entry, since no model text reaches them.
+
+The ``*_trailing_input`` entries and ``granular2d_missing_comma`` pin the
+end check every directive makes: nothing may follow a directive's last
+item, so a missing comma in an ``assume nonzero:`` list is an error, not a
+shorter list.  An entropy line with trailing input still counts as the
+model's one entropy line, so no second error follows.
 """
 
 import dataclasses

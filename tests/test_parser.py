@@ -1,12 +1,16 @@
 """Model-file parsing, diagnostics, and round-trip formatting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropik.atoms import ConstitPartial, ConstitSym, JetVar
 from entropik.parser import (
     CompileEnv,
+    ParseResult,
     compile_node,
     format_model,
+    model_env,
     parse_expr_text,
     parse_model,
 )
@@ -137,3 +141,47 @@ def test_higher_order_partial_round_trip(fluid):
 def test_partial_order_mismatch_rejected():
     with pytest.raises(Exception, match="order"):
         parse_expr_text("d3eps/drho.dtheta")
+
+
+def test_model_env_compiles_partials_and_parameters(gas):
+    env = model_env(gas, frozenset({"gamma"}))
+    e = compile_node(parse_expr_text("gamma*deta/deps + rho_x"), env)
+    assert set(e.atoms()) == {
+        ConstitSym("gamma"), ConstitPartial("eta", (0, 1)), JetVar("rho", (0, 1)),
+    }
+
+
+def test_models_compare_by_their_fields_not_their_source(gas):
+    # Reformatting changes every source AST but none of the compiled content.
+    text = format_model(gas).replace("dx(u)", "dx( u )")
+    m2 = parse_model(text).raise_on_error()
+    assert m2 == gas and hash(m2) == hash(gas)
+    assert m2.equations[0] == gas.equations[0]
+    m3 = parse_model(format_model(gas) + "max_order: 3\n").raise_on_error()
+    assert m3 != gas
+
+
+# The DSL's tokens: directive words, names the small model below declares,
+# partial references, small integers, every operator, comments and
+# characters the lexer rejects.
+_WORDS = (
+    "independent field constitutive equation entropy leading assume nonzero "
+    "max_order symmetric t x rho u p eta dt dx deta drho d2eta du "
+    "rho_t rho_x 0 1 2 3 >= - + * / ^ ( ) , : = . # $"
+).split()
+_LINES = st.lists(st.sampled_from(_WORDS), max_size=25).map(" ".join)
+_TEXTS = st.lists(_LINES, max_size=12).map("\n".join)
+_SMALL = (
+    "independent t x\nfield rho u\nconstitutive p(rho)\n"
+    "constitutive eta(rho, u)\n"
+)
+
+
+@given(st.one_of(_TEXTS, _TEXTS.map(lambda t: _SMALL + t)))
+@settings(max_examples=300, deadline=None)
+def test_parser_is_total(text):
+    pr = parse_model(text, filename="f.epk")
+    assert isinstance(pr, ParseResult)
+    assert pr.ok == (pr.model is not None)
+    if not pr.ok:
+        assert any(d.severity == "error" for d in pr.diagnostics)

@@ -125,6 +125,12 @@ def _lex(line: str, lineno: int, filename: str) -> list[_Tok]:
     return toks
 
 
+# Deepest nesting of parentheses and unary minus signs in one expression.
+# Each level costs a few frames of the recursive-descent grammar, so this
+# keeps every expression well below Python's recursion limit.
+MAX_NESTING = 64
+
+
 class _Cursor:
     """The tokens of one line.  ``partials`` switches on the extended
     grammar's partial references ``d<sym>/d<arg>``."""
@@ -136,6 +142,7 @@ class _Cursor:
         self.lineno = lineno
         self.filename = filename
         self.partials = partials
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Tok:
         j = min(self.i + ahead, len(self.toks) - 1)
@@ -167,6 +174,17 @@ class _Cursor:
         if t.kind != "end":
             raise ParseFailure(f"unexpected trailing input {t.text!r}", self.span(t))
 
+    def nested(self, tok: _Tok, item: Callable[["_Cursor"], Node]) -> Node:
+        """``item(self)``, one nesting level below the opening ``tok``."""
+        if self.depth == MAX_NESTING:
+            raise ParseFailure(
+                f"expression nested more than {MAX_NESTING} levels deep", self.span(tok)
+            )
+        self.depth += 1
+        node = item(self)
+        self.depth -= 1
+        return node
+
     def comma_list(self, item: Callable[["_Cursor"], Node]) -> Iterator[Node]:
         """Comma-separated items, each yielded as soon as it is read."""
         yield item(self)
@@ -181,18 +199,16 @@ class _Cursor:
 def _parse_expr(c: _Cursor) -> Node:
     node = _parse_product(c)
     while c.peek().kind == "op" and c.peek().text in "+-":
-        op = c.next().text
-        rhs = _parse_product(c)
-        node = BinOp(op, node, rhs)
+        t = c.next()
+        node = BinOp(t.text, node, _parse_product(c), span=c.span(t))
     return node
 
 
 def _parse_product(c: _Cursor) -> Node:
     node = _parse_unary(c)
     while c.peek().kind == "op" and c.peek().text in "*/":
-        op = c.next().text
-        rhs = _parse_unary(c)
-        node = BinOp(op, node, rhs)
+        t = c.next()
+        node = BinOp(t.text, node, _parse_unary(c), span=c.span(t))
     return node
 
 
@@ -200,16 +216,15 @@ def _parse_unary(c: _Cursor) -> Node:
     t = c.peek()
     if t.kind == "op" and t.text == "-":
         c.next()
-        return Neg(_parse_unary(c), span=c.span(t))
+        return Neg(c.nested(t, _parse_unary), span=c.span(t))
     return _parse_power(c)
 
 
 def _parse_power(c: _Cursor) -> Node:
     node = _parse_primary(c)
     if c.peek().kind == "op" and c.peek().text == "^":
-        c.next()
-        exp = _parse_exponent(c)
-        node = BinOp("^", node, exp)
+        t = c.next()
+        node = BinOp("^", node, _parse_exponent(c), span=c.span(t))
     return node
 
 
@@ -269,14 +284,13 @@ def _parse_primary(c: _Cursor) -> Node:
             return PartialRef(head, tuple(args), span=c.span(sym_tok))
         c.next()
         if c.peek().kind == "op" and c.peek().text == "(":
-            c.next()
-            args = tuple(c.comma_list(_parse_expr))
+            args = c.nested(c.next(), lambda c: tuple(c.comma_list(_parse_expr)))
             c.expect("op", ")")
             return Call(t.text, args, span=c.span(t))
         return Name(t.text, span=c.span(t))
     if t.kind == "op" and t.text == "(":
         c.next()
-        node = _parse_expr(c)
+        node = c.nested(t, _parse_expr)
         c.expect("op", ")")
         return node
     raise ParseFailure(f"expected an expression, found {t.text!r}", c.span(t))
@@ -342,11 +356,6 @@ def model_env(m: ModelDef, parameters: frozenset[str] = frozenset()) -> CompileE
     )
 
 
-def _err(node: Node, message: str, hint: Optional[str] = None) -> ParseFailure:
-    span = node.span or SourceSpan("<expr>", 1, 1, 2)
-    return ParseFailure(message, span, hint)
-
-
 def compile_node(node: Node, env: CompileEnv) -> Expr:
     if isinstance(node, Num):
         return Expr.rational(node.value)
@@ -363,18 +372,18 @@ def compile_node(node: Node, env: CompileEnv) -> Expr:
             jv = env.resolve_jet_suffix(ident)
             if jv is not None:
                 return Expr.atom(jv)
-        raise _err(node, f"unknown identifier '{ident}'")
+        raise ParseFailure(f"unknown identifier '{ident}'", node.span)
     if isinstance(node, PartialRef):
         decl = env.decls.get(node.sym)
         if decl is None:
-            raise _err(node, f"unknown constitutive symbol '{node.sym}'")
+            raise ParseFailure(f"unknown constitutive symbol '{node.sym}'", node.span)
         labels = [atom_str(a, env.render_ctx) for a in decl.args]
         slots = [0] * decl.arity
         for arg in node.args:
             if arg not in labels:
-                raise _err(
-                    node,
+                raise ParseFailure(
                     f"'{node.sym}' has no argument '{arg}'",
+                    node.span,
                     hint=f"arguments are: {', '.join(labels)}",
                 )
             slots[labels.index(arg)] += 1
@@ -383,27 +392,29 @@ def compile_node(node: Node, env: CompileEnv) -> Expr:
         iv = env.deriv_ops.get(node.func)
         if iv is not None:
             if len(node.args) != 1:
-                raise _err(node, f"derivative operator {node.func} takes one argument")
+                raise ParseFailure(
+                    f"derivative operator {node.func} takes one argument", node.span
+                )
             inner = compile_node(node.args[0], env)
             return total_derivative(inner, iv, env.diff_ctx)
         decl = env.decls.get(node.func)
         if decl is not None:
             if len(node.args) != decl.arity:
-                raise _err(
-                    node,
+                raise ParseFailure(
                     f"'{node.func}' declared with {decl.arity} argument(s), "
                     f"used with {len(node.args)}",
+                    node.span,
                 )
             for given, declared in zip(node.args, decl.args):
                 g = compile_node(given, env)
                 if g != Expr.atom(declared):
-                    raise _err(
-                        node,
+                    raise ParseFailure(
                         f"'{node.func}' argument mismatch: expected "
                         f"{atom_str(declared, env.render_ctx)}",
+                        node.span,
                     )
             return Expr.atom(ConstitSym(node.func))
-        raise _err(node, f"unknown function '{node.func}'")
+        raise ParseFailure(f"unknown function '{node.func}'", node.span)
     if isinstance(node, Neg):
         return -compile_node(node.operand, env)
     if isinstance(node, BinOp):
@@ -422,8 +433,10 @@ def compile_node(node: Node, env: CompileEnv) -> Expr:
             try:
                 return left / right
             except DivisionByZeroExpr:
-                raise _err(node, "division by an expression that normalizes to zero")
-        raise _err(node, f"unknown operator {node.op!r}")
+                raise ParseFailure(
+                    "division by an expression that normalizes to zero", node.span
+                )
+        raise ParseFailure(f"unknown operator {node.op!r}", node.span)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -551,9 +564,11 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
             for node in c.comma_list(_parse_expr):
                 atom = _single_jet_atom(compile_node(node, arg_env))
                 if atom is None:
-                    raise _err(node, "constitutive argument must be a field derivative")
+                    raise ParseFailure(
+                        "constitutive argument must be a field derivative", node.span
+                    )
                 if atom in args:
-                    raise _err(node, "repeated constitutive argument")
+                    raise ParseFailure("repeated constitutive argument", node.span)
                 args.append(atom)
             c.expect("op", ")")
             symmetric: list[tuple[int, int]] = []
@@ -568,7 +583,9 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                     a1 = _single_jet_atom(compile_node(n1, arg_env))
                     a2 = _single_jet_atom(compile_node(n2, arg_env))
                     if a1 not in args or a2 not in args:
-                        raise _err(n1, "symmetric pair must name declared arguments")
+                        raise ParseFailure(
+                            "symmetric pair must name declared arguments", n1.span
+                        )
                     symmetric.append((args.index(a1), args.index(a2)))
             c.expect_end()
             decls[name] = ConstitDecl(name, tuple(args), tuple(symmetric))
@@ -634,7 +651,9 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
                 for node in c.comma_list(_parse_expr):
                     atom = _single_jet_atom(compile_node(node, ext_env))
                     if atom is None or not any(atom.orders):
-                        raise _err(node, "leading entry must be a field derivative")
+                        raise ParseFailure(
+                            "leading entry must be a field derivative", node.span
+                        )
                     leading.append(atom)
                 c.expect_end()
             elif kw == "assume":

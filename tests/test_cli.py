@@ -73,6 +73,18 @@ def test_parse_error_exits_1(runner, tmp_path):
     assert "bad.epk:3" in r.output
 
 
+def test_deeply_nested_model_exits_1_with_a_diagnostic(runner, tmp_path):
+    deep = "(" * 200 + "rho" + ")" * 200
+    bad = tmp_path / "deep.epk"
+    bad.write_text(
+        (MODELS / "gas1d.epk").read_text().replace("dt(rho)", deep, 1))
+    r = runner.invoke(main, ["analyze", str(bad)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert "deep.epk:" in r.output
+    assert "error: expression nested more than 64 levels deep" in r.output
+
+
 def test_engine_error_exits_2_with_code(runner):
     r = runner.invoke(
         main, ["analyze", model("nonsimple2d"), "--max-order", "1"]

@@ -12,6 +12,10 @@ end check every directive makes: nothing may follow a directive's last
 item, so a missing comma in an ``assume nonzero:`` list is an error, not a
 shorter list.  An entropy line with trailing input still counts as the
 model's one entropy line, so no second error follows.
+
+``expression_nested_too_deep`` pins the nesting limit: the opening
+parenthesis that passes it is the error, where the recursive grammar once
+ran out of stack.
 """
 
 import dataclasses

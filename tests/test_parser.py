@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from entropik.atoms import ConstitPartial, ConstitSym, JetVar
 from entropik.parser import (
+    MAX_NESTING,
     CompileEnv,
+    ParseFailure,
     ParseResult,
     compile_node,
     format_model,
@@ -159,6 +161,34 @@ def test_models_compare_by_their_fields_not_their_source(gas):
     assert m2.equations[0] == gas.equations[0]
     m3 = parse_model(format_model(gas) + "max_order: 3\n").raise_on_error()
     assert m3 != gas
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("dx(", ")")])
+def test_nesting_stops_at_the_opening_token_past_the_limit(opening, closing):
+    n = MAX_NESTING
+    parse_expr_text(opening * n + "rho" + closing * n)
+    with pytest.raises(ParseFailure) as err:
+        parse_expr_text(opening * (n + 1) + "rho" + closing * (n + 1))
+    diag = err.value.diag
+    assert diag.message == f"expression nested more than {n} levels deep"
+    col = (n + 1) * len(opening)  # the last character of the last opening
+    assert (diag.span.col_start, diag.span.col_end) == (col, col + 1)
+
+
+def test_deep_nesting_is_a_diagnostic_not_a_recursion_error(gas):
+    # far past Python's recursion limit, were each level a few frames deep
+    deep = "(" * 1000 + "rho" + ")" * 1000
+    pr = parse_model(format_model(gas).replace("dt(rho)", deep, 1), filename="m.epk")
+    assert not pr.ok
+    assert [d.message for d in pr.diagnostics] == [
+        f"expression nested more than {MAX_NESTING} levels deep"]
+
+
+def test_binary_operators_carry_their_token_span():
+    node = parse_expr_text("a + b*c^2", filename="m.epk", lineno=4)
+    assert (node.span.file, node.span.line, node.span.col_start) == ("m.epk", 4, 3)
+    assert node.right.span.col_start == 6
+    assert node.right.right.span.col_start == 8
 
 
 # The DSL's tokens: directive words, names the small model below declares,

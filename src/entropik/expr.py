@@ -17,6 +17,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -455,27 +456,52 @@ def collect_coefficients(e: ExprLike, vars: Iterable[Atom]) -> dict[Monomial, Ex
 # Exact numeric evaluation.
 
 def eval_numeric(e: ExprLike, assignment: Mapping[Atom, Q]) -> Q:
-    """Exact rational evaluation; every atom must be assigned."""
+    """Exact rational evaluation; every atom must be assigned.
+
+    Each half of ``e`` is summed in plain ``int``s: a term's numerator and
+    denominator are its coefficient's times its atoms' values' numerators
+    and denominators, added into one integer numerator over a running
+    common denominator.  The two halves then make one exact ``Q``; no
+    intermediate ``Q`` and never a ``float`` is built.
+    """
     e = as_expr(e)
-    num = _eval_poly_numeric(e.num, assignment)
-    den = _eval_poly_numeric(e.den, assignment)
-    if den == 0:
+    nn, nd = _eval_poly_numeric(e.num, assignment)
+    dn, dd = _eval_poly_numeric(e.den, assignment)
+    if dn == 0:
         raise DenominatorVanishes("denominator evaluates to zero")
-    return num / den
+    return Q(nn * dd, nd * dn)
 
 
-def _eval_poly_numeric(p: Poly, assignment: Mapping[Atom, Q]) -> Q:
-    total = Q(0)
+def _eval_poly_numeric(p: Poly, assignment: Mapping[Atom, Q]) -> tuple[int, int]:
+    """``p`` at ``assignment`` as an integer numerator and a positive
+    denominator, not reduced."""
+    total, den = 0, 1
+    powers: dict[tuple[Atom, int], tuple[int, int]] = {}
     for m, c in p.items():
-        term = c
-        for a, e in m:
-            try:
-                v = assignment[a]
-            except KeyError:
-                raise MissingAssignment(f"no value assigned to {a}") from None
-            term = term * v if e == 1 else term * v**e
-        total += term
-    return total
+        if type(c) is int:
+            tn, td = c, 1
+        else:
+            tn, td = c.numerator, c.denominator
+        for key in m:
+            pw = powers.get(key)
+            if pw is None:
+                a, e = key
+                try:
+                    v = assignment[a]
+                except KeyError:
+                    raise MissingAssignment(f"no value assigned to {a}") from None
+                pw = powers[key] = (v.numerator ** e, v.denominator ** e)
+            tn *= pw[0]
+            td *= pw[1]
+        if td == 1:
+            total += tn * den
+        elif den % td == 0:
+            total += tn * (den // td)
+        else:
+            g = gcd(den, td)
+            total = total * (td // g) + tn * (den // g)
+            den = den // g * td
+    return total, den
 
 
 # ---------------------------------------------------------------------------

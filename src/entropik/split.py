@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 
 from ._ratio import Q, qdiv
 from .algebra import Cancellation, nonzero_factors, normalize_constraint
@@ -212,38 +213,61 @@ def _repair_layers(cs: ConstraintSystem) -> list[tuple[list[Expr], set[Atom]]]:
 def _solve_layer(cons: list[Expr], xs: set[Atom], point: dict[Atom, Q]) -> bool:
     """Set the atoms ``xs`` of ``point`` so that every constraint of
     ``cons`` (affine in them) vanishes, by exact Gaussian elimination over
-    Q; atoms without a pivot keep their values.  False when inconsistent."""
-    echelon = []  # (pivot, monic rest, constant), free of earlier pivots
+    Q; atoms without a pivot keep their values.  False when inconsistent.
+
+    Rows are kept in integers: a constraint's row is its coefficients and
+    constant over one common denominator, and eliminating a pivot scales
+    the row instead of dividing it.  A scaled row has the same pivots and
+    the same solution as the monic one."""
+    echelon = []  # (pivot, its coefficient, the rest with the constant at None)
+    powers: dict[tuple[Atom, int], tuple[int, int]] = {}
     for con in cons:
-        row: dict[Atom, Q] = {}
-        const = 0
+        terms = []
+        den = 1
         for mono, c in con.num.items():
             x = None
-            for a, e in mono:
+            n, d = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+            for key in mono:
+                a, e = key
                 if a in xs:
                     x = a
-                else:
-                    c = c * point[a] if e == 1 else c * point[a] ** e
-            if x is None:
-                const += c
-            else:
-                row[x] = row.get(x, 0) + c
-        for p, prow, pconst in echelon:
+                    continue
+                pw = powers.get(key)
+                if pw is None:
+                    v = point[a]
+                    pw = powers[key] = (v.numerator ** e, v.denominator ** e)
+                n *= pw[0]
+                d *= pw[1]
+            terms.append((x, n, d))
+            if den % d:
+                den = den // gcd(den, d) * d
+        row: dict = {}
+        for x, n, d in terms:
+            row[x] = row.get(x, 0) + n * (den // d)
+        for p, lead, prow in echelon:
             if f := row.pop(p, 0):
+                g = gcd(f, lead)
+                scale, f = lead // g, f // g
+                row = {x: v * scale for x, v in row.items()}
                 for x, v in prow.items():
                     row[x] = row.get(x, 0) - f * v
-                const -= f * pconst
+        const = row.pop(None, 0)
         row = {x: v for x, v in row.items() if v}
         if not row:
             if const:
                 return False
             continue
+        g = gcd(const, *row.values())
         p = min(row)
-        lead = row.pop(p)
-        echelon.append((p, {x: qdiv(v, lead) for x, v in row.items()},
-                        qdiv(const, lead)))
-    for p, row, const in reversed(echelon):
-        point[p] = -(const + sum(v * point[x] for x, v in row.items()))
+        lead = row.pop(p) // g
+        row = {x: v // g for x, v in row.items()}
+        row[None] = const // g
+        echelon.append((p, lead, row))
+    for p, lead, row in reversed(echelon):
+        total = -row.pop(None)
+        for x, v in row.items():
+            total -= v * point[x]
+        point[p] = qdiv(total, lead)
     return True
 
 
@@ -266,16 +290,13 @@ def numeric_oracle(
     equations = [(eq.label, eq.lhs) for eq in m.equations] + [
         (f"d{st.direction}({st.source})", st.equation) for st in s.consequence_log]
     table = [(monomial_expr(mono), coeff) for mono, coeff in cs.table]
+    table_sum = sum((mono * coeff for mono, coeff in table), ZERO)
     pieces = (m.entropy_lhs, cs.residual_numerator, cs.denominator,
               *cs.nonzero, *cs.constraints, *solved.values(),
               *(e for _, e in equations), *(e for row in table for e in row))
     drawn = sorted({a for p in pieces for a in p.atoms()} - solved.keys(),
                    key=lambda a: a.key)
     layers = _repair_layers(cs)
-
-    def table_sum(point: dict[Atom, Q]) -> Q:
-        return sum((eval_numeric(c, point) * eval_numeric(mono, point)
-                    for mono, c in table), Q(0))
 
     failures: list[OracleFailure] = []
     id_pass = var_pass = var_skip = 0
@@ -304,7 +325,7 @@ def numeric_oracle(
         bad = [f"{label} is {v}" for label, e in equations
                if (v := eval_numeric(e, point))]
         lhs = eval_numeric(m.entropy_lhs, point) * eval_numeric(cs.denominator, point)
-        rhs = eval_numeric(cs.residual_numerator, point) + table_sum(point)
+        rhs = eval_numeric(cs.residual_numerator, point) + eval_numeric(table_sum, point)
         if lhs != rhs:
             bad.append(f"entropy numerator {lhs}, table {rhs}")
         if bad:
@@ -315,7 +336,7 @@ def numeric_oracle(
         if not all(_solve_layer(cons, xs, point) for cons, xs in layers) or (
                 not all(eval_numeric(nz, point) for nz in cs.nonzero)):
             var_skip += 1
-        elif (v := table_sum(point)) == 0:
+        elif (v := eval_numeric(table_sum, point)) == 0:
             var_pass += 1
         else:
             fail(trial, "variety", f"table sum {v} != 0 on the variety", point)

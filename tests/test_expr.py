@@ -11,7 +11,7 @@ import entropik
 from entropik import backend
 from entropik._ratio import qdiv
 from entropik.atoms import ConstitPartial, ConstitSym, IndepVar, JetVar
-from entropik.errors import DivisionByZeroExpr, MissingAssignment
+from entropik.errors import DenominatorVanishes, DivisionByZeroExpr, MissingAssignment
 from entropik.expr import (
     ONE,
     ZERO,
@@ -242,6 +242,58 @@ def test_pow_zero_has_no_float():
     out = backend.p_pow({((RHO, 1),): 3, (): 2}, 0)
     assert out == {(): 1}
     assert type(out[()]) is int
+
+
+# -- exact point evaluation (property-based) ------------------------------
+
+def _reference_eval(e, point):
+    # one Fraction per term, the slow way eval_numeric must agree with
+    def poly(p):
+        total = Q(0)
+        for mono, c in p.items():
+            term = Q(c)
+            for a, k in mono:
+                if a not in point:
+                    raise MissingAssignment(str(a))
+                term *= point[a] ** k
+            total += term
+        return total
+
+    num, den = poly(e.num), poly(e.den)
+    if den == 0:
+        raise DenominatorVanishes("denominator evaluates to zero")
+    return num / den
+
+
+EVAL_ATOMS = (RHO, U, EPS, P)
+small_ints = st.integers(-4, 4)
+non_integral = st.builds(Q, small_ints, st.integers(2, 5)).filter(
+    lambda q: q.denominator != 1)
+eval_coeffs = st.one_of(small_ints.filter(bool), non_integral)
+eval_monomials = st.builds(
+    lambda exps: tuple((a, e) for a, e in zip(EVAL_ATOMS, exps) if e),
+    st.tuples(*(st.integers(0, 3) for _ in EVAL_ATOMS)),
+)
+eval_polys = st.dictionaries(eval_monomials, eval_coeffs, min_size=1, max_size=5)
+# values include 0 and negatives, so denominators can vanish
+point_values = st.one_of(small_ints, non_integral)
+
+
+@given(eval_polys, eval_polys, st.tuples(*(point_values for _ in EVAL_ATOMS)),
+       st.one_of(st.none(), st.sampled_from(EVAL_ATOMS)))
+@settings(max_examples=400, deadline=None)
+def test_eval_numeric_matches_a_fraction_reference(num, den, values, unassigned):
+    e = Expr(num, den)
+    point = {a: v for a, v in zip(EVAL_ATOMS, values) if a is not unassigned}
+    try:
+        want = _reference_eval(e, point)
+    except (MissingAssignment, DenominatorVanishes) as err:
+        with pytest.raises(type(err)):
+            eval_numeric(e, point)
+        return
+    got = eval_numeric(e, point)
+    assert type(got) is Q
+    assert got == want and str(got) == str(want)
 
 
 # -- exact polynomial division (property-based) ---------------------------

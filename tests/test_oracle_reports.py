@@ -95,4 +95,4 @@ def test_golden_covers_every_case():
 
 if __name__ == "__main__":
     doc = {name: report_dict(case) for name, case in CASES.items()}
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=False) + "\n")
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")

@@ -1,11 +1,17 @@
 """Frozen case trees: ``split`` output and the granular2d root reduction.
 
 The files under ``golden/`` were written by the reducer before it cached
-any work; every later reducer must print them byte for byte.  The six
-``*.split*.json`` files are ``split --depth 3 --output json`` of the
-three small models, plain and with ``--force-residual-zero``;
-``granular2d.root.json`` is the root ``ReducedSystem`` of granular2d as
-:func:`render_reduced` prints it.
+any work; every later reducer must print them byte for byte.  For each
+of the three small models, ``<model>.split.json`` and
+``<model>.split-force-residual-zero.json`` are ``split --depth 3 --output
+json``, plain and with ``--force-residual-zero``, and
+``<model>.split-depth1.json`` is ``split --depth 1 --output json``, whose
+open nodes the depth cap marks ``"capped"``.  ``gas1d.split-depth1.txt``
+is the text of ``split gas1d --depth 1`` (with its ``... depth cap
+reached`` lines), and ``gas1d.split-contradictory.json`` is ``split gas1d
+--assume 'deta/deps = 0' --assume 'deta/deps != 0' --output json``, a
+closed root with its ``"contradiction"``.  ``granular2d.root.json`` is the
+root ``ReducedSystem`` of granular2d as :func:`render_reduced` prints it.
 """
 
 import json
@@ -26,9 +32,29 @@ TREE_MODELS = ("gas1d", "fluid2d", "nonsimple2d")
 TREES = [(name, forced) for name in TREE_MODELS for forced in (False, True)]
 
 
-def split_golden(name, forced):
-    suffix = "-force-residual-zero" if forced else ""
-    return GOLDEN / f"{name}.split{suffix}.json"
+JSON = ["--output", "json"]
+SPLITS = [
+    pytest.param(
+        name,
+        ["--depth", "3", *JSON] + (["--force-residual-zero"] if forced else []),
+        f"{name}.split{'-force-residual-zero' if forced else ''}.json",
+        id=f"{name}-{forced}",
+    )
+    for name, forced in TREES
+] + [
+    pytest.param(name, ["--depth", "1", *JSON], f"{name}.split-depth1.json",
+                 id=f"{name}-depth1")
+    for name in TREE_MODELS
+] + [
+    pytest.param("gas1d", ["--depth", "1"], "gas1d.split-depth1.txt",
+                 id="gas1d-depth1-text"),
+    pytest.param(
+        "gas1d",
+        ["--assume", "deta/deps = 0", "--assume", "deta/deps != 0", *JSON],
+        "gas1d.split-contradictory.json",
+        id="gas1d-contradictory",
+    ),
+]
 
 
 def render_reduced(rs, m) -> str:
@@ -44,14 +70,11 @@ def render_reduced(rs, m) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("name,forced", TREES)
-def test_split_tree_matches_golden(name, forced):
-    args = ["split", str(MODELS / f"{name}.epk"), "--depth", "3", "--output", "json"]
-    if forced:
-        args.append("--force-residual-zero")
-    r = CliRunner().invoke(main, args)
+@pytest.mark.parametrize("name,flags,golden", SPLITS)
+def test_split_tree_matches_golden(name, flags, golden):
+    r = CliRunner().invoke(main, ["split", str(MODELS / f"{name}.epk"), *flags])
     assert r.exit_code == 0, r.output
-    assert r.output == split_golden(name, forced).read_text()
+    assert r.output == (GOLDEN / golden).read_text()
 
 
 def test_granular_root_reduction_matches_golden(granular):

@@ -106,7 +106,6 @@ def _monic(p: dict) -> Expr:
 class Cancellation:
     """A nonzero-assumed factor removed from a raw coefficient."""
 
-    original: Expr
     factor: Expr
     times: int
 
@@ -120,14 +119,13 @@ def normalize_constraint(
     divides, then scales so the graded-lex leading coefficient is 1.
     """
     e = e.numerator_expr()
-    original = e
     log: list[Cancellation] = []
     if e.is_zero():
         return ZERO, log
     for f in nonzero:
         e, times = divide_out(e, f)
         if times:
-            log.append(Cancellation(original=original, factor=f, times=times))
+            log.append(Cancellation(factor=f, times=times))
     return _monic(e.num), log
 
 

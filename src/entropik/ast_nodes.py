@@ -12,7 +12,10 @@ from typing import Any, Optional, Tuple, Union
 
 from ._ratio import Q
 
-__all__ = ["Num", "Name", "PartialRef", "Call", "BinOp", "Neg", "Node", "to_text"]
+__all__ = [
+    "Num", "Name", "PartialRef", "Call", "BinOp", "Neg", "Node",
+    "chain_links", "to_text",
+]
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,19 @@ def _prec(node: Node) -> int:
     return 9
 
 
+def chain_links(node: BinOp) -> list[BinOp]:
+    """The operators of the left-associative chain ``node`` ends, first
+    one first: ``a - b + c`` gives ``a - b`` then ``(a - b) + c``.  A chain
+    is one precedence level; ``^`` is not a chain, so it is one link."""
+    links = [node]
+    while node.op != "^" and isinstance(node.left, BinOp) and (
+        _PREC[node.left.op] == _PREC[node.op]
+    ):
+        node = node.left
+        links.append(node)
+    return links[::-1]
+
+
 def to_text(node: Node) -> str:
     """Deterministic source form; parses back to an equal AST."""
     if isinstance(node, Num):
@@ -95,12 +111,14 @@ def to_text(node: Node) -> str:
         return f"-{inner}"
     if isinstance(node, BinOp):
         p = _PREC[node.op]
-        left = to_text(node.left)
-        right = to_text(node.right)
+        links = chain_links(node)
+        left = to_text(links[0].left)
+        parts = [f"({left})" if _prec(links[0].left) < p else left]
         # Left-associative; '^' right-operand must be atomic anyway.
-        if _prec(node.left) < p:
-            left = f"({left})"
-        if _prec(node.right) <= p and node.op in "-/^" or _prec(node.right) < p:
-            right = f"({right})"
-        return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
+        for link in links:
+            right = to_text(link.right)
+            if _prec(link.right) <= p and link.op in "-/^" or _prec(link.right) < p:
+                right = f"({right})"
+            parts.append(f" {link.op} {right}" if p == 1 else f"{link.op}{right}")
+        return "".join(parts)
     raise TypeError(f"not an AST node: {node!r}")

@@ -55,7 +55,7 @@ from .algebra import (
 from .atoms import Atom, ConstitPartial, ConstitSym, mi_dominates, mi_total
 from .errors import ReductionCapExceeded
 from .expr import Expr, ZERO, collect_coefficients, substitute
-from .render import RenderContext, atom_str, expr_str
+from .render import RenderContext, expr_str
 from .split import ConstraintSystem
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "ReducedSystem",
     "CaseNode",
     "CaseTree",
-    "DepthCapExceeded",
     "pivot_candidates",
     "apply_assumptions",
     "build_tree",
@@ -125,22 +124,13 @@ class ReducedSystem:
 
 
 @dataclass(frozen=True)
-class DepthCapExceeded:
-    """A branch that still wanted to fork when the depth cap was hit."""
-
-    path: tuple[Assumption, ...]
-    pending_pivot: Expr
-
-
-@dataclass(frozen=True)
 class CaseNode:
     assumptions: tuple[Assumption, ...]  # full path from the root
     system: ReducedSystem
     pivot: Optional[Expr] = None         # branched-on quantity, if any
     children: tuple["CaseNode", ...] = ()
     status: str = "leaf"                 # "open" | "closed-inconsistent" | "leaf"
-    contradiction: Optional[str] = None
-    capped: Optional[DepthCapExceeded] = None
+    capped: Optional[Expr] = None        # the pivot the depth cap left pending
 
     def walk(self):
         yield self
@@ -156,8 +146,8 @@ class CaseTree:
     def leaves(self) -> tuple[CaseNode, ...]:
         return tuple(n for n in self.root.walk() if n.status == "leaf")
 
-    def capped(self) -> tuple[DepthCapExceeded, ...]:
-        return tuple(n.capped for n in self.root.walk() if n.capped is not None)
+    def capped(self) -> tuple[CaseNode, ...]:
+        return tuple(n for n in self.root.walk() if n.capped is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +162,7 @@ class _State:
         self.solved: dict[Atom, Expr] = {}
         self.log: list[Certificate] = []
         self.args_of: dict[str, tuple[Atom, ...]] = dict(cs.args_of)
+        self.indep_names = cs.indep_names
         self.inconsistent: Optional[str] = None
         self.assumptions = tuple(assumptions)
         self.clean: set[Expr] = set()   # what the last refresh output
@@ -180,9 +171,9 @@ class _State:
         self.slot_derivatives: dict[tuple[Expr, Atom], Expr] = {}
 
     def cap_error(self, what: str) -> ReductionCapExceeded:
-        names = {f: tuple(map(atom_str, args)) for f, args in self.args_of.items()}
+        rc = RenderContext.labelled(self.indep_names, self.args_of.items())
         path = ", ".join(
-            f"{expr_str(a.expr, RenderContext((), names))} "
+            f"{expr_str(a.expr, rc)} "
             + ("= 0" if a.polarity == "zero" else "!= 0")
             for a in self.assumptions
         )
@@ -585,24 +576,20 @@ def apply_assumptions(
     return _finish(st)
 
 
-def _assumed_exprs(assumptions: Sequence[Assumption]) -> set[Expr]:
-    return {a.expr for a in assumptions}
-
-
 def _order_blocked(blocked: Sequence[_Blocked]) -> list[Expr]:
+    """Candidates by how many constraints block on them, composite ones
+    first; ``sorted`` is stable, so ties keep first-seen order."""
     count: dict[Expr, int] = {}
-    first: dict[Expr, int] = {}
     seen: set[tuple[Expr, Expr]] = set()
     for b in blocked:
         if (b.constraint, b.candidate) in seen:
             continue
         seen.add((b.constraint, b.candidate))
         count[b.candidate] = count.get(b.candidate, 0) + 1
-        first.setdefault(b.candidate, len(first))
 
     def key(e: Expr):
         multi = len(e.numerator_expr().num) > 1
-        return (-count[e], 0 if multi else 1, first[e])
+        return (-count[e], 0 if multi else 1)
 
     return sorted(count, key=key)
 
@@ -651,13 +638,8 @@ def build_tree(
     def node(path, st: _State, blocked: list[_Blocked]) -> CaseNode:
         system = _finish(st)
         if system.inconsistent:
-            return CaseNode(
-                assumptions=path,
-                system=system,
-                status="closed-inconsistent",
-                contradiction=system.inconsistent,
-            )
-        assumed = _assumed_exprs(path)
+            return CaseNode(path, system, status="closed-inconsistent")
+        assumed = {a.expr for a in path}
         candidates = [
             e for e in _order_blocked(blocked) if e in pool and e not in assumed
         ]
@@ -666,23 +648,12 @@ def build_tree(
                 candidates.append(w)
         for cand in candidates:
             if len(path) >= depth:
-                return CaseNode(
-                    assumptions=path,
-                    system=system,
-                    status="open",
-                    capped=DepthCapExceeded(path=path, pending_pivot=cand),
-                )
+                return CaseNode(path, system, status="open", capped=cand)
             hi = node(*reduced(path + (Assumption.nonzero(cand),)))
             lo = node(*reduced(path + (Assumption.zero(cand),)))
             if hi.system.same_content(lo.system):
                 continue  # the fork changes nothing; vacuous pivot
-            return CaseNode(
-                assumptions=path,
-                system=system,
-                pivot=cand,
-                children=(hi, lo),
-                status="open",
-            )
-        return CaseNode(assumptions=path, system=system, status="leaf")
+            return CaseNode(path, system, pivot=cand, children=(hi, lo), status="open")
+        return CaseNode(path, system)
 
     return CaseTree(root=node(*root), pivots=pool)

@@ -141,15 +141,17 @@ _max_order_opt = click.option(
     "--max-order", type=int, default=None,
     help="Override the model's derivative-order cap.",
 )
-_output_opt = click.option(
-    "--output", type=click.Choice(["text", "json", "latex"]),
-    default="text", show_default=True,
-)
 _dep_opt = click.option(
     "--multiplier-dep", default=None, metavar="ARGS",
     help="Comma-separated dependency labels for the multipliers "
     "(default: the entropy density's declared arguments).",
 )
+
+
+def _output_opt(*formats):
+    return click.option(
+        "--output", type=click.Choice(formats), default="text", show_default=True
+    )
 
 
 @main.command()
@@ -158,7 +160,7 @@ _dep_opt = click.option(
     "--method", type=click.Choice(["solution-set", "mueller-liu"]),
     default="solution-set", show_default=True,
 )
-@_output_opt
+@_output_opt("text", "json", "latex")
 @_max_order_opt
 @_dep_opt
 @_engine_errors
@@ -238,7 +240,7 @@ def analyze(model_file, method, output, max_order, multiplier_dep):
 
 @main.command("compare")
 @_model_arg
-@_output_opt
+@_output_opt("text", "json")
 @_max_order_opt
 @_dep_opt
 @_engine_errors
@@ -305,8 +307,7 @@ def _tree_text(node: dict, depth: int = 0) -> list[str]:
               help="Treat the residual as a constraint (no production).")
 @click.option("--depth", type=click.IntRange(min=1), default=3,
               show_default=True)
-@click.option("--output", type=click.Choice(["text", "json"]),
-              default="text", show_default=True)
+@_output_opt("text", "json")
 @_max_order_opt
 @_engine_errors
 def split(model_file, assumes, force_residual_zero, depth, output, max_order):

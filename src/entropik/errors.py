@@ -46,10 +46,6 @@ class NotPolynomialInVars(EngineError):
 
     code = "E003"
 
-    def __init__(self, message, atom=None):
-        super().__init__(message)
-        self.atom = atom
-
 
 class DenominatorVanishes(EngineError):
     """eval_numeric: the denominator evaluates to zero."""
@@ -98,19 +94,11 @@ class NotPolynomialInFreeElements(EngineError):
 
     code = "E030"
 
-    def __init__(self, message, atom=None):
-        super().__init__(message)
-        self.atom = atom
-
 
 class NonlinearExtendedInequality(EngineError):
     """Liu split: the extended inequality is nonlinear in the split set."""
 
     code = "E040"
-
-    def __init__(self, message, monomial=None):
-        super().__init__(message)
-        self.monomial = monomial
 
 
 # E041 is retired; codes are stable, so it is not reused.

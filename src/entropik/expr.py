@@ -53,7 +53,7 @@ __all__ = [
 Monomial = tuple  # tuple[(Atom, int), ...]
 Poly = dict  # dict[Monomial, Q]
 
-_ONE_POLY = None  # initialized below
+_ONE_POLY = {(): 1}
 
 
 def mono_key(m: Monomial):
@@ -255,19 +255,9 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
-ZERO = None  # set below
-ONE = None
+ZERO = Expr({}, dict(_ONE_POLY), _canonical=True)
+ONE = Expr(dict(_ONE_POLY), dict(_ONE_POLY), _canonical=True)
 _ATOM_CACHE: dict[Atom, Expr] = {}
-
-
-def _init_constants():
-    global _ONE_POLY, ZERO, ONE
-    _ONE_POLY = {(): 1}
-    ZERO = Expr({}, dict(_ONE_POLY), _canonical=True)
-    ONE = Expr(dict(_ONE_POLY), dict(_ONE_POLY), _canonical=True)
-
-
-_init_constants()
 
 
 ExprLike = Union["Expr", Atom, int, Q]
@@ -440,7 +430,7 @@ def collect_coefficients(e: ExprLike, vars: Iterable[Atom]) -> dict[Monomial, Ex
         for a, _ in m:
             if a in vset:
                 raise NotPolynomialInVars(
-                    f"denominator contains collection variable {a}", atom=a
+                    f"denominator contains collection variable {a}"
                 )
     groups: dict[Monomial, Poly] = {}
     for m, c in e.num.items():

@@ -267,8 +267,7 @@ def liu_split(
         if sum(k for _, k in mono) > 1:
             raise NonlinearExtendedInequality(
                 "extended inequality is not linear in the split derivatives: "
-                f"monomial {expr_str(monomial_expr(mono), rc)}",
-                monomial=mono,
+                f"monomial {expr_str(monomial_expr(mono), rc)}"
             )
 
     nonzero = list(m.nonzero)

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ast_nodes import Node
-from .atoms import (
-    Atom,
-    ConstitPartial,
-    ConstitSym,
-    IndepVar,
-    JetVar,
-    mi_dominates,
-)
+from .atoms import Atom, IndepVar, JetVar, mi_dominates
 from .errors import ModelError
 from .expr import DiffContext, Expr
 from .render import RenderContext, atom_str
@@ -89,11 +82,9 @@ class ModelDef:
         )
 
     def render_ctx(self) -> RenderContext:
-        base = RenderContext(indep_names=self.indep_names, arg_names={})
-        arg_names = {
-            d.name: tuple(atom_str(a, base) for a in d.args) for d in self.decls
-        }
-        return RenderContext(indep_names=self.indep_names, arg_names=arg_names)
+        return RenderContext.labelled(
+            self.indep_names, ((d.name, d.args) for d in self.decls)
+        )
 
     def dependency_atoms(self) -> set[Atom]:
         out: set[Atom] = set()
@@ -115,29 +106,12 @@ class ModelDef:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        names = self.indep_names
-        if len(set(names)) != len(names):
-            raise ModelError("duplicate independent variables")
-        if len(set(self.fields)) != len(self.fields):
-            raise ModelError("duplicate fields")
-        decl_names = [d.name for d in self.decls]
-        if len(set(decl_names)) != len(decl_names):
-            raise ModelError("duplicate constitutive declarations")
-        field_set = set(self.fields)
+        """The whole-model checks; the parser has already rejected
+        duplicate names, repeated or non-jet arguments, symmetric pairs
+        outside the argument list and undeclared symbols."""
         for d in self.decls:
-            if len(set(d.args)) != len(d.args):
-                raise ModelError(f"constitutive {d.name}: repeated argument")
-            for a in d.args:
-                if not isinstance(a, JetVar) or a.field not in field_set:
-                    raise ModelError(
-                        f"constitutive {d.name}: argument {a} is not a field derivative"
-                    )
-                if len(a.orders) != len(self.indep):
-                    raise ModelError(
-                        f"constitutive {d.name}: argument {a} has wrong multi-index length"
-                    )
             for i, j in d.symmetric:
-                if not (0 <= i < d.arity and 0 <= j < d.arity and i != j):
+                if i == j:
                     raise ModelError(
                         f"constitutive {d.name}: invalid symmetric pair ({i}, {j})"
                     )
@@ -162,10 +136,6 @@ class ModelDef:
             if not any(isinstance(a, JetVar) for a in eq.lhs.atoms()):
                 raise ModelError(f"equation {eq.label}: no jet variable on the left")
             occurring.update(eq.lhs.atoms())
-        declared = {d.name for d in self.decls}
-        for a in list(occurring) + list(self.entropy_lhs.atoms()):
-            if isinstance(a, (ConstitSym, ConstitPartial)) and a.name not in declared:
-                raise ModelError(f"undeclared constitutive symbol {a.name}")
         for ld in self.leading:
             if ld not in occurring:
                 raise ModelError(

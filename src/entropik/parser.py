@@ -26,12 +26,15 @@ error diagnostic with a source span.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from ._ratio import Q
-from .ast_nodes import BinOp, Call, Name, Neg, Node, Num, PartialRef, to_text
+from .ast_nodes import (
+    BinOp, Call, Name, Neg, Node, Num, PartialRef, chain_links, to_text,
+)
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar
 from .errors import DivisionByZeroExpr, ModelError
 from .expr import DiffContext, Expr, total_derivative
@@ -356,6 +359,11 @@ def model_env(m: ModelDef, parameters: frozenset[str] = frozenset()) -> CompileE
     )
 
 
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+}
+
+
 def compile_node(node: Node, env: CompileEnv) -> Expr:
     if isinstance(node, Num):
         return Expr.rational(node.value)
@@ -417,26 +425,23 @@ def compile_node(node: Node, env: CompileEnv) -> Expr:
         raise ParseFailure(f"unknown function '{node.func}'", node.span)
     if isinstance(node, Neg):
         return -compile_node(node.operand, env)
+    if isinstance(node, BinOp) and node.op == "^":
+        assert isinstance(node.right, Num)
+        return compile_node(node.left, env) ** int(node.right.value)
     if isinstance(node, BinOp):
-        left = compile_node(node.left, env)
-        if node.op == "^":
-            assert isinstance(node.right, Num)
-            return left ** int(node.right.value)
-        right = compile_node(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
+        # A left-associative chain is walked in a loop, so a long sum or
+        # product costs no stack frame per operator.
+        links = chain_links(node)
+        value = compile_node(links[0].left, env)
+        for link in links:
+            right = compile_node(link.right, env)
             try:
-                return left / right
+                value = _BINARY[link.op](value, right)
             except DivisionByZeroExpr:
                 raise ParseFailure(
-                    "division by an expression that normalizes to zero", node.span
+                    "division by an expression that normalizes to zero", link.span
                 )
-        raise ParseFailure(f"unknown operator {node.op!r}", node.span)
+        return value
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -10,7 +10,7 @@ order, so rendering is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from ._ratio import Q
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar
@@ -24,6 +24,14 @@ class RenderContext:
     indep_names: tuple[str, ...]
     # constitutive name -> display name of each argument slot
     arg_names: Mapping[str, tuple[str, ...]]
+
+    @staticmethod
+    def labelled(indep_names: tuple[str, ...], args_of: Iterable) -> "RenderContext":
+        """Atoms as a model writes them: argument slots named by their jet
+        variables; ``args_of`` yields ``(function name, argument atoms)``."""
+        base = RenderContext(indep_names, {})
+        names = {f: tuple(atom_str(a, base) for a in args) for f, args in args_of}
+        return RenderContext(indep_names, names)
 
 
 def atom_str(a: Atom, ctx: Optional[RenderContext] = None) -> str:

@@ -1,10 +1,10 @@
 """Analysis reports: a stable, serializable record of an engine run.
 
-A report stores only strings, numbers, and containers of them, so JSON
-round-tripping reproduces an equal object by construction.  Everything
-except the ``timings`` block is deterministic for a fixed model and
-seed; the model is identified by a fingerprint of its canonical text,
-which changes exactly when the canonical model does.
+A report stores only strings, numbers, and containers of them, so its
+JSON holds its fields as they are.  Everything except the ``timings``
+block is deterministic for a fixed model and seed; the model is
+identified by a fingerprint of its canonical text, which changes exactly
+when the canonical model does.
 """
 
 from __future__ import annotations
@@ -219,19 +219,6 @@ class AnalysisReport:
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=indent)
 
-    @staticmethod
-    def from_json(text: str) -> "AnalysisReport":
-        d = json.loads(text)
-        return AnalysisReport(
-            schema=d["schema"],
-            engine_version=d["engine_version"],
-            model=d["model"],
-            method=d["method"],
-            solved=d["solved"],
-            system=d["system"],
-            timings=d["timings"],
-        )
-
 
 def build_report(run, name: str = "<model>") -> AnalysisReport:
     if isinstance(run, SolutionSetRun):
@@ -304,8 +291,8 @@ def tree_to_dict(tree, m: ModelDef) -> dict[str, Any]:
         }
         if n.pivot is not None:
             d["pivot"] = expr_str(n.pivot, rc)
-        if n.contradiction:
-            d["contradiction"] = n.contradiction
+        if n.system.inconsistent:
+            d["contradiction"] = n.system.inconsistent
         if n.capped is not None:
             d["capped"] = True
         if n.children:

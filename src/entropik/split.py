@@ -29,6 +29,7 @@ from .expr import (
     substitute,
 )
 from .model import ModelDef
+from .render import atom_str
 from .solve import SolvedSystem
 
 __all__ = [
@@ -58,6 +59,7 @@ class ConstraintSystem:
     symmetrization: tuple[Expr, ...] = ()   # subset of constraints
     # declared argument lists, so later passes can slot-differentiate
     args_of: tuple[tuple[str, tuple[Atom, ...]], ...] = ()
+    indep_names: tuple[str, ...] = ()  # so messages label atoms as written
 
     @property
     def residual(self) -> Expr:
@@ -105,8 +107,9 @@ def split(m: ModelDef, e: Expr) -> ConstraintSystem:
     den = e.denominator_expr()
     for a in den.atoms():
         if a in free_set:
+            label = atom_str(a, m.render_ctx())
             raise NotPolynomialInFreeElements(
-                f"denominator contains the free element {a}", atom=a
+                f"denominator contains the free element {label}"
             )
     coeffs = collect_coefficients(e, free)
 
@@ -143,6 +146,7 @@ def split(m: ModelDef, e: Expr) -> ConstraintSystem:
         cancellations=tuple(cancellations),
         symmetrization=tuple(sym),
         args_of=tuple((d.name, d.args) for d in m.decls),
+        indep_names=m.indep_names,
     )
 
 

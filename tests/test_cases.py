@@ -145,10 +145,10 @@ def test_depth_cap_marks_open():
     tree = build_tree(cs, depth=1)
     capped = tree.capped()
     assert capped
-    open_nodes = [n for n in tree.root.walk() if n.capped is not None]
-    assert open_nodes
-    for n in open_nodes:
-        assert n.status == "open"
+    for n in capped:
+        # the pending pivot comes from the pool; the node did not fork
+        assert n.status == "open" and not n.children
+        assert n.capped in tree.pivots
 
 
 # -- pivot discovery ------------------------------------------------------

@@ -85,12 +85,46 @@ def test_deeply_nested_model_exits_1_with_a_diagnostic(runner, tmp_path):
     assert "error: expression nested more than 64 levels deep" in r.output
 
 
+def test_long_sum_analyzes_like_the_model_without_it(runner, tmp_path):
+    # one stack frame per operator would pass Python's recursion limit
+    text = (MODELS / "gas1d.epk").read_text()
+    long = tmp_path / "long.epk"
+    long.write_text(text.replace("dx(rho*u)", "dx(rho*u)" + " + 0*rho" * 1200, 1))
+    r = runner.invoke(main, ["analyze", str(long)])
+    assert r.exit_code == 0, r.output
+    plain = runner.invoke(main, ["analyze", model("gas1d")]).output
+
+    def body(out):
+        lines = out.splitlines()
+        return [ln for ln in lines if not ln.startswith(("model", "timings"))]
+
+    assert body(r.output) == body(plain)
+
+
 def test_engine_error_exits_2_with_code(runner):
     r = runner.invoke(
         main, ["analyze", model("nonsimple2d"), "--max-order", "1"]
     )
     assert r.exit_code == 2
     assert "error[E022]" in r.output
+
+
+@pytest.mark.parametrize("term, method, message", [
+    ("1/dx(u)", "solution-set",
+     "error[E030]: denominator contains the free element u_x"),
+    ("dx(u)^2", "mueller-liu",
+     "error[E040]: extended inequality is not linear in the split "
+     "derivatives: monomial u_x^2"),
+], ids=["E030", "E040"])
+def test_entropy_outside_the_split_fragment_exits_2(
+    runner, tmp_path, term, method, message
+):
+    bad = tmp_path / "bad.epk"
+    bad.write_text((MODELS / "gas1d.epk").read_text().replace(
+        "dx(Phi1) >= 0", f"dx(Phi1) + {term} >= 0"))
+    r = runner.invoke(main, ["analyze", str(bad), "--method", method])
+    assert r.exit_code == 2
+    assert r.output == message + "\n"
 
 
 def test_compare_identical(runner):
@@ -104,6 +138,12 @@ def test_compare_over_restriction(runner):
     assert r.exit_code == 0
     assert "verdict: liu-over-restricts" in r.output
     assert "multiplier-only: T12 = 0" in r.output
+
+
+def test_compare_rejects_latex_output(runner):
+    r = runner.invoke(main, ["compare", model("gas1d"), "--output", "latex"])
+    assert r.exit_code == 2
+    assert "Invalid value for '--output'" in r.output
 
 
 def test_compare_unknown_dep_label(runner):
@@ -170,6 +210,20 @@ def test_split_reduction_cap_exits_2_with_code(runner, monkeypatch):
     assert r.exit_code == 2
     assert "error[E060]" in r.output
     assert "assumptions: none" in r.output
+
+
+def test_split_reduction_cap_names_assumptions_as_the_model_writes_them(
+    runner, monkeypatch
+):
+    monkeypatch.setattr(cases, "_MAX_ROUNDS", 1)
+    r = runner.invoke(
+        main, ["split", model("nonsimple2d"), "--assume", "deps/drho_t != 0"]
+    )
+    assert r.exit_code == 2
+    assert r.output == (
+        "error[E060]: reduction reached no fixed point in 1 rounds; "
+        "assumptions: deps/drho_t != 0\n"
+    )
 
 
 def test_split_rejects_depth_below_one(runner):

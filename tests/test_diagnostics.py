@@ -3,9 +3,12 @@
 ``golden/diagnostics.json`` holds malformed model texts, at least one for
 each diagnostic that ``parse_model`` or ``ModelDef.validate`` can emit,
 with the diagnostics the parser gave for each: message, hint and span.
-The validate checks that the parser already rules out (duplicate names,
-repeated or non-jet arguments, undeclared symbols, multi-index length)
-have no entry, since no model text reaches them.
+``ModelDef.validate`` keeps only the five checks a model text can reach
+(``symmetric_pair_self``, ``leading_count_mismatch``,
+``leading_not_independent``, ``equation_without_jet`` and
+``leading_in_no_equation``); the checks the parser always made first
+(duplicate names, repeated or non-jet arguments, multi-index length, a
+symmetric pair outside the argument list, undeclared symbols) are deleted.
 
 The ``*_trailing_input`` entries and ``granular2d_missing_comma`` pin the
 end check every directive makes: nothing may follow a directive's last

@@ -11,7 +11,12 @@ import entropik
 from entropik import backend
 from entropik._ratio import qdiv
 from entropik.atoms import ConstitPartial, ConstitSym, IndepVar, JetVar
-from entropik.errors import DenominatorVanishes, DivisionByZeroExpr, MissingAssignment
+from entropik.errors import (
+    DenominatorVanishes,
+    DivisionByZeroExpr,
+    MissingAssignment,
+    NotPolynomialInVars,
+)
 from entropik.expr import (
     ONE,
     ZERO,
@@ -115,6 +120,12 @@ def test_collect_coefficients_reconstructs():
         for mono, coeff in table.items():
             total = total + coeff * monomial_expr(mono)
         assert total == e
+
+
+def test_collect_coefficients_rejects_a_variable_in_the_denominator():
+    with pytest.raises(NotPolynomialInVars) as err:
+        collect_coefficients(Expr.atom(X) / Expr.atom(U), [U])
+    assert err.value.code == "E003"
 
 
 # -- algebraic laws (property-based) --------------------------------------

@@ -1,6 +1,6 @@
 """Module layout guard for the ``entropik`` package.
 
-Five rules, checked on the source with ``ast``:
+Six rules, checked on the source with ``ast``:
 
 * no module imports an underscore-prefixed name from another ``entropik``
   module (shared helpers live under a public name in one home module);
@@ -11,7 +11,10 @@ Five rules, checked on the source with ``ast``:
   coefficient type);
 * no function assigns a local or takes a parameter that nothing in it
   (nested functions included) reads; names starting with ``_``, and
-  ``self``/``cls``, are exempt.
+  ``self``/``cls``, are exempt;
+* every field of a ``@dataclass`` in the package is read as an attribute
+  (``x.field``) somewhere in ``src/``, ``tests/``, ``perfbench/`` or
+  ``tools/``.
 """
 
 import ast
@@ -19,8 +22,14 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "entropik"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "entropik"
 MODULES = sorted(PACKAGE.glob("*.py"))
+READERS = sorted(
+    path
+    for top in ("src", "tests", "perfbench", "tools")
+    for path in (ROOT / top).rglob("*.py")
+)
 
 
 def _tree(path):
@@ -174,3 +183,35 @@ def test_every_local_and_parameter_is_read(path):
         for entry in _unread_names(fn)
     )
     assert not dead, f"{path.name} has unread names: {dead}"
+
+
+def _is_dataclass(cls):
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``."""
+    return any(
+        ast.unparse(d.func if isinstance(d, ast.Call) else d).split(".")[-1]
+        == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read():
+    fields = {
+        (path.name, cls.name, stmt.target.id): stmt.lineno
+        for path in MODULES
+        for cls in ast.walk(_tree(path))
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    read = {
+        n.attr
+        for path in READERS
+        for n in ast.walk(_tree(path))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{module} line {line}: {cls}.{name}"
+        for (module, cls, name), line in fields.items()
+        if name not in read
+    )
+    assert not unread, f"dataclass fields nothing reads: {unread}"

@@ -184,6 +184,20 @@ def test_deep_nesting_is_a_diagnostic_not_a_recursion_error(gas):
         f"expression nested more than {MAX_NESTING} levels deep"]
 
 
+def test_long_chains_round_trip(gas):
+    # a 5,000-term sum and a 2,000-factor product, far past Python's
+    # recursion limit were each operator a stack frame
+    text = format_model(gas).replace(
+        "dx(rho*u)", "dx(rho*u)" + " + 0*rho" * 5000 + " - 0" + "*rho" * 2000, 1
+    )
+    m = parse_model(text, filename="long.epk").raise_on_error()
+    assert m == gas
+    again = format_model(m)
+    assert again.count("*rho") == 5000 + 2000
+    m2 = parse_model(again).raise_on_error()
+    assert m2 == gas and format_model(m2) == again
+
+
 def test_binary_operators_carry_their_token_span():
     node = parse_expr_text("a + b*c^2", filename="m.epk", lineno=4)
     assert (node.span.file, node.span.line, node.span.col_start) == ("m.epk", 4, 3)

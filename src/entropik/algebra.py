@@ -29,6 +29,7 @@ from .expr import (
     Expr,
     Monomial,
     ZERO,
+    expr_sum,
     mono_key,
     mono_strip,
     partial_diff,
@@ -182,10 +183,10 @@ def arg_derivative(
     itself differentiates to one; all other jet atoms are unrelated
     coordinates and differentiate to zero.
     """
-    total = ZERO
+    terms = []
     for x in e.atoms():
         if x is a:
-            total = total + partial_diff(e, x)
+            terms.append(partial_diff(e, x))
             continue
         if not isinstance(x, (ConstitSym, ConstitPartial)):
             continue
@@ -197,8 +198,8 @@ def arg_derivative(
             d = ConstitPartial(x.name, mi_unit(len(args), j))
         else:
             d = ConstitPartial(x.name, mi_add(x.slots, mi_unit(len(args), j)))
-        total = total + partial_diff(e, x) * Expr.atom(d)
-    return total
+        terms.append(partial_diff(e, x) * Expr.atom(d))
+    return expr_sum(terms)
 
 
 def derive_partial(

@@ -138,7 +138,7 @@ def main() -> None:
 
 _model_arg = click.argument("model_file", type=click.Path())
 _max_order_opt = click.option(
-    "--max-order", type=int, default=None,
+    "--max-order", type=click.IntRange(min=0), default=None,
     help="Override the model's derivative-order cap.",
 )
 _dep_opt = click.option(

@@ -11,19 +11,27 @@ An :class:`Expr` is a pair of sparse multivariate polynomials
 
 Two Exprs are equal iff their canonical forms are identical; no semantic
 equality beyond field arithmetic is claimed (no full multivariate GCD).
+A canonical form whose denominator is a monomial is unique, though: with
+no monomial content shared and a monic monomial denominator, ``N/M`` and
+``N'/M'`` can only be equal when ``M == M'`` and ``N == N'``.  So a sum of
+terms whose denominators are all monomials has one form whatever the
+order of its terms, and :func:`expr_sum` adds such terms in one pass over
+their least common denominator; any other sum it folds with ``+`` in the
+given order, since the form then depends on that order.
 All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import gcd
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from ._ratio import Q, qdiv
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_add, mi_unit
-from .backend import p_add, p_diff, p_mul, p_neg, p_pow, p_sub
+from .backend import mono_mul, p_add, p_diff, p_mul, p_neg, p_pow, p_sub
 from .errors import (
     DenominatorVanishes,
     DivisionByZeroExpr,
@@ -37,6 +45,7 @@ __all__ = [
     "ZERO",
     "ONE",
     "DiffContext",
+    "expr_sum",
     "partial_diff",
     "total_derivative",
     "substitute",
@@ -273,6 +282,49 @@ def as_expr(x: ExprLike) -> Expr:
     raise TypeError(f"cannot coerce {x!r} to Expr")
 
 
+def expr_sum(terms: Sequence[Expr]) -> Expr:
+    """``terms[0] + terms[1] + ...``, folded in the given order.
+
+    When every denominator is a monomial (coefficient 1, as the form is
+    monic), each numerator is scaled to the denominators' least common
+    multiple ``L`` (the per-atom maximum exponent) and added into one
+    polynomial, which is canonicalized once over ``L``.  The result is the
+    fold's, down to the insertion order of its numerator: scaling every
+    monomial of a running sum by one monomial keeps the keys distinct, so
+    terms meet and cancel on the same keys in the same order.
+    """
+    if len(terms) < 2:
+        return terms[0] if terms else ZERO
+    top: dict = {}
+    for t in terms:
+        if len(t.den) != 1:
+            return reduce(add, terms)
+        (d,) = t.den
+        for a, e in d:
+            if e > top.get(a, 0):
+                top[a] = e
+    lcm = tuple(sorted(top.items(), key=lambda ae: ae[0].key))
+    out: Poly = {}
+    scale: dict[Monomial, Monomial] = {}
+    for t in terms:
+        (d,) = t.den
+        q = scale.get(d)
+        if q is None:
+            q = scale[d] = mono_strip(lcm, dict(d))
+        for m, c in t.num.items():
+            m = mono_mul(m, q)
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            else:
+                s = s + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return Expr(out, {lcm: 1})
+
+
 # ---------------------------------------------------------------------------
 # Differentiation.
 
@@ -318,24 +370,24 @@ def atom_total_derivative(a: Atom, iv_index: int, ctx: DiffContext) -> Expr:
         return Expr.atom(JetVar(a.field, mi_add(a.orders, mi_unit(n, iv_index))))
     if isinstance(a, ConstitSym):
         args = ctx.arg_atoms(a.name)
-        total = ZERO
+        terms = []
         for j, arg in enumerate(args):
             d_arg = atom_total_derivative(arg, iv_index, ctx)
             if d_arg.is_zero():
                 continue
             cp = ConstitPartial(a.name, mi_unit(len(args), j))
-            total = total + Expr.atom(cp) * d_arg
-        return total
+            terms.append(Expr.atom(cp) * d_arg)
+        return expr_sum(terms)
     if isinstance(a, ConstitPartial):
         args = ctx.arg_atoms(a.name)
-        total = ZERO
+        terms = []
         for j, arg in enumerate(args):
             d_arg = atom_total_derivative(arg, iv_index, ctx)
             if d_arg.is_zero():
                 continue
             cp = ConstitPartial(a.name, mi_add(a.slots, mi_unit(len(args), j)))
-            total = total + Expr.atom(cp) * d_arg
-        return total
+            terms.append(Expr.atom(cp) * d_arg)
+        return expr_sum(terms)
     raise TypeError(f"unknown atom kind: {a!r}")
 
 
@@ -351,13 +403,13 @@ def total_derivative(e: ExprLike, iv: IndepVar, ctx: DiffContext) -> Expr:
         iv_index = ctx.indep.index(iv)
     except ValueError:
         raise ValueError(f"{iv} is not an independent variable of the context")
-    total = ZERO
+    terms = []
     for a in e.atoms():
         da = atom_total_derivative(a, iv_index, ctx)
         if da.is_zero():
             continue
-        total = total + partial_diff(e, a) * da
-    return total
+        terms.append(partial_diff(e, a) * da)
+    return expr_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +420,7 @@ def eval_poly(
     lookup: Callable[[Atom], Expr],
 ) -> Expr:
     """Evaluate a polynomial with atoms mapped through ``lookup``."""
-    total = ZERO
+    terms = []
     powers: dict[tuple[Atom, int], Expr] = {}
     for m, c in p.items():
         term = Expr.rational(c)
@@ -379,8 +431,8 @@ def eval_poly(
                 pw = lookup(a) ** e
                 powers[key] = pw
             term = term * pw
-        total = total + term
-    return total
+        terms.append(term)
+    return expr_sum(terms)
 
 
 def substitute(e: ExprLike, pairs: Mapping[Atom, Expr]) -> Expr:

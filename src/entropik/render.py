@@ -57,10 +57,13 @@ def atom_str(a: Atom, ctx: Optional[RenderContext] = None) -> str:
     return str(a)
 
 
-def _mono_str(m, ctx) -> str:
+def _mono_str(m, ctx, labels: dict) -> str:
+    """``m`` as a product; ``labels`` caches each atom's rendering."""
     parts = []
     for a, e in m:
-        s = atom_str(a, ctx)
+        s = labels.get(a)
+        if s is None:
+            s = labels[a] = atom_str(a, ctx)
         parts.append(s if e == 1 else f"{s}^{e}")
     return "*".join(parts)
 
@@ -96,7 +99,8 @@ def signed_sum(
 
 
 def poly_str(p, ctx: Optional[RenderContext] = None) -> str:
-    return signed_sum(p, str, lambda m: _mono_str(m, ctx), "*")
+    labels: dict = {}
+    return signed_sum(p, str, lambda m: _mono_str(m, ctx, labels), "*")
 
 
 def expr_str(e, ctx: Optional[RenderContext] = None) -> str:

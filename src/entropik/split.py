@@ -24,6 +24,7 @@ from .expr import (
     ZERO,
     collect_coefficients,
     eval_numeric,
+    expr_sum,
     mono_key,
     monomial_expr,
     substitute,
@@ -294,7 +295,7 @@ def numeric_oracle(
     equations = [(eq.label, eq.lhs) for eq in m.equations] + [
         (f"d{st.direction}({st.source})", st.equation) for st in s.consequence_log]
     table = [(monomial_expr(mono), coeff) for mono, coeff in cs.table]
-    table_sum = sum((mono * coeff for mono, coeff in table), ZERO)
+    table_sum = expr_sum([mono * coeff for mono, coeff in table])
     pieces = (m.entropy_lhs, cs.residual_numerator, cs.denominator,
               *cs.nonzero, *cs.constraints, *solved.values(),
               *(e for _, e in equations), *(e for row in table for e in row))

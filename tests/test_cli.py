@@ -109,6 +109,13 @@ def test_engine_error_exits_2_with_code(runner):
     assert "error[E022]" in r.output
 
 
+def test_max_order_rejects_a_negative_value(runner):
+    r = runner.invoke(main, ["analyze", model("gas1d"), "--max-order", "-1"])
+    assert r.exit_code == 2
+    assert "Usage:" in r.output
+    assert "Invalid value for '--max-order'" in r.output
+
+
 @pytest.mark.parametrize("term, method, message", [
     ("1/dx(u)", "solution-set",
      "error[E030]: denominator contains the free element u_x"),

@@ -2,6 +2,9 @@
 
 import random
 from fractions import Fraction as Q
+from functools import reduce
+from itertools import permutations
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +27,7 @@ from entropik.expr import (
     Expr,
     collect_coefficients,
     eval_numeric,
+    expr_sum,
     monomial_expr,
     partial_diff,
     poly_divexact,
@@ -213,6 +217,59 @@ def test_substitute_simple():
 @settings(max_examples=100, deadline=None)
 def test_substitute_identity_map(a):
     assert substitute(a, {RHO: Expr.atom(RHO)}) == a
+
+
+# -- sums -----------------------------------------------------------------
+
+def _over_monomial(seed, depth):
+    # a random polynomial over a random monic monomial
+    rnd = random.Random(seed)
+    mono = tuple(sorted(
+        {a: rnd.randint(1, 2) for a in rnd.sample(ATOM_POOL, rnd.randint(0, 3))}.items(),
+        key=lambda ae: ae[0].key))
+    return _rand_expr(rnd, depth).numerator_expr() / monomial_expr(mono)
+
+
+monomial_den_exprs = st.builds(
+    _over_monomial, st.integers(0, 2**32), st.integers(1, 3))
+
+
+@given(st.lists(st.one_of(exprs, monomial_den_exprs), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_expr_sum_is_the_fold_in_order(ts):
+    folded = reduce(add, ts, ZERO)
+    s = expr_sum(ts)
+    assert s.num == folded.num and s.den == folded.den
+
+
+@given(st.lists(monomial_den_exprs, min_size=2, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_expr_sum_over_monomial_denominators_ignores_order(ts):
+    first = expr_sum(ts)
+    assert len(first.den) == 1
+    for order in permutations(ts):
+        for s in (expr_sum(list(order)), reduce(add, order)):
+            assert s.num == first.num and s.den == first.den
+
+
+def test_expr_sum_keeps_the_order_of_a_non_monomial_sum():
+    # no GCD: rho/p + u/q + eps/p keeps p twice in its denominator, while
+    # adding the two terms over p first cancels to a quadratic one
+    rho, u, eps = Expr.atom(RHO), Expr.atom(U), Expr.atom(EPS)
+    p, q = rho + u, rho + eps
+    a, b, c = rho / p, u / q, eps / p
+    in_order, regrouped = expr_sum([a, b, c]), expr_sum([a, c, b])
+    assert in_order == (a + b) + c and regrouped == (a + c) + b
+    assert in_order.den == (p * q * p).num
+    assert regrouped.den == (p * q).num
+    assert _equiv(in_order, regrouped)
+
+
+def test_expr_sum_of_no_term_or_one():
+    assert expr_sum([]) is ZERO
+    for den in (Expr.atom(U), Expr.atom(U) + 1):
+        t = Expr.atom(RHO) / den
+        assert expr_sum([t]) is t
 
 
 def test_single_kernel_exports():

@@ -12,8 +12,11 @@ reached`` lines), and ``gas1d.split-contradictory.json`` is ``split gas1d
 --assume 'deta/deps = 0' --assume 'deta/deps != 0' --output json``, a
 closed root with its ``"contradiction"``.  ``granular2d.root.json`` is the
 root ``ReducedSystem`` of granular2d as :func:`render_reduced` prints it.
+``granular2d.split-depth1.sha256`` is the SHA-256 of ``split granular2d
+--depth 1 --output json``, whose output is too large to keep.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -75,6 +78,14 @@ def test_split_tree_matches_golden(name, flags, golden):
     r = CliRunner().invoke(main, ["split", str(MODELS / f"{name}.epk"), *flags])
     assert r.exit_code == 0, r.output
     assert r.output == (GOLDEN / golden).read_text()
+
+
+def test_granular_depth1_split_matches_digest():
+    model = str(MODELS / "granular2d.epk")
+    r = CliRunner().invoke(main, ["split", model, "--depth", "1", *JSON])
+    assert r.exit_code == 0, r.output
+    digest = hashlib.sha256(r.output.encode()).hexdigest()
+    assert digest == (GOLDEN / "granular2d.split-depth1.sha256").read_text().strip()
 
 
 def test_granular_root_reduction_matches_golden(granular):

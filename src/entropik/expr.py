@@ -18,6 +18,9 @@ terms whose denominators are all monomials has one form whatever the
 order of its terms, and :func:`expr_sum` adds such terms in one pass over
 their least common denominator; any other sum it folds with ``+`` in the
 given order, since the form then depends on that order.
+:func:`poly_divexact` divides by a one-term polynomial by stripping its
+monomial from each term, and by any other by eliminating leading terms;
+both give the quotient's terms in the same order.
 All values are immutable after construction and safe to share.
 """
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._ratio import Q, qdiv
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_add, mi_unit
@@ -415,22 +418,27 @@ def total_derivative(e: ExprLike, iv: IndepVar, ctx: DiffContext) -> Expr:
 # ---------------------------------------------------------------------------
 # Substitution.
 
-def eval_poly(
-    p: Poly,
-    lookup: Callable[[Atom], Expr],
-) -> Expr:
-    """Evaluate a polynomial with atoms mapped through ``lookup``."""
+def eval_poly(p: Poly, pairs: Mapping[Atom, Expr]) -> Expr:
+    """Evaluate a polynomial with the key atoms of ``pairs`` replaced.
+
+    Each term starts as its coefficient times the atoms ``pairs`` keeps,
+    one canonical monomial, and is multiplied by the replaced atoms'
+    powers in monomial order.  A product by a monomial keeps its
+    operand's terms in order, so the result is that of multiplying by
+    every atom in turn.
+    """
     terms = []
     powers: dict[tuple[Atom, int], Expr] = {}
     for m, c in p.items():
-        term = Expr.rational(c)
-        for a, e in m:
-            key = (a, e)
-            pw = powers.get(key)
-            if pw is None:
-                pw = lookup(a) ** e
-                powers[key] = pw
-            term = term * pw
+        kept = tuple(ae for ae in m if ae[0] not in pairs)
+        term = Expr({kept: qdiv(c, 1)}, dict(_ONE_POLY), _canonical=True)
+        for key in m:
+            a, e = key
+            if a in pairs:
+                pw = powers.get(key)
+                if pw is None:
+                    pw = powers[key] = as_expr(pairs[a]) ** e
+                term = term * pw
         terms.append(term)
     return expr_sum(terms)
 
@@ -448,14 +456,7 @@ def substitute(e: ExprLike, pairs: Mapping[Atom, Expr]) -> Expr:
     present = any(a in pairs for a in e.atoms())
     if not present:
         return e
-
-    def lookup(a: Atom) -> Expr:
-        r = pairs.get(a)
-        return Expr.atom(a) if r is None else as_expr(r)
-
-    num = eval_poly(e.num, lookup)
-    den = eval_poly(e.den, lookup)
-    return num / den
+    return eval_poly(e.num, pairs) / eval_poly(e.den, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -555,28 +556,35 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
 
     The error is an ordinary answer, not a fault: ``algebra.try_divexact``
     uses this function as its divisibility test, and most of its calls
-    fail.  So ``q`` is rejected before any elimination when its degree in
-    some atom exceeds that in ``p``, or when its leading or trailing term
-    does not divide ``p``'s: the extreme terms of a product are the
-    products of its factors' extreme terms.  Otherwise leading terms are
-    eliminated under the graded-lex order over ``p``'s atoms.  Exponent
-    vectors carry their total degree first, so native tuple order is that
-    order, and the two term checks include the top and bottom total
-    degrees.
+    fail.  A one-term ``q`` divides ``p`` exactly when its monomial
+    divides every monomial of ``p``; the quotient is then each term with
+    that monomial stripped and its coefficient divided, in the order the
+    elimination below would emit it.  Any other ``q`` is rejected before
+    any elimination when its degree in some atom exceeds that in ``p``, or
+    when its leading or trailing term does not divide ``p``'s: the extreme
+    terms of a product are the products of its factors' extreme terms.
+    Otherwise leading terms are eliminated under the graded-lex order over
+    ``p``'s atoms.  Exponent vectors carry their total degree first, so
+    native tuple order is that order, and the two term checks include the
+    top and bottom total degrees.
     """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     if not p:
         return {}
+    if len(q) == 1:
+        ((mq, cq),) = q.items()
+        if mq:
+            for m in p:
+                have = dict(m)
+                for a, e in mq:
+                    if have.get(a, 0) < e:
+                        raise ArithmeticError("inexact polynomial division")
     top: dict = {}
     for m in p:
         for a, e in m:
             if e > top.get(a, 0):
                 top[a] = e
-    for m in q:
-        for a, e in m:
-            if e > top.get(a, 0):
-                raise ArithmeticError("inexact polynomial division")
     atoms = sorted(top, key=lambda a: a.key)
     index = {a: i for i, a in enumerate(atoms, 1)}
     width = len(atoms) + 1
@@ -588,6 +596,16 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
         v[0] = sum(v)
         return tuple(v)
 
+    if len(q) == 1:
+        strip = dict(mq)
+        return {
+            mono_strip(m, strip): qdiv(p[m], cq)
+            for m in sorted(p, key=dense, reverse=True)
+        }
+    for m in q:
+        for a, e in m:
+            if e > top.get(a, 0):
+                raise ArithmeticError("inexact polynomial division")
     r = {dense(m): c for m, c in p.items()}
     qd = {dense(m): c for m, c in q.items()}
     lq = max(qd)

@@ -103,16 +103,20 @@ def _coeff_tex(c: Q) -> str:
     return sign + r"\tfrac{%d}{%d}" % (abs(c.numerator), c.denominator)
 
 
-def _mono_tex(m, ctx) -> str:
+def _mono_tex(m, ctx, labels: dict) -> str:
+    """``m`` as a product; ``labels`` caches each atom's rendering."""
     parts = []
     for a, e in m:
-        s = atom_tex(a, ctx)
+        s = labels.get(a)
+        if s is None:
+            s = labels[a] = atom_tex(a, ctx)
         parts.append(s if e == 1 else s + "^{%d}" % e)
     return r"\,".join(parts)
 
 
 def poly_tex(p, ctx: Optional[RenderContext] = None) -> str:
-    return signed_sum(p, _coeff_tex, lambda m: _mono_tex(m, ctx), r"\,")
+    labels: dict = {}
+    return signed_sum(p, _coeff_tex, lambda m: _mono_tex(m, ctx, labels), r"\,")
 
 
 def expr_tex(e, ctx: Optional[RenderContext] = None) -> str:

@@ -25,6 +25,7 @@ from entropik.expr import (
     ZERO,
     DiffContext,
     Expr,
+    as_expr,
     collect_coefficients,
     eval_numeric,
     expr_sum,
@@ -413,3 +414,117 @@ def test_divexact_rejects_a_larger_degree(p, q):
     assume(_degree(p) < _degree(q))
     with pytest.raises(ArithmeticError):
         poly_divexact(p, q)
+
+
+def _divexact_by_elimination(p, q):
+    # the general elimination loop, the reference for a one-term divisor
+    top = {}
+    for m in p:
+        for a, e in m:
+            if e > top.get(a, 0):
+                top[a] = e
+    for m in q:
+        for a, e in m:
+            if e > top.get(a, 0):
+                raise ArithmeticError("inexact polynomial division")
+    atoms = sorted(top, key=lambda a: a.key)
+    index = {a: i for i, a in enumerate(atoms, 1)}
+
+    def dense(m):
+        v = [0] * (len(atoms) + 1)
+        for a, e in m:
+            v[index[a]] = e
+        v[0] = sum(v)
+        return tuple(v)
+
+    r = {dense(m): c for m, c in p.items()}
+    qd = {dense(m): c for m, c in q.items()}
+    lq = max(qd)
+    cq = qd[lq]
+    out = {}
+    while r:
+        lr = max(r)
+        diff = tuple(x - y for x, y in zip(lr, lq))
+        if min(diff) < 0:
+            raise ArithmeticError("inexact polynomial division")
+        coeff = qdiv(r[lr], cq)
+        out[tuple((x, e) for x, e in zip(atoms, diff[1:]) if e)] = coeff
+        for mq, c in qd.items():
+            m = tuple(x + y for x, y in zip(diff, mq))
+            nc = r.get(m, 0) - coeff * c
+            if nc:
+                r[m] = nc
+            else:
+                r.pop(m, None)
+    return out
+
+
+def _typed(p):
+    return [(m, c, type(c)) for m, c in p.items()]
+
+
+one_term = st.builds(
+    lambda m, c: {m: c}, st.one_of(st.just(()), monomials), coeffs)
+
+
+@given(polys, one_term, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_divexact_by_one_term_matches_the_elimination_loop(a, q, multiple):
+    # half the dividends are multiples of q, so both outcomes are common
+    p = backend.p_mul(a, q) if multiple else a
+    try:
+        want = _divexact_by_elimination(p, q)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            poly_divexact(p, q)
+        return
+    assert _typed(poly_divexact(p, q)) == _typed(want)
+
+
+# -- substitution against a chain of products (property-based) ------------
+
+def _substitute_by_products(e, pairs):
+    # every term as a chain of Expr products, one per atom
+    def poly(p):
+        terms = []
+        for m, c in p.items():
+            term = Expr.rational(c)
+            for a, k in m:
+                term = term * (as_expr(pairs.get(a, a)) ** k)
+            terms.append(term)
+        return expr_sum(terms)
+
+    if not any(a in pairs for a in e.atoms()):
+        return e
+    return poly(e.num) / poly(e.den)
+
+
+# small rational functions over four atoms, so that one monomial often
+# holds several replaced atoms and their images have several terms; an
+# image's denominator has at most two, which keeps every sum small
+def _linear_polys(max_size):
+    return st.dictionaries(
+        st.builds(lambda exps: tuple((a, 1) for a, e in zip(DIV_ATOMS, exps) if e),
+                  st.tuples(*(st.booleans() for _ in DIV_ATOMS))),
+        coeffs, min_size=1, max_size=max_size)
+
+
+small_exprs = st.builds(Expr, _linear_polys(3), _linear_polys(3))
+images = st.one_of(
+    st.builds(Expr, _linear_polys(3), _linear_polys(2)),
+    st.sampled_from(ATOM_POOL), st.integers(-3, 3), coeffs)
+
+
+@given(st.one_of(exprs, small_exprs),
+       st.dictionaries(st.sampled_from(DIV_ATOMS + ATOM_POOL), images, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_substitute_matches_a_chain_of_products(e, pairs):
+    try:
+        want = _substitute_by_products(e, pairs)
+    except DivisionByZeroExpr:
+        with pytest.raises(DivisionByZeroExpr):
+            substitute(e, pairs)
+        return
+    got = substitute(e, pairs)
+    assert _typed(got.num) == _typed(want.num)
+    assert _typed(got.den) == _typed(want.den)

@@ -3,8 +3,9 @@
 Solving, splitting, the multiplier route, case trees and binding checks
 all reason about polynomial constraints ``c = 0`` under a list of factors
 assumed nonzero.  The operations they share live here, once: exact
-division, dividing out assumed-nonzero factors, the monic normal form,
-the recorded factors of a nonzero condition, slot derivatives of the
+division, dividing out assumed-nonzero factors, the monic normal form
+and the normal set of a list of constraints (:func:`normal_set`), the
+recorded factors of a nonzero condition, slot derivatives of the
 unknown material functions, the zero rule (:func:`forced_zero`), and
 substitution of known values and zeros (:func:`subst_known`, and
 :func:`settle` for a map substituted into itself).
@@ -13,7 +14,7 @@ substitution of known values and zeros (:func:`subst_known`, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, MutableMapping, Optional
+from typing import Collection, Iterable, Mapping, MutableMapping, Optional, Sequence
 
 from ._ratio import qdiv
 from .atoms import (
@@ -45,6 +46,7 @@ __all__ = [
     "strip_certified",
     "certified_nonzero",
     "normalize_constraint",
+    "normal_set",
     "pivot_factors",
     "nonzero_factors",
     "single_monomial",
@@ -128,6 +130,21 @@ def normalize_constraint(
         if times:
             log.append(Cancellation(factor=f, times=times))
     return _monic(e.num), log
+
+
+def normal_set(
+    exprs: Iterable[Expr], nonzero: Sequence[Expr]
+) -> tuple[list[Expr], list[Cancellation]]:
+    """Normal forms of ``exprs`` with zeros dropped and the first copy
+    kept, and every cancellation made on the way, in order."""
+    out: dict[Expr, None] = {}
+    log: list[Cancellation] = []
+    for e in exprs:
+        n, cancelled = normalize_constraint(e, nonzero)
+        log.extend(cancelled)
+        if not n.is_zero():
+            out.setdefault(n)
+    return list(out), log
 
 
 def pivot_factors(e: Expr) -> list[Expr]:
@@ -266,6 +283,9 @@ def subst_known(
     come the known ``values``, then partials derived from a known value
     (:func:`derive_partial`), which are stored into ``values``."""
     fns = [z for z in zeros if isinstance(z, (ConstitSym, ConstitPartial))]
+    # Only a function with a known value has partials to derive, and a
+    # derived partial is stored under a name already in this set.
+    known = {k.name for k in values if isinstance(k, (ConstitSym, ConstitPartial))}
     for _ in range(passes):
         sub: dict[Atom, Expr] = {}
         for x in e.atoms():
@@ -277,7 +297,7 @@ def subst_known(
                 sub[x] = ZERO
             elif x in values:
                 sub[x] = values[x]
-            else:
+            elif isinstance(x, ConstitPartial) and x.name in known:
                 dv = derive_partial(x, values, args_of)
                 if dv is not None:
                     values[x] = dv

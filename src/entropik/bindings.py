@@ -84,7 +84,6 @@ class ConstraintCheck:
 class CheckReport:
     checks: tuple[ConstraintCheck, ...]
     residual: str                    # substituted residual, sign not judged
-    parameters: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -231,9 +230,4 @@ def check_candidate(
                 passed=v.is_zero(),
             )
         )
-    residual = bound(cs.residual)
-    return CheckReport(
-        checks=tuple(checks),
-        residual=expr_str(residual, rc),
-        parameters=tuple(n for n, _v in bs.parameters),
-    )
+    return CheckReport(checks=tuple(checks), residual=expr_str(bound(cs.residual), rc))

@@ -19,12 +19,13 @@ Three reduction rules run to a fixed point inside every node:
   cross-differentiating the two values must agree; the difference is
   appended as a new constraint.
 
-Every division is logged as a certificate naming the constraint and the
-factor divided by.  Composite pivots arise from a proportionality
-pattern: when the same pair of coefficient atoms multiplies unknown
-pairs across several constraints, the ratio of the two coefficients is
-pinned down, and whether it actually varies with each shared argument —
-the slot Wronskian of the pair — becomes a branching question.
+Every step is logged as a certificate of its kind: a solve, a zeroed
+function, a compatibility condition or a cancelled factor.  Composite
+pivots arise from a proportionality pattern: when the same pair of
+coefficient atoms multiplies unknown pairs across several constraints,
+the ratio of the two coefficients is pinned down, and whether it
+actually varies with each shared argument — the slot Wronskian of the
+pair — becomes a branching question.
 
 A reduction does each piece of work once: its state caches the linear
 scan of each live constraint and the slot derivatives of each live
@@ -47,6 +48,7 @@ from .algebra import (
     constit_atoms,
     forced_zero,
     nonzero_factors,
+    normal_set,
     normalize_constraint,
     single_monomial,
     strip_certified,
@@ -98,11 +100,7 @@ class Assumption:
 class Certificate:
     """Why one reduction step was sound."""
 
-    kind: str            # "solve" | "zero" | "compat" | "cancel"
-    constraint: Expr
-    factor: Expr         # the divided-by (certified nonzero) coefficient
-    atom: Optional[Atom] = None
-    value: Optional[Expr] = None
+    kind: str  # "solve" | "zero" | "compat" | "cancel"
 
 
 @dataclass(frozen=True)
@@ -187,14 +185,14 @@ class _State:
             )
         return v
 
-    def add_zero(self, a: Atom, constraint: Expr, factor: Expr) -> None:
+    def add_zero(self, a: Atom) -> None:
         self.zeros.add(a)
         self.touched.add(a.name)
-        self.log.append(Certificate("zero", constraint, factor, atom=a))
+        self.log.append(Certificate("zero"))
 
-    def add_solved(self, a: Atom, v: Expr, constraint: Expr, factor: Expr) -> None:
+    def add_solved(self, a: Atom, v: Expr) -> None:
         if v.is_zero():
-            self.add_zero(a, constraint, factor)
+            self.add_zero(a)
             return
         for k in list(self.solved):
             old = self.solved[k]
@@ -202,7 +200,7 @@ class _State:
                 self.solved[k] = substitute(old, {a: v})
         self.solved[a] = v
         self.touched.add(a.name)
-        self.log.append(Certificate("solve", constraint, factor, atom=a, value=v))
+        self.log.append(Certificate("solve"))
 
     def linear_atoms(self, c: Expr) -> list[tuple[Atom, Expr, Expr, Optional[Expr]]]:
         """Each function atom ``c`` holds only to the first power, in atom order,
@@ -251,7 +249,7 @@ def _circular(u: Atom, value: Expr) -> bool:
 
 def _refresh(st: _State) -> bool:
     """Re-substitute, renormalize, deduplicate; detect contradictions."""
-    out: list[Expr] = []
+    out: dict[Expr, None] = {}
     changed = False
     for c in st.constraints:
         clean = c in st.clean
@@ -260,25 +258,19 @@ def _refresh(st: _State) -> bool:
             n = c  # nothing substituted into a normal form: it stays
         else:
             n, logs = normalize_constraint(r, st.nonzero)
-            for lg in logs:
-                st.log.append(Certificate("cancel", c, lg.factor))
+            st.log.extend(Certificate("cancel") for _ in logs)
             if n.is_zero():
-                changed = changed or not c.is_zero()
                 continue
             if not constit_atoms(n):
                 st.inconsistent = (
                     "constraint reduces to a nonvanishing function-free expression"
                 )
                 return False
-        if n != c:
-            changed = True
-        if n not in out:
-            out.append(n)
-        else:
-            changed = True
-    if len(out) != len(st.constraints):
-        changed = True
-    st.constraints = out
+        changed = changed or n != c
+        out.setdefault(n)
+    # a dropped zero or a second copy shortens the list
+    changed = changed or len(out) != len(st.constraints)
+    st.constraints = list(out)
     st.clean = set(out)
     st.scans = {c: st.scans[c] for c in out if c in st.scans}
     st.touched.clear()
@@ -304,7 +296,7 @@ def _zero_rule(st: _State) -> bool:
     for c in list(st.constraints):
         u = forced_zero(c, st.nonzero)
         if u is not None:
-            st.add_zero(u, c, (c / Expr.atom(u)).numerator_expr())
+            st.add_zero(u)
             st.constraints.remove(c)
             changed = True
     return changed
@@ -343,7 +335,7 @@ def _eliminate(st: _State) -> tuple[bool, list[_Blocked]]:
                 value = st.subst_known(-rest / coeff)
                 if _circular(u, value):
                     continue  # not triangular: value feeds back into u
-                st.add_solved(u, value, c, coeff)
+                st.add_solved(u, value)
                 st.constraints.remove(c)
                 return True, blocked
             if cand is not None:
@@ -392,7 +384,7 @@ def _compat(st: _State) -> bool:
                     )
                     return False
                 st.constraints.append(n)
-                st.log.append(Certificate("compat", n, Expr.rational(1), atom=pi))
+                st.log.append(Certificate("compat"))
                 changed = True
     return changed
 
@@ -455,17 +447,16 @@ def _pair_wronskians(
 ) -> list[Expr]:
     a, b = pair
     ea, eb = Expr.atom(a), Expr.atom(b)
-    out: list[Expr] = []
-    for arg in args_of.get(a.name, ()):
-        if arg not in args_of.get(b.name, ()):
-            continue
-        w = ea * arg_derivative(eb, arg, args_of) - eb * arg_derivative(
-            ea, arg, args_of
-        )
-        n, _ = normalize_constraint(w, nonzero)
-        if not n.is_zero() and not n.is_rational() and n not in out:
-            out.append(n)
-    return out
+    ws, _ = normal_set(
+        (
+            ea * arg_derivative(eb, arg, args_of)
+            - eb * arg_derivative(ea, arg, args_of)
+            for arg in args_of.get(a.name, ())
+            if arg in args_of.get(b.name, ())
+        ),
+        nonzero,
+    )
+    return [w for w in ws if not w.is_rational()]
 
 
 def pivot_candidates(cs: ConstraintSystem) -> tuple[Expr, ...]:
@@ -482,17 +473,17 @@ def pivot_candidates(cs: ConstraintSystem) -> tuple[Expr, ...]:
             if isinstance(a, ConstitPartial):
                 occurrence[a] = occurrence.get(a, 0) + 1
     ranked = sorted(occurrence, key=lambda a: (-occurrence[a], a.key))
-    out: list[Expr] = [Expr.atom(a) for a in ranked]
     args_of = dict(cs.args_of)
-    for pair in _repeated_pairs(cs.constraints):
-        for w in _pair_wronskians(pair, cs.nonzero, args_of):
-            if w not in out:
-                out.append(w)
-    for extra in list(cs.nonzero) + [f.factor for f in cs.cancellations]:
-        n, _ = normalize_constraint(extra, ())
-        if not n.is_zero() and not n.is_rational() and n not in out:
-            out.append(n)
-    return tuple(out)
+    extras, _ = normal_set([*cs.nonzero, *(f.factor for f in cs.cancellations)], ())
+    return tuple(dict.fromkeys([
+        *map(Expr.atom, ranked),
+        *(
+            w
+            for pair in _repeated_pairs(cs.constraints)
+            for w in _pair_wronskians(pair, cs.nonzero, args_of)
+        ),
+        *(n for n in extras if not n.is_rational()),
+    ]))
 
 
 def force_residual(cs: ConstraintSystem) -> ConstraintSystem:
@@ -503,19 +494,12 @@ def force_residual(cs: ConstraintSystem) -> ConstraintSystem:
     is only informative away from the locus where the repeated
     coefficient pair of the system degenerates; those pair atoms are
     asserted nonzero alongside."""
-    nonzero = list(cs.nonzero)
-    for pair in _repeated_pairs(cs.constraints):
-        for a in pair:
-            e = Expr.atom(a)
-            if e not in nonzero:
-                nonzero.append(e)
-    constraints = list(cs.constraints)
-    n, _ = normalize_constraint(cs.residual_numerator, nonzero)
-    if not n.is_zero() and n not in constraints:
-        constraints.append(n)
+    pair_atoms = [Expr.atom(a) for p in _repeated_pairs(cs.constraints) for a in p]
+    nonzero = list(dict.fromkeys([*cs.nonzero, *pair_atoms]))
+    residual, _ = normal_set([cs.residual_numerator], nonzero)
     return replace(
         cs,
-        constraints=tuple(constraints),
+        constraints=tuple(dict.fromkeys([*cs.constraints, *residual])),
         residual_numerator=ZERO,
         nonzero=tuple(nonzero),
     )
@@ -529,9 +513,7 @@ def _make_state(cs: ConstraintSystem, assumptions: Iterable[Assumption]) -> _Sta
     st = _State(cs, assumptions)
     for a in st.assumptions:
         if a.polarity == "nonzero":
-            for f in nonzero_factors(a.expr):
-                if f not in st.nonzero:
-                    st.nonzero.append(f)
+            st.nonzero.extend(nonzero_factors(a.expr))
         else:
             atoms = constit_atoms(a.expr)
             mono = single_monomial(a.expr)
@@ -541,6 +523,7 @@ def _make_state(cs: ConstraintSystem, assumptions: Iterable[Assumption]) -> _Sta
                 n, _ = normalize_constraint(a.expr, ())
                 if not n.is_zero():
                     st.constraints.append(n)
+    st.nonzero = list(dict.fromkeys(st.nonzero))
     return st
 
 

@@ -27,6 +27,7 @@ from .algebra import (
     arg_derivative,
     certified_nonzero,
     forced_zero,
+    normal_set,
     normalize_constraint,
     settle,
     single_monomial,
@@ -118,16 +119,6 @@ def _apply_zeros(e: Expr, zeros: Iterable[Atom]) -> Expr:
     return substitute(e, sub) if sub else e
 
 
-def _normal_set(exprs: Iterable[Expr], nonzero: Sequence[Expr]) -> list[Expr]:
-    """Normal forms of ``exprs`` with zeros dropped, first copy kept."""
-    out: dict[Expr, None] = {}
-    for e in exprs:
-        n, _ = normalize_constraint(e, nonzero)
-        if not n.is_zero():
-            out.setdefault(n)
-    return list(out)
-
-
 def _field_pieces(e: Expr, free_fields: Sequence[JetVar]) -> list[Expr]:
     """Split over undifferentiated fields outside every dependency: no
     unknown function sees them, so each coefficient vanishes on its own."""
@@ -141,9 +132,9 @@ def _refine(
     exprs: Iterable[Expr], free_fields: Sequence[JetVar], nonzero: Sequence[Expr]
 ) -> list[Expr]:
     """The normal set of every field piece of ``exprs``."""
-    return _normal_set(
+    return normal_set(
         (p for e in exprs for p in _field_pieces(e, free_fields)), nonzero
-    )
+    )[0]
 
 
 def _harvest(
@@ -174,7 +165,7 @@ def _harvest(
     generic: set[Atom] = set()
 
     while True:
-        pool = _normal_set((_apply_zeros(p, zeros) for p in pieces), nonzero)
+        pool, _ = normal_set((_apply_zeros(p, zeros) for p in pieces), nonzero)
         # Rule 1: single monomial with one uncertified function.
         zeros, pool = _zero_closure(pool, nonzero, zeros)
 
@@ -275,7 +266,7 @@ def liu_split(
         ((mono, c) for mono, c in coeffs.items() if mono),
         key=lambda kv: mono_key(kv[0]),
     )
-    identities = _normal_set((c for _, c in table), nonzero)
+    identities, _ = normal_set((c for _, c in table), nonzero)
 
     free_fields = tuple(
         sorted(
@@ -295,15 +286,12 @@ def liu_split(
     derived = tuple(
         sorted((a for a in zeros if a.name in declared), key=lambda a: a.key)
     )
-    for a in derived:
-        z = Expr.atom(a)
-        if z not in identities:
-            identities.append(z)
+    identities = tuple(dict.fromkeys([*identities, *map(Expr.atom, derived)]))
 
     return LiuResult(
         multipliers=multiplier_symbols(m),
         multiplier_dep=multiplier_dep,
-        identities=tuple(identities),
+        identities=identities,
         residual=coeffs.get((), ZERO),
         split_atoms=tuple(split_atoms),
         table=table,
@@ -362,7 +350,7 @@ def eliminate_multipliers(
     settled = settle(solved, len(solved) + 1)
     assert settled, "multiplier values feed back into each other"
 
-    physical = _normal_set(
+    physical, _ = normal_set(
         (x for x in pending if not set(x.atoms()) & remaining), nonzero
     )
     return solved, tuple(physical), tuple(sorted(remaining, key=lambda a: a.key))
@@ -382,7 +370,7 @@ def _zero_closure(
         if not new:
             return zeros, pool
         zeros |= new
-        pool = _normal_set((_apply_zeros(c, new) for c in pool), nonzero)
+        pool, _ = normal_set((_apply_zeros(c, new) for c in pool), nonzero)
 
 
 def _reduce_row(row: dict, pivots: Sequence[tuple[Monomial, dict]]) -> dict:

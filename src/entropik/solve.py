@@ -16,7 +16,7 @@ for the new key (coefficient one, no new pivots).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 from .algebra import pivot_factors, settle
 from .atoms import JetVar, mi_total
@@ -158,23 +158,13 @@ def solve_leading(m: ModelDef) -> SolvedSystem:
 
     for d in diag:
         pivot_exprs.extend(pivot_factors(d))
-    pivots = _dedup_exprs(pivot_exprs)
+    pivots = {e for e in pivot_exprs if not e.is_rational()}
 
     return SolvedSystem(
         substitution=solution,
-        pivots=pivots,
+        pivots=tuple(sorted(pivots, key=expr_sort_key)),
         determinant=diag[-1] if diag else ONE,
     )
-
-
-def _dedup_exprs(exprs: Iterable[Expr]) -> tuple[Expr, ...]:
-    seen = []
-    for e in exprs:
-        if e.is_rational():
-            continue
-        if e not in seen:
-            seen.append(e)
-    return tuple(sorted(seen, key=expr_sort_key))
 
 
 def close_consequences(

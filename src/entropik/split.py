@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from ._ratio import Q, qdiv
-from .algebra import Cancellation, nonzero_factors, normalize_constraint
+from .algebra import Cancellation, nonzero_factors, normal_set
 from .atoms import Atom, ConstitPartial, ConstitSym, mi_unit
 from .errors import DenominatorVanishes, EngineError, NotPolynomialInFreeElements
 from .expr import (
@@ -123,22 +123,11 @@ def split(m: ModelDef, e: Expr) -> ConstraintSystem:
     )
     residual_num = coeffs.get((), ZERO)
 
-    constraints: list[Expr] = []
-    cancellations: list[Cancellation] = []
-    for _, c in table:
-        n, log = normalize_constraint(c, nonzero)
-        cancellations.extend(log)
-        if not n.is_zero() and n not in constraints:
-            constraints.append(n)
-    sym: list[Expr] = []
-    for c in symmetrization_constraints(m):
-        n, _ = normalize_constraint(c, nonzero)
-        sym.append(n)
-        if n not in constraints:
-            constraints.append(n)
+    constraints, cancellations = normal_set((c for _, c in table), nonzero)
+    sym, _ = normal_set(symmetrization_constraints(m), nonzero)
 
     return ConstraintSystem(
-        constraints=tuple(constraints),
+        constraints=tuple(dict.fromkeys([*constraints, *sym])),
         residual_numerator=residual_num,
         denominator=den,
         nonzero=tuple(nonzero),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from entropik import cases
 from entropik.algebra import constit_atoms, strip_certified
-from entropik.atoms import ConstitPartial, ConstitSym
+from entropik.atoms import ConstitPartial, ConstitSym, JetVar
 from entropik.cases import (
     Assumption,
     apply_assumptions,
@@ -15,8 +15,9 @@ from entropik.cases import (
     pivot_candidates,
 )
 from entropik.errors import ReductionCapExceeded
-from entropik.expr import Expr, collect_coefficients
+from entropik.expr import ONE, ZERO, Expr, collect_coefficients
 from entropik.render import atom_str, expr_str
+from entropik.split import ConstraintSystem
 
 from conftest import load_model, solution_run
 
@@ -257,3 +258,51 @@ def test_substitution_cap_fails_loudly(monkeypatch):
     cs = solution_run("gas1d").system
     with pytest.raises(ReductionCapExceeded, match="assumptions: dPhi1/deps = 0"):
         apply_assumptions(cs, (Assumption.zero(PHI1_EPS),))
+
+
+# -- reducer branches on hand-built systems -------------------------------
+
+W, V = JetVar("w", (0,)), JetVar("v", (0,))
+
+
+def _system(constraints, **args):
+    """Constraints over jet atoms w and v, with w assumed nonzero."""
+    return ConstraintSystem(
+        constraints=tuple(constraints),
+        residual_numerator=ZERO,
+        denominator=ONE,
+        nonzero=(Expr.atom(W),),
+        free_elements=(),
+        table=(),
+        args_of=tuple(args.items()),
+    )
+
+
+def test_circular_value_is_not_solved():
+    # solving w*dg/dw + d2g/dw.dw for dg/dw would feed d2g/dw.dw, which
+    # dominates dg/dw, back into its own value
+    dg = Expr.atom(ConstitPartial("g", (1,)))
+    d2g = Expr.atom(ConstitPartial("g", (2,)))
+    c = Expr.atom(W) * dg + d2g
+    rs = apply_assumptions(_system([c], g=(W,)), ())
+    assert rs.inconsistent is None
+    assert rs.constraints == (c,)
+    assert rs.solved == ()
+
+
+def test_refresh_closes_on_a_function_free_constraint():
+    # f = 0 leaves f + w = 0, that is w = 0 with w assumed nonzero
+    f = Expr.atom(ConstitSym("f"))
+    rs = apply_assumptions(_system([f, f + Expr.atom(W)], f=(W,)), ())
+    assert rs.inconsistent == (
+        "constraint reduces to a nonvanishing function-free expression"
+    )
+
+
+def test_compat_closes_on_incompatible_mixed_partials():
+    # df/dv = 0 and df/dw = -v/w disagree: d/dv(-v/w) = -1/w != 0
+    df_w = Expr.atom(ConstitPartial("f", (1, 0)))
+    df_v = Expr.atom(ConstitPartial("f", (0, 1)))
+    w, v = Expr.atom(W), Expr.atom(V)
+    rs = apply_assumptions(_system([w * df_w + v, v * df_v], f=(W, V)), ())
+    assert rs.inconsistent == "incompatible mixed partials of a solved function"

@@ -65,6 +65,25 @@ def test_analyze_mueller_liu(runner):
     assert "Lam_momentum = 0" in r.output
 
 
+def test_analyze_mueller_liu_multiplier_dep_resolves_labels(runner):
+    args = ["analyze", model("gas1d"), "--method", "mueller-liu", "--output", "json"]
+    r = runner.invoke(main, args + ["--multiplier-dep", "eps, rho"])
+    assert r.exit_code == 0
+    assert json.loads(r.output)["system"]["multiplier_dep"] == ["eps", "rho"]
+    r = runner.invoke(main, args + ["--multiplier-dep", "rho,bogus"])
+    assert r.exit_code == 2
+    assert "unknown dependency 'bogus'; model dependencies: eps, rho" in r.output
+
+
+def test_analyze_mueller_liu_latex(runner):
+    args = ["analyze", model("gas1d"), "--method", "mueller-liu"]
+    r = runner.invoke(main, args + ["--output", "latex"])
+    assert r.exit_code == 0
+    assert r.output.count("{") == r.output.count("}")
+    assert "\\section*{Multiplier identities: gas1d}" in r.output
+    assert "\\Lambda_{\\mathrm{momentum}} = 0" in r.output
+
+
 def test_parse_error_exits_1(runner, tmp_path):
     bad = tmp_path / "bad.epk"
     bad.write_text("independent t\nfield a\nwhatever: 1\n")
@@ -145,6 +164,19 @@ def test_compare_over_restriction(runner):
     assert r.exit_code == 0
     assert "verdict: liu-over-restricts" in r.output
     assert "multiplier-only: T12 = 0" in r.output
+
+
+def test_compare_json(runner):
+    r = runner.invoke(main, ["compare", model("gas1d"), "--output", "json"])
+    assert r.exit_code == 0
+    doc = json.loads(r.output)
+    assert doc["verdict"] == "identical"
+    assert doc["multipliers"] == {
+        "Lam_energy": "deta/deps", "Lam_mass": "rho*deta/drho", "Lam_momentum": "0",
+    }
+    assert "rho^2*deta/drho + p*deta/deps" in doc["common"]
+    assert doc["liu_only"] == doc["solution_only"] == []
+    assert doc["incomplete"] is False
 
 
 def test_compare_rejects_latex_output(runner):

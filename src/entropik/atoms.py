@@ -14,8 +14,8 @@ An :class:`Atom` is an indivisible symbol of the expression algebra:
 Atoms are interned: structurally equal atoms are the *same* object, so
 identity comparison and the default hash are valid.  A global total order
 (IndepVar < JetVar < ConstitSym < ConstitPartial, then lexicographic on the
-structural payload) is exposed through ``Atom.key`` and the comparison
-operators; canonical expression forms rely on it.
+structural payload) is exposed through ``Atom.key`` and ``<``; canonical
+expression forms rely on it.
 
 The interner is the only shared mutable state in the kernel; registration
 uses ``dict.setdefault`` and is safe under concurrent use.
@@ -85,15 +85,6 @@ class Atom:
     def __lt__(self, other: "Atom") -> bool:
         return self.key < other.key
 
-    def __le__(self, other: "Atom") -> bool:
-        return self.key <= other.key
-
-    def __gt__(self, other: "Atom") -> bool:
-        return self.key > other.key
-
-    def __ge__(self, other: "Atom") -> bool:
-        return self.key >= other.key
-
     @classmethod
     def _intern(cls, key: tuple, builder) -> "Atom":
         found = Atom._interned.get(key)
@@ -137,10 +128,6 @@ class JetVar(Atom):
             return self
 
         return cls._intern(key, build)  # type: ignore[return-value]
-
-    @property
-    def order(self) -> int:
-        return sum(self.orders)
 
     def suffix(self, indep_names: tuple[str, ...]) -> str:
         """Subscript string like ``tx`` for orders (1,1) over (t, x)."""

@@ -242,7 +242,7 @@ def _circular(u: Atom, value: Expr) -> bool:
             return True
         if isinstance(a, ConstitSym):
             return True
-        if mi_dominates(a.slots, u.slots):
+        if a is u or mi_dominates(a.slots, u.slots):
             return True
     return False
 
@@ -401,8 +401,6 @@ def _reduce(st: _State) -> list[_Blocked]:
             changed = True
         if not changed and not _compat(st):
             return blocked
-        if st.inconsistent:
-            return []
     raise st.cap_error(f"reached no fixed point in {_MAX_ROUNDS} rounds")
 
 
@@ -616,6 +614,7 @@ def build_tree(
     pool: tuple[Expr, ...] = ()
     if not root[1].inconsistent:
         pool = pivot_candidates(cs)
+    in_pool = set(pool)
     statics = [p for p in pool if len(p.numerator_expr().num) > 1]
 
     def node(path, st: _State, blocked: list[_Blocked]) -> CaseNode:
@@ -623,12 +622,12 @@ def build_tree(
         if system.inconsistent:
             return CaseNode(path, system, status="closed-inconsistent")
         assumed = {a.expr for a in path}
-        candidates = [
-            e for e in _order_blocked(blocked) if e in pool and e not in assumed
-        ]
+        candidates = dict.fromkeys(
+            e for e in _order_blocked(blocked) if e in in_pool and e not in assumed
+        )
         for w in statics:
             if w not in assumed and w not in candidates and _relevant_static(w, st):
-                candidates.append(w)
+                candidates[w] = None
         for cand in candidates:
             if len(path) >= depth:
                 return CaseNode(path, system, status="open", capped=cand)

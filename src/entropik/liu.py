@@ -52,6 +52,7 @@ __all__ = [
     "LiuResult",
     "ComparisonReport",
     "multiplier_symbols",
+    "args_map",
     "liu_extended",
     "liu_split",
     "eliminate_multipliers",
@@ -95,9 +96,11 @@ def _is_multiplier_name(name: str) -> bool:
     return name.startswith(_MULTIPLIER_PREFIX)
 
 
-def _args_map(
+def args_map(
     m: ModelDef, multiplier_dep: Sequence[Atom]
 ) -> dict[str, tuple[Atom, ...]]:
+    """Argument atoms of every constitutive symbol; each multiplier takes
+    ``multiplier_dep``."""
     args = {d.name: d.args for d in m.decls}
     dep = tuple(multiplier_dep)
     for lam in multiplier_symbols(m):
@@ -279,7 +282,7 @@ def liu_split(
         )
     )
     pieces = _refine(identities, free_fields, nonzero)
-    args_of = _args_map(m, multiplier_dep)
+    args_of = args_map(m, multiplier_dep)
     zeros, generic = _harvest(pieces, multiplier_dep, args_of, nonzero)
 
     declared = {d.name for d in m.decls}

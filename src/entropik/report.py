@@ -21,11 +21,11 @@ from .expr import Expr
 from .liu import (
     ComparisonReport,
     LiuResult,
+    args_map,
     compare,
     eliminate_multipliers,
     liu_extended,
     liu_split,
-    multiplier_symbols,
 )
 from .model import ModelDef
 from .parser import format_model
@@ -61,12 +61,9 @@ def liu_render_ctx(
 ) -> RenderContext:
     """Render context that also labels the multiplier argument slots, so
     multiplier partials print like ``dLam_energy/drho``."""
-    base = m.render_ctx()
-    dep_labels = tuple(atom_str(a, base) for a in multiplier_dep)
-    arg_names = dict(base.arg_names)
-    for lam in multiplier_symbols(m):
-        arg_names[lam.name] = dep_labels
-    return RenderContext(indep_names=base.indep_names, arg_names=arg_names)
+    return RenderContext.labelled(
+        m.indep_names, args_map(m, multiplier_dep).items()
+    )
 
 
 # -- runs -----------------------------------------------------------------
@@ -96,7 +93,7 @@ def run_solution_set(m: ModelDef) -> SolutionSetRun:
     s = solve_leading(m)
     timings["solve"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    s = close_consequences(m, s, m.entropy_lhs)
+    s = close_consequences(m, s)
     timings["closure"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     e = entropy_on_solutions(m, s)

@@ -7,7 +7,7 @@ expression swell; divisions happen only at the very end and every
 nonconstant divisor is recorded as a pivot.
 
 ``close_consequences`` extends the map with the differential consequences
-a target expression needs: whenever substitution leaves a jet variable
+the entropy lhs needs: whenever substitution leaves a jet variable
 that dominates a leading derivative, the already-solved equation for that
 leading derivative is differentiated in the missing direction and solved
 for the new key (coefficient one, no new pivots).
@@ -32,7 +32,6 @@ from .expr import (
     collect_coefficients,
     mono_key,
     poly_divexact,
-    substitute,
     total_derivative,
 )
 from .model import ModelDef
@@ -40,11 +39,8 @@ from .model import ModelDef
 __all__ = [
     "SolvedSystem",
     "ConsequenceStep",
-    "VerifyEntry",
-    "VerifyReport",
     "solve_leading",
     "close_consequences",
-    "verify_solved",
     "expr_sort_key",
 ]
 
@@ -78,14 +74,6 @@ class SolvedSystem:
 
     def keys(self) -> tuple[JetVar, ...]:
         return tuple(self.substitution)
-
-    def is_triangular(self, m: ModelDef) -> bool:
-        pairs = self.substitution
-        for rhs in pairs.values():
-            for a in rhs.atoms():
-                if a in pairs or m.is_consequence(a):
-                    return False
-        return True
 
 
 def _divexact(a: Expr, b: Expr) -> Expr:
@@ -167,14 +155,13 @@ def solve_leading(m: ModelDef) -> SolvedSystem:
     )
 
 
-def close_consequences(
-    m: ModelDef, s: SolvedSystem, target: Expr
-) -> SolvedSystem:
-    """Fixed-point closure of ``s`` with respect to ``target``.
+def close_consequences(m: ModelDef, s: SolvedSystem) -> SolvedSystem:
+    """Fixed-point closure of ``s`` with respect to the entropy lhs.
 
     Adds keys for every jet variable dominated by a leading derivative
-    that substitution leaves behind in the target or in any right-hand
-    side, then reduces all right-hand sides to a triangular form.
+    that substitution leaves behind in ``m.entropy_lhs`` or in any
+    right-hand side, then reduces all right-hand sides to a triangular
+    form.
     """
     ctx = m.diff_ctx()
     pairs: dict[JetVar, Expr] = dict(s.substitution)
@@ -230,7 +217,7 @@ def close_consequences(
     # Fixed point: collect missing consequence atoms, add keys, repeat.
     while True:
         missing: set[JetVar] = set()
-        scan = [target] + list(pairs.values())
+        scan = [m.entropy_lhs] + list(pairs.values())
         for e in scan:
             for a in e.atoms():
                 if (
@@ -251,41 +238,3 @@ def close_consequences(
         )
 
     return replace(s, substitution=pairs, consequence_log=tuple(log))
-
-
-@dataclass(frozen=True)
-class VerifyEntry:
-    name: str
-    residue: Expr
-
-    @property
-    def ok(self) -> bool:
-        return self.residue.is_zero()
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    entries: tuple[VerifyEntry, ...]
-
-    @property
-    def all_zero(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def failures(self) -> tuple[VerifyEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
-
-
-def verify_solved(m: ModelDef, s: SolvedSystem) -> VerifyReport:
-    """Back-substitution check: every original expanded equation and every
-    generated consequence equation must reduce to zero under ``s``."""
-    entries: list[VerifyEntry] = []
-    for eq in m.equations:
-        entries.append(
-            VerifyEntry(eq.label, substitute(eq.lhs, s.substitution))
-        )
-    for step in s.consequence_log:
-        name = f"d{step.direction}({step.source})->{step.key.field}{step.key.orders}"
-        entries.append(
-            VerifyEntry(name, substitute(step.equation, s.substitution))
-        )
-    return VerifyReport(tuple(entries))

@@ -18,12 +18,11 @@ from entropik.bindings import (
     sampled_production,
 )
 from entropik.cases import build_tree, force_residual
-from entropik.expr import Expr, monomial_expr
+from entropik.expr import Expr, monomial_expr, substitute
 from entropik.liu import compare
 from entropik.parser import format_model, parse_model
 from entropik.render import atom_str, expr_str
 from entropik.report import run_liu, run_solution_set
-from entropik.solve import verify_solved
 from entropik.split import entropy_on_solutions, numeric_oracle
 
 from conftest import bindings_text, load_model, solution_run
@@ -171,8 +170,15 @@ def test_criterion_6_invariants(name):
         total = total + coeff * monomial_expr(mono)
     assert total == entropy_on_solutions(m, run.solved).numerator_expr()
     # triangular solved system whose residues vanish on back-substitution
-    assert run.solved.is_triangular(m)
-    assert verify_solved(m, run.solved).all_zero
+    pairs = run.solved.substitution
+    assert not any(
+        a in pairs or m.is_consequence(a)
+        for rhs in pairs.values()
+        for a in rhs.atoms()
+    )
+    eqs = [eq.lhs for eq in m.equations]
+    eqs += [step.equation for step in run.solved.consequence_log]
+    assert all(substitute(e, pairs).is_zero() for e in eqs)
     # canonical text round-trips through the parser unchanged
     text = format_model(m)
     again = parse_model(text, filename=f"{name}.epk").raise_on_error()

@@ -306,3 +306,32 @@ def test_compat_closes_on_incompatible_mixed_partials():
     w, v = Expr.atom(W), Expr.atom(V)
     rs = apply_assumptions(_system([w * df_w + v, v * df_v], f=(W, V)), ())
     assert rs.inconsistent == "incompatible mixed partials of a solved function"
+
+
+def test_zero_value_is_recorded_as_a_zeroed_function():
+    # g = 0 is zeroed first; w*f + g then solves f = -g/w = 0, which
+    # zeroes f instead of storing a zero value
+    f, g = ConstitSym("f"), ConstitSym("g")
+    c = Expr.atom(W) * Expr.atom(f) + Expr.atom(g)
+    rs = apply_assumptions(_system([Expr.atom(g), c], f=(W,), g=(W,)), ())
+    assert rs.inconsistent is None
+    assert rs.constraints == ()
+    assert rs.zeroed == (f, g)
+    assert rs.solved == ()
+    assert [k.kind for k in rs.certificates] == ["zero", "zero"]
+
+
+def test_circular_value_holding_the_atom_itself():
+    dg = ConstitPartial("g", (1,))
+    assert cases._circular(dg, Expr.atom(dg) + 1)
+    assert not cases._circular(dg, Expr.atom(W) + 1)
+
+
+def test_circular_whole_symbol_assignments():
+    g, dg = ConstitSym("g"), ConstitPartial("g", (1,))
+    # a whole symbol may not take a value holding any of its partials
+    assert cases._circular(g, Expr.atom(W) * Expr.atom(dg))
+    # a partial may not take a value holding the whole symbol
+    assert cases._circular(dg, Expr.atom(W) * Expr.atom(g))
+    # other functions' atoms never count
+    assert not cases._circular(g, Expr.atom(ConstitPartial("h", (1,))))

@@ -58,11 +58,30 @@ def test_analyze_latex(runner):
     assert "\\documentclass" in r.output
 
 
+def test_analyze_prints_closure_consequences(runner):
+    r = runner.invoke(main, ["analyze", model("nonsimple2d")])
+    assert r.exit_code == 0
+    assert "closure consequences: rho_ty, rho_tx, rho_tt, u_tx, v_ty\n" in r.output
+
+
+def test_analyze_prints_symmetrization_count(runner):
+    r = runner.invoke(main, ["analyze", model("granular2d")])
+    assert r.exit_code == 0
+    assert "symmetrization constraints: 12\n" in r.output
+
+
 def test_analyze_mueller_liu(runner):
     r = runner.invoke(main, ["analyze", model("gas1d"), "--method", "mueller-liu"])
     assert r.exit_code == 0
     assert "Lam_energy = deta/deps" in r.output
     assert "Lam_momentum = 0" in r.output
+
+
+def test_analyze_mueller_liu_prints_generic_assumptions(runner):
+    args = ["analyze", model("nonsimple2d"), "--method", "mueller-liu"]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 0
+    assert "generic assumptions: dLam_energy/drho_t != 0\n" in r.output
 
 
 def test_analyze_mueller_liu_multiplier_dep_resolves_labels(runner):
@@ -164,6 +183,19 @@ def test_compare_over_restriction(runner):
     assert r.exit_code == 0
     assert "verdict: liu-over-restricts" in r.output
     assert "multiplier-only: T12 = 0" in r.output
+
+
+def test_compare_prints_solution_set_only_identities(runner):
+    r = runner.invoke(main, ["compare", model("granular2d")])
+    assert r.exit_code == 0
+    prefix = "  solution-set-only: "
+    lines = [x for x in r.output.splitlines() if x.startswith(prefix)]
+    doc = json.loads(
+        runner.invoke(main, ["compare", model("granular2d"), "--output", "json"]).output
+    )
+    assert lines == [f"{prefix}{c} = 0" for c in doc["solution_only"]]
+    assert len(lines) == 191
+    assert f"{prefix}deps/dtheta_x*deta/dtheta_y - deps/dtheta_y*deta/dtheta_x = 0" in lines
 
 
 def test_compare_json(runner):

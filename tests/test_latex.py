@@ -5,7 +5,8 @@ import re
 import pytest
 
 from entropik.atoms import ConstitPartial, ConstitSym, JetVar
-from entropik.latex import atom_tex, name_tex, relations_document
+from entropik.expr import Expr
+from entropik.latex import atom_tex, expr_tex, name_tex, relations_document
 
 from conftest import load_model, solution_run
 
@@ -65,6 +66,11 @@ def test_atom_tex_jet_suffix(fluid):
     rc = fluid.render_ctx()
     assert atom_tex(JetVar("theta", (0, 1, 0)), rc) == r"\theta_{x}"
     assert atom_tex(JetVar("u", (0, 0, 0)), rc) == "u"
+
+
+def test_expr_tex_fractional_coefficient():
+    rho = Expr.atom(JetVar("rho", (0,)))
+    assert expr_tex(Expr.rational(3) / 2 * rho - 2) == r"\tfrac{3}{2}\,\rho - 2"
 
 
 def test_empty_relations_still_a_document(gas):

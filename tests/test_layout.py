@@ -1,6 +1,6 @@
 """Module layout guard for the ``entropik`` package.
 
-Six rules, checked on the source with ``ast``:
+Seven rules, checked on the source with ``ast``:
 
 * no module imports an underscore-prefixed name from another ``entropik``
   module (shared helpers live under a public name in one home module);
@@ -14,7 +14,15 @@ Six rules, checked on the source with ``ast``:
   ``self``/``cls``, are exempt;
 * every field of a ``@dataclass`` in the package is read as an attribute
   (``x.field``) somewhere in ``src/``, ``tests/``, ``perfbench/`` or
-  ``tools/``.
+  ``tools/``;
+* every public top-level function and class of the package, and every
+  public method or property, is read by name (``f`` or ``x.f``) somewhere
+  in ``src/``, ``perfbench/`` or ``tools/``: a read in ``tests/`` alone
+  does not keep test-only API in the package.  Dunders are exempt, and so
+  are functions that a decorator call registers (the click commands).
+
+The last two rules match a name, not a class: a read of ``x.name`` counts
+for every field or method of that name in any class.
 """
 
 import ast
@@ -30,6 +38,7 @@ READERS = sorted(
     for top in ("src", "tests", "perfbench", "tools")
     for path in (ROOT / top).rglob("*.py")
 )
+PROGRAM = [path for path in READERS if path.relative_to(ROOT).parts[0] != "tests"]
 
 
 def _tree(path):
@@ -215,3 +224,48 @@ def test_every_dataclass_field_is_read():
         if name not in read
     )
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def _read_names(paths):
+    """Every name loaded as ``name`` or ``x.name`` in ``paths``."""
+    read = set()
+    for path in paths:
+        for n in ast.walk(_tree(path)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    return read
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the methods of each class, as
+    ``(qualified name, node)``."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def _registered(node):
+    """A function whose decorator is a call, like ``@main.command("split")``."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) for d in node.decorator_list
+    )
+
+
+def test_every_public_function_and_method_is_read_by_the_program():
+    read = _read_names(PROGRAM)
+    unread = sorted(
+        f"{path.name} line {node.lineno}: {qualified}"
+        for path in MODULES
+        for qualified, node in _definitions(_tree(path))
+        if not node.name.startswith("_")
+        and not _registered(node)
+        and node.name not in read
+    )
+    assert not unread, f"public API only tests read: {unread}"

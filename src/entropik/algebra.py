@@ -9,6 +9,11 @@ recorded factors of a nonzero condition, slot derivatives of the
 unknown material functions, the zero rule (:func:`forced_zero`), and
 substitution of known values and zeros (:func:`subst_known`, and
 :func:`settle` for a map substituted into itself).
+
+Dividing out the nonzero factors (:func:`normalize_constraint`,
+:func:`strip_certified`) skips every factor holding an atom the
+constraint lacks: such a factor cannot divide it, and most factors of a
+long assumption list are of that kind.
 """
 
 from __future__ import annotations
@@ -85,10 +90,23 @@ def divide_out(e: Expr, f: Expr) -> tuple[Expr, int]:
         e, times = d, times + 1
 
 
+def _num_atoms(e: Expr) -> set[Atom]:
+    return {a for m in e.num for a, _ in m}
+
+
+def _foreign(f: Expr, have: Collection[Atom]) -> bool:
+    """True when ``f``'s numerator holds an atom outside ``have``: ``f``
+    cannot divide a polynomial whose atoms are ``have``, nor any of its
+    factors."""
+    return any(a not in have for m in f.num for a, _ in m)
+
+
 def strip_certified(e: Expr, nonzero: Iterable[Expr]) -> Expr:
     """``e`` with every assumed-nonzero factor divided out."""
+    have = _num_atoms(e)
     for f in nonzero:
-        e, _ = divide_out(e, f)
+        if not _foreign(f, have):
+            e, _ = divide_out(e, f)
     return e
 
 
@@ -125,7 +143,10 @@ def normalize_constraint(
     log: list[Cancellation] = []
     if e.is_zero():
         return ZERO, log
+    have = _num_atoms(e)
     for f in nonzero:
+        if _foreign(f, have):
+            continue
         e, times = divide_out(e, f)
         if times:
             log.append(Cancellation(factor=f, times=times))

@@ -556,10 +556,13 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
 
     The error is an ordinary answer, not a fault: ``algebra.try_divexact``
     uses this function as its divisibility test, and most of its calls
-    fail.  A one-term ``q`` divides ``p`` exactly when its monomial
-    divides every monomial of ``p``; the quotient is then each term with
-    that monomial stripped and its coefficient divided, in the order the
-    elimination below would emit it.  Any other ``q`` is rejected before
+    fail.  The callers of ``try_divexact`` (``algebra.normalize_constraint``,
+    ``algebra.strip_certified`` and the implication test of ``liu.compare``)
+    skip a divisor holding an atom ``p`` lacks, a failure known without
+    dividing; still, most of the divisions they make fail.  A one-term ``q``
+    divides ``p`` exactly when its monomial divides every monomial of ``p``;
+    the quotient is then each term with that monomial stripped and its
+    coefficient divided, in the order the elimination below would emit it.  Any other ``q`` is rejected before
     any elimination when its degree in some atom exceeds that in ``p``, or
     when its leading or trailing term does not divide ``p``'s: the extreme
     terms of a product are the products of its factors' extreme terms.

@@ -166,6 +166,9 @@ def _harvest(
     """
     zeros: set[Atom] = set()
     generic: set[Atom] = set()
+    # Slot derivatives by (pool member, atom): a member outlives the round
+    # that made it, and only the zeros applied to its derivative change.
+    derivs: dict[tuple[Expr, Atom], Expr] = {}
 
     while True:
         pool, _ = normal_set((_apply_zeros(p, zeros) for p in pieces), nonzero)
@@ -177,7 +180,10 @@ def _harvest(
         candidates: list[tuple[Atom, Atom]] = []
         for p in pool:
             for a in multiplier_dep:
-                j = _apply_zeros(arg_derivative(p, a, args_of), zeros)
+                d = derivs.get((p, a))
+                if d is None:
+                    d = derivs[p, a] = arg_derivative(p, a, args_of)
+                j = _apply_zeros(d, zeros)
                 if j.is_zero():
                     continue
                 mono = single_monomial(j)
@@ -401,9 +407,11 @@ def _implication_test(
     """
     members = set(base)
     zeros, _ = _zero_closure(base, nonzero)
-    divisors = [b.numerator_expr() for b in base]
+    # Each divisor with its atoms: one holding an atom the target lacks
+    # cannot divide it.
+    divisors = [(d, set(d.atoms())) for d in (b.numerator_expr() for b in base)]
     pivots: list[tuple[Monomial, dict]] = []
-    for d in divisors:
+    for d, _ in divisors:
         row = _reduce_row(dict(d.num), pivots)
         if row:
             lead = min(row, key=mono_key)
@@ -422,8 +430,9 @@ def _implication_test(
             candidates.append(r)
         nums = [c.numerator_expr() for c in candidates]
         for c in nums:
-            for d in divisors:
-                if try_divexact(c, d) is not None:
+            have = set(c.atoms())
+            for d, need in divisors:
+                if need <= have and try_divexact(c, d) is not None:
                     return True
         return any(not _reduce_row(dict(c.num), pivots) for c in nums)
 

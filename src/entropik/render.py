@@ -5,11 +5,16 @@ constitutive partials as ``d2q1/drho.deps`` when a :class:`RenderContext`
 supplies the model's independent-variable and argument names; without one,
 positional fallbacks are used.  Monomials print in descending canonical
 order, so rendering is deterministic.
+
+A :class:`RenderContext` keeps the label of every atom :func:`poly_str`
+has rendered with it, so a report renders each atom once however many
+expressions hold it.  Each command builds its own context (see
+``ModelDef.render_ctx``), so no label outlives the command.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from ._ratio import Q
@@ -24,6 +29,8 @@ class RenderContext:
     indep_names: tuple[str, ...]
     # constitutive name -> display name of each argument slot
     arg_names: Mapping[str, tuple[str, ...]]
+    # atom -> its rendering under this context, filled by poly_str
+    labels: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def labelled(indep_names: tuple[str, ...], args_of: Iterable) -> "RenderContext":
@@ -99,7 +106,7 @@ def signed_sum(
 
 
 def poly_str(p, ctx: Optional[RenderContext] = None) -> str:
-    labels: dict = {}
+    labels: dict = {} if ctx is None else ctx.labels
     return signed_sum(p, str, lambda m: _mono_str(m, ctx, labels), "*")
 
 

@@ -1,16 +1,22 @@
 """Shared constraint algebra: division loops, the zero rule and
 substitution of known values."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from entropik.algebra import (
+    Cancellation,
     certified_nonzero,
     divide_out,
     forced_zero,
+    normalize_constraint,
     settle,
+    strip_certified,
     subst_known,
 )
 from entropik.atoms import ConstitPartial, ConstitSym, JetVar
 from entropik.bindings import parse_bindings
-from entropik.expr import ONE, Expr
+from entropik.expr import ONE, ZERO, Expr
 
 from conftest import bindings_text
 
@@ -91,3 +97,67 @@ def test_settle_resolves_a_chain_and_rejects_a_cycle():
     assert settle(chain, 2)
     assert chain[ConstitSym("p")] == RHO + 1
     assert not settle({ConstitSym("p"): Q1, ConstitSym("q1"): P}, 4)
+
+
+# -- dividing out nonzero factors (property-based) -------------------------
+
+U = Expr.atom(JetVar("u", (0, 0)))
+BASE_ATOMS = (RHO, EPS, P)
+# Q1 and U never occur in a base polynomial, only in factors.
+FACTOR_ATOMS = (RHO, EPS, P, Q1, U)
+
+
+def _poly(terms, atoms):
+    out = ZERO
+    for c, exps in terms:
+        t = Expr.rational(c)
+        for a, k in zip(atoms, exps):
+            t = t * a**k
+        out = out + t
+    return out
+
+
+def _polys(atoms, max_terms):
+    term = st.tuples(
+        st.integers(-3, 3).filter(bool),
+        st.tuples(*(st.integers(0, 2) for _ in atoms)),
+    )
+    return st.lists(term, min_size=1, max_size=max_terms).map(
+        lambda ts: _poly(ts, atoms)
+    )
+
+
+single_atoms = st.sampled_from(FACTOR_ATOMS)
+factors = st.one_of(
+    single_atoms,
+    st.builds(lambda a, b: a * b, single_atoms, single_atoms),
+    _polys(FACTOR_ATOMS, 3),
+    st.sampled_from((Expr.rational(2), ONE / RHO)),
+)
+
+
+def _strip_by_every_factor(e, nonzero):
+    log = []
+    for f in nonzero:
+        e, times = divide_out(e, f)
+        if times:
+            log.append(Cancellation(factor=f, times=times))
+    return e, log
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_dividing_out_skips_only_factors_that_cannot_divide(data):
+    # the dividend is a multiple of some of the factors, so divisions both
+    # succeed and fail, and factors with atoms it lacks are among them
+    nonzero = data.draw(st.lists(factors, max_size=5))
+    e = data.draw(_polys(BASE_ATOMS, 3))
+    if nonzero:
+        for i in data.draw(st.lists(st.integers(0, len(nonzero) - 1), max_size=3)):
+            e = e * nonzero[i]
+    stripped, log = _strip_by_every_factor(e.numerator_expr(), nonzero)
+    # with no factors left to cancel, normalize_constraint only makes monic
+    assert normalize_constraint(e, nonzero) == (
+        normalize_constraint(stripped, ())[0], log
+    )
+    assert strip_certified(e, nonzero) == _strip_by_every_factor(e, nonzero)[0]

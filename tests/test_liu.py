@@ -3,6 +3,7 @@ solution-manifold constraints."""
 
 import pytest
 
+import entropik.liu
 from entropik.atoms import ConstitPartial, ConstitSym
 from entropik.expr import ONE, ZERO, Expr, substitute
 from entropik.liu import (
@@ -155,3 +156,54 @@ def test_compare_accepts_by_each_implication_route():
     }
     assert rep.common == (g + h, df, g * g + g * h, g)
     assert rep.verdict == "incomparable"
+
+
+def test_harvest_takes_each_slot_derivative_once(granular, monkeypatch):
+    # every fixed-point round meets the same pool members again
+    calls = []
+    real = entropik.liu.arg_derivative
+
+    def counting(e, a, args_of):
+        calls.append((e, a))
+        return real(e, a, args_of)
+
+    monkeypatch.setattr(entropik.liu, "arg_derivative", counting)
+    liu_split(liu_extended(granular), granular)
+    assert len(calls) == len(set(calls)) == 312
+
+
+def test_compare_tries_no_divisor_with_a_foreign_atom(monkeypatch):
+    # k*(g + h) is a multiple of the member g + h, whose atoms it holds;
+    # the member f + k holds f, which no Liu identity holds, so it is never
+    # tried as a divisor, though it comes first.
+    f, g, h, k = (Expr.atom(ConstitSym(n)) for n in "fghk")
+    tried = []
+    real = entropik.liu.try_divexact
+
+    def recording(a, b):
+        tried.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(entropik.liu, "try_divexact", recording)
+    lr = LiuResult(
+        multipliers=(),
+        multiplier_dep=(),
+        identities=(k * (g + h), g * h),
+        residual=ZERO,
+        split_atoms=(),
+        table=(),
+    )
+    cs = ConstraintSystem(
+        constraints=(f + k, g + h),
+        residual_numerator=ZERO,
+        denominator=ONE,
+        nonzero=(),
+        free_elements=(),
+        table=(),
+    )
+    rep = compare(lr, cs)
+    assert rep.common == (g * k + h * k,)
+    assert rep.liu_only == (g * h,)
+    assert tried
+    assert all(set(b.atoms()) <= set(a.atoms()) for a, b in tried)
+    assert f + k not in {b for _, b in tried}

@@ -28,18 +28,25 @@ actually varies with each shared argument — the slot Wronskian of the
 pair — becomes a branching question.
 
 A reduction does each piece of work once: its state caches the linear
-scan of each live constraint and the slot derivatives of each live
-value, and a refresh substitutes only into constraints it did not output
-last time or that hold a function zeroed or solved since, and
-renormalizes only what the substitution changed.  That is exact since
-the nonzero list is fixed once the state is made: a refreshed constraint
-has nothing to substitute until one of its functions is touched, and a
-normal form stays one.
+scan of each live constraint (each first-power function atom with its
+coefficient and that coefficient stripped of certified factors) and the
+slot derivatives of each live value, and a refresh substitutes only into
+constraints it did not output last time or that hold a function zeroed
+or solved since, and renormalizes only what the substitution changed.
+That is exact since the nonzero list is fixed once the state is made: a
+refreshed constraint has nothing to substitute until one of its
+functions is touched, and a normal form stays one.
+
+The reduction only solves.  What a tree node forks on is read from the
+cached scans once, at the node's fixed point, where they are exactly
+the scans the last round walked; a plain :func:`apply_assumptions`
+computes no fork candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
@@ -165,7 +172,7 @@ class _State:
         self.assumptions = tuple(assumptions)
         self.clean: set[Expr] = set()   # what the last refresh output
         self.touched: set[str] = set()  # functions zeroed or solved since
-        self.scans: dict[Expr, list[tuple[Atom, Expr, Expr, Optional[Expr]]]] = {}
+        self.scans: dict[Expr, list[tuple[Atom, Expr, Expr]]] = {}
         self.slot_derivatives: dict[tuple[Expr, Atom], Expr] = {}
 
     def cap_error(self, what: str) -> ReductionCapExceeded:
@@ -202,9 +209,9 @@ class _State:
         self.touched.add(a.name)
         self.log.append(Certificate("solve"))
 
-    def linear_atoms(self, c: Expr) -> list[tuple[Atom, Expr, Expr, Optional[Expr]]]:
+    def linear_atoms(self, c: Expr) -> list[tuple[Atom, Expr, Expr]]:
         """Each function atom ``c`` holds only to the first power, in atom order,
-        with its coefficient, stripped residue and blocked candidate."""
+        with its coefficient and stripped residue."""
         out = self.scans.get(c)
         if out is None:
             linear: dict[Atom, dict] = {}
@@ -218,8 +225,7 @@ class _State:
             out = []
             for u in sorted(linear.keys() - higher, key=lambda a: a.key):
                 coeff = Expr(linear[u], {(): 1}, _canonical=True)
-                residue = strip_certified(coeff, self.nonzero)
-                out.append((u, coeff, residue, _blocked_candidate(residue)))
+                out.append((u, coeff, strip_certified(coeff, self.nonzero)))
             self.scans[c] = out
         return out
 
@@ -302,12 +308,6 @@ def _zero_rule(st: _State) -> bool:
     return changed
 
 
-@dataclass(frozen=True)
-class _Blocked:
-    constraint: Expr
-    candidate: Expr  # normalized; single atom or a multi-term combination
-
-
 def _blocked_candidate(residue: Expr) -> Optional[Expr]:
     if len(residue.numerator_expr().num) > 1:
         n, _ = normalize_constraint(residue, ())
@@ -321,26 +321,21 @@ def _blocked_candidate(residue: Expr) -> Optional[Expr]:
     return None
 
 
-def _eliminate(st: _State) -> tuple[bool, list[_Blocked]]:
-    """Solve constraints for linearly occurring atoms whose coefficient is
-    certified nonzero and not a bare rational.  Collect, for blocked
-    divisions, the uncancelled part of the coefficient."""
-    blocked: list[_Blocked] = []
-    for c in list(st.constraints):
-        for u, coeff, residue, cand in st.linear_atoms(c):
-            if residue.is_rational():
-                if coeff.is_rational():
-                    continue  # no genuine pivot backs this division
-                rest = collect_coefficients(c, [u]).get((), ZERO)
-                value = st.subst_known(-rest / coeff)
-                if _circular(u, value):
-                    continue  # not triangular: value feeds back into u
-                st.add_solved(u, value)
-                st.constraints.remove(c)
-                return True, blocked
-            if cand is not None:
-                blocked.append(_Blocked(c, cand))
-    return False, blocked
+def _eliminate(st: _State) -> bool:
+    """Solve the first constraint that is linear in an atom whose
+    coefficient is certified nonzero and not a bare rational."""
+    for c in st.constraints:
+        for u, coeff, residue in st.linear_atoms(c):
+            if not residue.is_rational() or coeff.is_rational():
+                continue  # blocked, or no genuine pivot backs this division
+            rest = collect_coefficients(c, [u]).get((), ZERO)
+            value = st.subst_known(-rest / coeff)
+            if _circular(u, value):
+                continue  # not triangular: value feeds back into u
+            st.add_solved(u, value)
+            st.constraints.remove(c)
+            return True
+    return False
 
 
 def _compat(st: _State) -> bool:
@@ -389,18 +384,15 @@ def _compat(st: _State) -> bool:
     return changed
 
 
-def _reduce(st: _State) -> list[_Blocked]:
+def _reduce(st: _State) -> None:
     for _ in range(_MAX_ROUNDS):
         changed = _refresh(st)
         if st.inconsistent:
-            return []
-        if _zero_rule(st):
-            changed = True
-        fired, blocked = _eliminate(st)
-        if fired:
-            changed = True
+            return
+        changed |= _zero_rule(st)
+        changed |= _eliminate(st)
         if not changed and not _compat(st):
-            return blocked
+            return
     raise st.cap_error(f"reached no fixed point in {_MAX_ROUNDS} rounds")
 
 
@@ -557,16 +549,20 @@ def apply_assumptions(
     return _finish(st)
 
 
-def _order_blocked(blocked: Sequence[_Blocked]) -> list[Expr]:
-    """Candidates by how many constraints block on them, composite ones
+def _order_blocked(st: _State) -> list[Expr]:
+    """The uncancelled parts of the coefficients a reduced state cannot
+    divide by, by how many constraints block on them, composite ones
     first; ``sorted`` is stable, so ties keep first-seen order."""
     count: dict[Expr, int] = {}
-    seen: set[tuple[Expr, Expr]] = set()
-    for b in blocked:
-        if (b.constraint, b.candidate) in seen:
-            continue
-        seen.add((b.constraint, b.candidate))
-        count[b.candidate] = count.get(b.candidate, 0) + 1
+    for c in st.constraints:
+        cands = dict.fromkeys(
+            _blocked_candidate(residue)
+            for _u, _coeff, residue in st.linear_atoms(c)
+            if not residue.is_rational()
+        )
+        cands.pop(None, None)
+        for e in cands:
+            count[e] = count.get(e, 0) + 1
 
     def key(e: Expr):
         multi = len(e.numerator_expr().num) > 1
@@ -596,46 +592,46 @@ def build_tree(
     """Binary case analysis over undetermined pivots, to a depth cap.
 
     A branch only ever forks on a member of the candidate pool,
-    :func:`pivot_candidates`.  Each node reduces, asks the reducer what
-    division it is blocked on, and forks on the first admissible answer —
-    falling back to a still-relevant composite candidate when no division
-    is blocked.  A fork whose two
-    children reduce to the same system is skipped as vacuous.  The root
+    :func:`pivot_candidates`.  Each node reduces to its fixed point and
+    forks on the first pool member its divisions are blocked on
+    (:func:`_order_blocked`), then on the first still-relevant composite
+    member, tested only when reached.  A fork whose two children reduce
+    to the same system is skipped as vacuous.  The root
     is reduced before the pool is ranked; when it closes, no fork
     consults the pool and the tree reports an empty one."""
     if depth < 1:
         raise ValueError("depth cap must be at least 1")
 
-    def reduced(path: tuple[Assumption, ...]):
+    def reduced(path: tuple[Assumption, ...]) -> _State:
         st = _make_state(cs, path)
-        return path, st, _reduce(st)
+        _reduce(st)
+        return st
 
     root = reduced(tuple(assumptions))
     pool: tuple[Expr, ...] = ()
-    if not root[1].inconsistent:
+    if not root.inconsistent:
         pool = pivot_candidates(cs)
     in_pool = set(pool)
     statics = [p for p in pool if len(p.numerator_expr().num) > 1]
 
-    def node(path, st: _State, blocked: list[_Blocked]) -> CaseNode:
+    def node(st: _State) -> CaseNode:
+        path = st.assumptions
         system = _finish(st)
         if system.inconsistent:
             return CaseNode(path, system, status="closed-inconsistent")
         assumed = {a.expr for a in path}
-        candidates = dict.fromkeys(
-            e for e in _order_blocked(blocked) if e in in_pool and e not in assumed
-        )
-        for w in statics:
-            if w not in assumed and w not in candidates and _relevant_static(w, st):
-                candidates[w] = None
-        for cand in candidates:
+        blocked = [e for e in _order_blocked(st) if e in in_pool and e not in assumed]
+        for cand in chain(blocked, (  # a static is tested only when reached
+            w for w in statics
+            if w not in assumed and w not in blocked and _relevant_static(w, st)
+        )):
             if len(path) >= depth:
                 return CaseNode(path, system, status="open", capped=cand)
-            hi = node(*reduced(path + (Assumption.nonzero(cand),)))
-            lo = node(*reduced(path + (Assumption.zero(cand),)))
+            hi = node(reduced(path + (Assumption.nonzero(cand),)))
+            lo = node(reduced(path + (Assumption.zero(cand),)))
             if hi.system.same_content(lo.system):
                 continue  # the fork changes nothing; vacuous pivot
             return CaseNode(path, system, pivot=cand, children=(hi, lo), status="open")
         return CaseNode(path, system)
 
-    return CaseTree(root=node(*root), pivots=pool)
+    return CaseTree(root=node(root), pivots=pool)

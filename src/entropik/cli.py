@@ -173,11 +173,7 @@ def analyze(model_file, method, output, max_order, multiplier_dep):
         run = run_solution_set(m)
     else:
         run = run_liu(m, dep)
-    rep = build_report(run, name=name)
 
-    if output == "json":
-        click.echo(rep.to_json())
-        return
     if output == "latex":
         if method == "solution-set":
             rc = m.render_ctx()
@@ -198,6 +194,10 @@ def analyze(model_file, method, output, max_order, multiplier_dep):
                 m.nonzero,
             )
         click.echo(doc, nl=False)
+        return
+    rep = build_report(run, name=name)
+    if output == "json":
+        click.echo(rep.to_json())
         return
 
     click.echo(f"model {name}  fingerprint {rep.model['fingerprint'][:16]}")

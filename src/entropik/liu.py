@@ -262,12 +262,11 @@ def liu_split(
         key=lambda a: a.key,
     )
     coeffs = collect_coefficients(e, split_atoms)
-    rc = m.render_ctx()
     for mono in coeffs:
         if sum(k for _, k in mono) > 1:
             raise NonlinearExtendedInequality(
                 "extended inequality is not linear in the split derivatives: "
-                f"monomial {expr_str(monomial_expr(mono), rc)}"
+                f"monomial {expr_str(monomial_expr(mono), m.render_ctx())}"
             )
 
     nonzero = list(m.nonzero)
@@ -400,7 +399,8 @@ def _implication_test(
     base: Sequence[Expr], nonzero: Sequence[Expr]
 ) -> Callable[[Expr], bool]:
     """Sound, incomplete test of whether ``target = 0`` follows from
-    ``base`` (all = 0, normalized) under the nonzero assumptions.
+    ``base`` (all = 0, normalized) under the nonzero assumptions; a
+    target is a member of a normal set under the same assumptions.
 
     The base's forced zeros, members and echelon form over the monomial
     basis are computed here, once; :func:`compare` lists the routes.
@@ -419,12 +419,11 @@ def _implication_test(
             pivots.append((lead, {m: qdiv(v, lc) for m, v in row.items()}))
 
     def implied(target: Expr) -> bool:
-        n, _ = normalize_constraint(target, nonzero)
-        if n.is_zero() or n in members:
+        if target in members:
             return True
-        candidates = [n]
+        candidates = [target]
         if zeros:
-            r, _ = normalize_constraint(_apply_zeros(n, zeros), nonzero)
+            r, _ = normalize_constraint(_apply_zeros(target, zeros), nonzero)
             if r.is_zero() or r in members:
                 return True
             candidates.append(r)
@@ -455,9 +454,12 @@ def compare(lr: LiuResult, cs: ConstraintSystem) -> ComparisonReport:
     """Classify the multiplier-method identity set against the
     solution-manifold constraint set.
 
-    The multiplier symbols are eliminated linearly first, and both sides
-    are refined over dependency-free fields (sound: no unknown function
-    sees them).  Then each side is tested for implication by the other.
+    The multiplier symbols are eliminated linearly first, and that side
+    is refined over dependency-free fields (sound: no unknown function
+    sees them).  The solution side is already a normal set under the same
+    nonzero list, and holds no such field: :func:`~entropik.split.split`
+    splits over every one.  Then each side is tested for implication by
+    the other.
     The test is sound but incomplete; it accepts, in this order:
 
     * membership of the normalized identity in the other side;
@@ -476,7 +478,7 @@ def compare(lr: LiuResult, cs: ConstraintSystem) -> ComparisonReport:
     nonzero = list(cs.nonzero)
     solved, liu_raw, unsolved = eliminate_multipliers(lr, nonzero)
     liu_ids = _refine(liu_raw, lr.free_fields, nonzero)
-    sol = _refine(cs.constraints, lr.free_fields, nonzero)
+    sol = list(cs.constraints)
     by_sol = _implication_test(sol, nonzero)
     by_liu = _implication_test(liu_ids, nonzero)
 

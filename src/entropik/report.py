@@ -137,8 +137,7 @@ def run_comparison(
 # -- serialization --------------------------------------------------------
 
 
-def _solved_section(m: ModelDef, s: SolvedSystem) -> dict[str, Any]:
-    rc = m.render_ctx()
+def _solved_section(s: SolvedSystem, rc: RenderContext) -> dict[str, Any]:
     return {
         "keys": [atom_str(k, rc) for k in s.keys()],
         "pivots": [expr_str(p, rc) for p in s.pivots],
@@ -154,8 +153,7 @@ def _solved_section(m: ModelDef, s: SolvedSystem) -> dict[str, Any]:
     }
 
 
-def _constraints_section(m: ModelDef, cs: ConstraintSystem) -> dict[str, Any]:
-    rc = m.render_ctx()
+def _constraints_section(cs: ConstraintSystem, rc: RenderContext) -> dict[str, Any]:
     return {
         "constraints": [expr_str(c, rc) for c in cs.constraints],
         "residual": expr_str(cs.residual, rc),
@@ -220,8 +218,9 @@ class AnalysisReport:
 def build_report(run, name: str = "<model>") -> AnalysisReport:
     if isinstance(run, SolutionSetRun):
         method = "solution-set"
-        system = _constraints_section(run.model, run.system)
-        solved = _solved_section(run.model, run.solved)
+        rc = run.model.render_ctx()  # one context: shared atoms render once
+        system = _constraints_section(run.system, rc)
+        solved = _solved_section(run.solved, rc)
     elif isinstance(run, LiuRun):
         method = "mueller-liu"
         system = _liu_section(run)

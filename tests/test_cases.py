@@ -1,5 +1,7 @@
 """Case analysis: branching on undetermined coefficient factors."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,7 +204,7 @@ def _check_scan(state, c):
             want.append((u, coeffs[((u, 1),)]))
     got = state.linear_atoms(c)
     assert [u for u, *_ in got] == [u for u, _ in want]
-    for (_, coeff, residue, _), (_, ref) in zip(got, want):
+    for (_, coeff, residue), (_, ref) in zip(got, want):
         assert coeff == ref and list(coeff.num) == list(ref.num)
         assert residue == strip_certified(ref, state.nonzero)
 
@@ -335,3 +337,85 @@ def test_circular_whole_symbol_assignments():
     assert cases._circular(dg, Expr.atom(W) * Expr.atom(g))
     # other functions' atoms never count
     assert not cases._circular(g, Expr.atom(ConstitPartial("h", (1,))))
+
+
+# -- fork candidates are read at each node's fixed point ------------------
+
+TREES = [(name, forced) for name in ("gas1d", "fluid2d", "nonsimple2d")
+         for forced in (False, True)]
+
+
+def _depth3_tree(name, forced=False):
+    cs = solution_run(name).system
+    return build_tree(force_residual(cs) if forced else cs, depth=3)
+
+
+def test_plain_reduction_computes_no_fork_candidate(monkeypatch):
+    calls = []
+    candidate = cases._blocked_candidate
+
+    def counting(residue):
+        calls.append(residue)
+        return candidate(residue)
+
+    monkeypatch.setattr(cases, "_blocked_candidate", counting)
+    for name in ("gas1d", "fluid2d", "nonsimple2d", "granular2d"):
+        apply_assumptions(solution_run(name).system, ())
+        assert calls == [], name
+
+
+@pytest.mark.parametrize("name,forced", TREES)
+def test_each_open_node_orders_its_blocked_divisions_once(
+    name, forced, monkeypatch
+):
+    inside = []  # one entry per _order_blocked call still running
+    orders = []
+    outside = []
+    candidate, order = cases._blocked_candidate, cases._order_blocked
+
+    def counting_candidate(residue):
+        if not inside:
+            outside.append(residue)
+        return candidate(residue)
+
+    def counting_order(st):
+        orders.append(st.assumptions)
+        inside.append(st)
+        try:
+            return order(st)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cases, "_blocked_candidate", counting_candidate)
+    monkeypatch.setattr(cases, "_order_blocked", counting_order)
+    tree = _depth3_tree(name, forced)
+    assert outside == []
+    assert Counter(orders) == Counter(
+        n.assumptions for n in tree.root.walk()
+        if n.status != "closed-inconsistent"
+    )
+
+
+@pytest.mark.parametrize("name", ["fluid2d", "nonsimple2d"])
+def test_composite_pool_members_are_tested_only_past_the_blocked(
+    name, monkeypatch
+):
+    # A node tests the composite (multi-term) pool members only once no
+    # blocked candidate forks it: it then forks on one of them, is capped
+    # on one, or does not fork at all.
+    paths = []
+    relevant = cases._relevant_static
+
+    def recording(w, st):
+        paths.append(st.assumptions)
+        return relevant(w, st)
+
+    monkeypatch.setattr(cases, "_relevant_static", recording)
+    tree = _depth3_tree(name)
+    statics = {p for p in tree.pivots if len(p.numerator_expr().num) > 1}
+    nodes = {n.assumptions: n for n in tree.root.walk()}
+    for path in paths:
+        n = nodes[path]
+        assert n.pivot in statics or n.capped in statics or (
+            n.pivot is None and n.capped is None
+        )

@@ -8,7 +8,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from entropik import cases
+from entropik import cases, cli
 from entropik.cli import main
 
 from conftest import MODELS
@@ -55,6 +55,18 @@ def test_analyze_latex(runner):
     r = runner.invoke(main, ["analyze", model("gas1d"), "--output", "latex"])
     assert r.exit_code == 0
     assert r.output.count("{") == r.output.count("}")
+    assert "\\documentclass" in r.output
+
+
+@pytest.mark.parametrize("method", ["solution-set", "mueller-liu"])
+def test_analyze_latex_builds_no_report(runner, monkeypatch, method):
+    def unused(*args, **kwargs):
+        raise AssertionError("the LaTeX output reads no report")
+
+    monkeypatch.setattr(cli, "build_report", unused)
+    args = ["analyze", model("gas1d"), "--method", method, "--output", "latex"]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 0, r.output
     assert "\\documentclass" in r.output
 
 

@@ -3,6 +3,7 @@ solution-manifold constraints."""
 
 import pytest
 
+import entropik.algebra
 import entropik.liu
 from entropik.atoms import ConstitPartial, ConstitSym
 from entropik.expr import ONE, ZERO, Expr, substitute
@@ -207,3 +208,22 @@ def test_compare_tries_no_divisor_with_a_foreign_atom(monkeypatch):
     assert tried
     assert all(set(b.atoms()) <= set(a.atoms()) for a, b in tried)
     assert f + k not in {b for _, b in tried}
+
+
+def test_compare_renormalizes_no_normal_form(monkeypatch):
+    # Both sides reach the implication tests as normal sets under the
+    # solution set's nonzero list; only what compare derives from them is
+    # normalized.
+    lr = liu_run("granular2d").result
+    cs = solution_run("granular2d").system
+    calls = []
+    for module in (entropik.algebra, entropik.liu):
+        real = module.normalize_constraint
+
+        def counting(*args, _real=real):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(module, "normalize_constraint", counting)
+    compare(lr, cs)
+    assert len(calls) <= 65

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from entropik.expr import Expr
+from entropik.model import ModelDef
 from entropik.report import (
     SCHEMA_VERSION,
     AnalysisReport,
@@ -147,3 +148,18 @@ def test_liu_report_carries_multiplier_labels():
     # multiplier partial derivatives print with their dependency labels
     text = json.dumps(rep.system)
     assert "dLam_energy/drho_t" in text
+
+
+def test_solution_set_report_builds_one_render_context(gas, monkeypatch):
+    # one context serves both sections, so a shared atom renders once
+    run = run_solution_set(gas)
+    calls = []
+    real = ModelDef.render_ctx
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ModelDef, "render_ctx", counting)
+    build_report(run, name="gas1d")
+    assert len(calls) == 1

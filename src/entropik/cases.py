@@ -27,15 +27,17 @@ the ratio of the two coefficients is pinned down, and whether it
 actually varies with each shared argument — the slot Wronskian of the
 pair — becomes a branching question.
 
-A reduction does each piece of work once: its state caches the linear
-scan of each live constraint (each first-power function atom with its
-coefficient and that coefficient stripped of certified factors) and the
-slot derivatives of each live value, and a refresh substitutes only into
-constraints it did not output last time or that hold a function zeroed
-or solved since, and renormalizes only what the substitution changed.
-That is exact since the nonzero list is fixed once the state is made: a
-refreshed constraint has nothing to substitute until one of its
-functions is touched, and a normal form stays one.
+A reduction does each piece of work once: its state caches each
+constraint's linear scan (each first-power function atom with its
+coefficient) and the atoms it can solve for, a coefficient's residue
+(stripped of certified factors) once asked for, and the slot derivatives
+of each live value; a refresh substitutes only into constraints it did
+not output last time or that hold a function zeroed or solved since,
+and renormalizes only what that changed.  That is exact since the
+nonzero list is fixed once the state is made: a refreshed constraint
+has nothing to substitute until one of its functions is touched, and a
+normal form stays one.  Under one-term certified factors a coefficient
+of two or more terms keeps them all, so it is blocked without dividing.
 
 The reduction only solves.  What a tree node forks on is read from the
 cached scans once, at the node's fixed point, where they are exactly
@@ -172,7 +174,10 @@ class _State:
         self.assumptions = tuple(assumptions)
         self.clean: set[Expr] = set()   # what the last refresh output
         self.touched: set[str] = set()  # functions zeroed or solved since
-        self.scans: dict[Expr, list[tuple[Atom, Expr, Expr]]] = {}
+        self.scans: dict[Expr, list[tuple[Atom, Expr]]] = {}
+        self.residues: dict[Expr, Expr] = {}
+        self.pivot_lists: dict[Expr, list[tuple[Atom, Expr]]] = {}
+        self.composite_factors = False  # a certified factor of two or more terms
         self.slot_derivatives: dict[tuple[Expr, Atom], Expr] = {}
 
     def cap_error(self, what: str) -> ReductionCapExceeded:
@@ -209,9 +214,9 @@ class _State:
         self.touched.add(a.name)
         self.log.append(Certificate("solve"))
 
-    def linear_atoms(self, c: Expr) -> list[tuple[Atom, Expr, Expr]]:
+    def linear_atoms(self, c: Expr) -> list[tuple[Atom, Expr]]:
         """Each function atom ``c`` holds only to the first power, in atom order,
-        with its coefficient and stripped residue."""
+        with its coefficient; :meth:`residue` strips one on demand."""
         out = self.scans.get(c)
         if out is None:
             linear: dict[Atom, dict] = {}
@@ -224,10 +229,30 @@ class _State:
                         linear.setdefault(a, {})[m[:i] + m[i + 1:]] = k
             out = []
             for u in sorted(linear.keys() - higher, key=lambda a: a.key):
-                coeff = Expr(linear[u], {(): 1}, _canonical=True)
-                out.append((u, coeff, strip_certified(coeff, self.nonzero)))
+                out.append((u, Expr(linear[u], {(): 1}, _canonical=True)))
             self.scans[c] = out
         return out
+
+    def residue(self, coeff: Expr) -> Expr:
+        """``coeff`` with its certified factors divided out."""
+        if coeff not in self.residues:
+            self.residues[coeff] = strip_certified(coeff, self.nonzero)
+        return self.residues[coeff]
+
+    def divides(self, coeff: Expr) -> bool:
+        """Is ``coeff`` a genuine pivot, a product of certified factors and
+        no bare rational?  Under one-term factors only, a coefficient of
+        two or more terms keeps them all, so it is blocked without dividing."""
+        if coeff.is_rational() or len(coeff.num) > 1 and not self.composite_factors:
+            return False
+        return self.residue(coeff).is_rational()
+
+    def pivots(self, c: Expr) -> list[tuple[Atom, Expr]]:
+        """The linear atoms of ``c`` whose coefficient :meth:`divides`."""
+        if c not in self.pivot_lists:
+            linear = self.linear_atoms(c)
+            self.pivot_lists[c] = [(u, k) for u, k in linear if self.divides(k)]
+        return self.pivot_lists[c]
 
     def slot_derivative(self, e: Expr, arg: Atom) -> Expr:
         if (e, arg) not in self.slot_derivatives:
@@ -325,9 +350,7 @@ def _eliminate(st: _State) -> bool:
     """Solve the first constraint that is linear in an atom whose
     coefficient is certified nonzero and not a bare rational."""
     for c in st.constraints:
-        for u, coeff, residue in st.linear_atoms(c):
-            if not residue.is_rational() or coeff.is_rational():
-                continue  # blocked, or no genuine pivot backs this division
+        for u, coeff in st.pivots(c):
             rest = collect_coefficients(c, [u]).get((), ZERO)
             value = st.subst_known(-rest / coeff)
             if _circular(u, value):
@@ -514,6 +537,7 @@ def _make_state(cs: ConstraintSystem, assumptions: Iterable[Assumption]) -> _Sta
                 if not n.is_zero():
                     st.constraints.append(n)
     st.nonzero = list(dict.fromkeys(st.nonzero))
+    st.composite_factors = any(len(f.num) > 1 for f in st.nonzero)
     return st
 
 
@@ -555,10 +579,9 @@ def _order_blocked(st: _State) -> list[Expr]:
     first; ``sorted`` is stable, so ties keep first-seen order."""
     count: dict[Expr, int] = {}
     for c in st.constraints:
+        residues = (st.residue(coeff) for _u, coeff in st.linear_atoms(c))
         cands = dict.fromkeys(
-            _blocked_candidate(residue)
-            for _u, _coeff, residue in st.linear_atoms(c)
-            if not residue.is_rational()
+            _blocked_candidate(r) for r in residues if not r.is_rational()
         )
         cands.pop(None, None)
         for e in cands:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._ratio import Q, qdiv
@@ -298,23 +298,27 @@ def expr_sum(terms: Sequence[Expr]) -> Expr:
     """
     if len(terms) < 2:
         return terms[0] if terms else ZERO
+    if any(len(t.den) != 1 for t in terms):
+        return reduce(add, terms)
+    return _monomial_sum([next(iter(t.den)) for t in terms], (t.num for t in terms))
+
+
+def _monomial_sum(dens: Sequence[Monomial], nums: Iterable[Poly]) -> Expr:
+    """The sum of ``num / den`` over ``zip(nums, dens)``, monomial ``den``s,
+    in one pass over their least common multiple; ``nums`` is read lazily."""
     top: dict = {}
-    for t in terms:
-        if len(t.den) != 1:
-            return reduce(add, terms)
-        (d,) = t.den
+    for d in dens:
         for a, e in d:
             if e > top.get(a, 0):
                 top[a] = e
     lcm = tuple(sorted(top.items(), key=lambda ae: ae[0].key))
     out: Poly = {}
     scale: dict[Monomial, Monomial] = {}
-    for t in terms:
-        (d,) = t.den
+    for num, d in zip(nums, dens):
         q = scale.get(d)
         if q is None:
             q = scale[d] = mono_strip(lcm, dict(d))
-        for m, c in t.num.items():
+        for m, c in num.items():
             m = mono_mul(m, q)
             s = out.get(m)
             if s is None:
@@ -350,10 +354,12 @@ def partial_diff(e: Expr, a: Atom) -> Expr:
 @dataclass(frozen=True)
 class DiffContext:
     """Declarations a total derivative needs: the ordered independent
-    variables and each constitutive symbol's ordered argument atoms."""
+    variables and each constitutive symbol's ordered argument atoms, and
+    ``memo``, each atom's total derivative per direction, taken once."""
 
     indep: tuple[IndepVar, ...]
     args: Mapping[str, tuple[Atom, ...]] = field(default_factory=dict)
+    memo: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def arg_atoms(self, name: str) -> tuple[Atom, ...]:
         try:
@@ -365,33 +371,31 @@ class DiffContext:
 
 
 def atom_total_derivative(a: Atom, iv_index: int, ctx: DiffContext) -> Expr:
-    """D_iv applied to a single atom."""
-    n = len(ctx.indep)
+    """D_iv applied to a single atom, expanded once per context."""
+    d = ctx.memo.get((a, iv_index))
+    if d is None:
+        d = ctx.memo[a, iv_index] = _expand(a, iv_index, ctx)
+    return d
+
+
+def _expand(a: Atom, iv_index: int, ctx: DiffContext) -> Expr:
     if isinstance(a, IndepVar):
         return ONE if a is ctx.indep[iv_index] else ZERO
     if isinstance(a, JetVar):
-        return Expr.atom(JetVar(a.field, mi_add(a.orders, mi_unit(n, iv_index))))
-    if isinstance(a, ConstitSym):
-        args = ctx.arg_atoms(a.name)
-        terms = []
-        for j, arg in enumerate(args):
-            d_arg = atom_total_derivative(arg, iv_index, ctx)
-            if d_arg.is_zero():
-                continue
-            cp = ConstitPartial(a.name, mi_unit(len(args), j))
-            terms.append(Expr.atom(cp) * d_arg)
-        return expr_sum(terms)
-    if isinstance(a, ConstitPartial):
-        args = ctx.arg_atoms(a.name)
-        terms = []
-        for j, arg in enumerate(args):
-            d_arg = atom_total_derivative(arg, iv_index, ctx)
-            if d_arg.is_zero():
-                continue
-            cp = ConstitPartial(a.name, mi_add(a.slots, mi_unit(len(args), j)))
-            terms.append(Expr.atom(cp) * d_arg)
-        return expr_sum(terms)
-    raise TypeError(f"unknown atom kind: {a!r}")
+        unit = mi_unit(len(ctx.indep), iv_index)
+        return Expr.atom(JetVar(a.field, mi_add(a.orders, unit)))
+    if not isinstance(a, (ConstitSym, ConstitPartial)):
+        raise TypeError(f"unknown atom kind: {a!r}")
+    args = ctx.arg_atoms(a.name)
+    slots = a.slots if isinstance(a, ConstitPartial) else (0,) * len(args)
+    terms = []
+    for j, arg in enumerate(args):
+        d_arg = atom_total_derivative(arg, iv_index, ctx)
+        if d_arg.is_zero():
+            continue
+        cp = ConstitPartial(a.name, mi_add(slots, mi_unit(len(args), j)))
+        terms.append(Expr.atom(cp) * d_arg)
+    return expr_sum(terms)
 
 
 def total_derivative(e: ExprLike, iv: IndepVar, ctx: DiffContext) -> Expr:
@@ -421,26 +425,32 @@ def total_derivative(e: ExprLike, iv: IndepVar, ctx: DiffContext) -> Expr:
 def eval_poly(p: Poly, pairs: Mapping[Atom, Expr]) -> Expr:
     """Evaluate a polynomial with the key atoms of ``pairs`` replaced.
 
-    Each term starts as its coefficient times the atoms ``pairs`` keeps,
-    one canonical monomial, and is multiplied by the replaced atoms'
-    powers in monomial order.  A product by a monomial keeps its
-    operand's terms in order, so the result is that of multiplying by
-    every atom in turn.
+    Each term is its coefficient times the atoms ``pairs`` keeps, times
+    the replaced atoms' powers in monomial order.  When every power has a
+    monomial denominator the terms are multiplied out raw and summed as by
+    :func:`expr_sum`: a raw term differs from its canonical form by a
+    monomial shared above and below, and stripping one monomial from every
+    key keeps the keys distinct and in order, so the sum is the same.
+    Otherwise each product is canonicalized.
     """
-    terms = []
     powers: dict[tuple[Atom, int], Expr] = {}
-    for m, c in p.items():
-        kept = tuple(ae for ae in m if ae[0] not in pairs)
-        term = Expr({kept: qdiv(c, 1)}, dict(_ONE_POLY), _canonical=True)
+    for m in p:
         for key in m:
-            a, e = key
-            if a in pairs:
-                pw = powers.get(key)
-                if pw is None:
-                    pw = powers[key] = as_expr(pairs[a]) ** e
-                term = term * pw
-        terms.append(term)
-    return expr_sum(terms)
+            if key[0] in pairs and key not in powers:
+                powers[key] = as_expr(pairs[key[0]]) ** key[1]
+    terms = [  # each term without its replaced atoms, and their powers
+        ({tuple(ae for ae in m if ae not in powers): qdiv(c, 1)},
+         [powers[k] for k in m if k in powers])
+        for m, c in p.items()
+    ]
+    if any(len(pw.den) != 1 for pw in powers.values()):
+        return expr_sum([
+            reduce(mul, pws, Expr(kept, dict(_ONE_POLY), _canonical=True))
+            for kept, pws in terms
+        ])
+    dens = [reduce(mono_mul, (next(iter(w.den)) for w in pws), ()) for _, pws in terms]
+    nums = (reduce(p_mul, (pw.num for pw in pws), kept) for kept, pws in terms)
+    return _monomial_sum(dens, nums)
 
 
 def substitute(e: ExprLike, pairs: Mapping[Atom, Expr]) -> Expr:
@@ -448,14 +458,21 @@ def substitute(e: ExprLike, pairs: Mapping[Atom, Expr]) -> Expr:
     themselves substituted).
 
     For triangular maps (no image contains a key atom) the result contains
-    no key atom and the operation is idempotent.
+    no key atom and the operation is idempotent.  When every image is
+    zero, the monomials holding no key atom are kept, above and below,
+    and canonicalized once: exact for the reason :func:`eval_poly` is.
     """
     e = as_expr(e)
-    if not pairs:
+    if not any(a in pairs for a in e.atoms()):
         return e
-    present = any(a in pairs for a in e.atoms())
-    if not present:
-        return e
+    if not any(pairs.values()):
+        num, den = (
+            {m: qdiv(c, 1) for m, c in p.items() if not any(a in pairs for a, _ in m)}
+            for p in (e.num, e.den)
+        )
+        return Expr(num, den)
+    if e.den == _ONE_POLY:
+        return eval_poly(e.num, pairs)
     return eval_poly(e.num, pairs) / eval_poly(e.den, pairs)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropik import cases
+from entropik import algebra, cases
 from entropik.algebra import constit_atoms, strip_certified
 from entropik.atoms import ConstitPartial, ConstitSym, JetVar
 from entropik.cases import (
@@ -203,10 +203,18 @@ def _check_scan(state, c):
         if set(coeffs) <= {(), ((u, 1),)}:
             want.append((u, coeffs[((u, 1),)]))
     got = state.linear_atoms(c)
-    assert [u for u, *_ in got] == [u for u, _ in want]
-    for (_, coeff, residue), (_, ref) in zip(got, want):
+    assert [u for u, _ in got] == [u for u, _ in want]
+    for (_, coeff), (_, ref) in zip(got, want):
         assert coeff == ref and list(coeff.num) == list(ref.num)
-        assert residue == strip_certified(ref, state.nonzero)
+        residue = strip_certified(ref, state.nonzero)
+        assert state.residue(coeff) == residue
+        assert state.divides(coeff) == (
+            not coeff.is_rational() and residue.is_rational()
+        )
+    assert [u for u, _ in state.pivots(c)] == [
+        u for u, ref in want
+        if not ref.is_rational() and strip_certified(ref, state.nonzero).is_rational()
+    ]
 
 
 @pytest.mark.parametrize("name", ["gas1d", "fluid2d", "nonsimple2d", "granular2d"])
@@ -239,8 +247,36 @@ def test_linear_scan_on_random_polynomials(terms):
         for a, e in zip(atoms, exps):
             term = term * a**e
         c = c + term
-    state = cases._make_state(cs, (Assumption.nonzero(ETA_EPS),))
-    _check_scan(state, c)
+    # one-term certified factors only, then a two-term one as well
+    for nonzero in (ETA_EPS, ETA_EPS + PHI1_RHO):
+        state = cases._make_state(cs, (Assumption.nonzero(nonzero),))
+        assert state.composite_factors == (nonzero is not ETA_EPS)
+        _check_scan(state, c)
+
+
+def test_root_reduction_divides_only_where_it_can_succeed(monkeypatch):
+    # every certified factor of granular2d is one term, and dividing by a
+    # one-term factor keeps the number of terms, so a coefficient of two
+    # or more terms is blocked without a division
+    cs = solution_run("granular2d").system
+    assert all(len(f.num) == 1 for f in cs.nonzero)
+    stripped, divisions = [], []
+    strip, divexact = cases.strip_certified, algebra.poly_divexact
+
+    def counting_strip(e, nonzero):
+        stripped.append(e)
+        return strip(e, nonzero)
+
+    def counting_divexact(p, q):
+        divisions.append(q)
+        return divexact(p, q)
+
+    monkeypatch.setattr(cases, "strip_certified", counting_strip)
+    monkeypatch.setattr(algebra, "poly_divexact", counting_divexact)
+    apply_assumptions(cs, ())
+    assert [e for e in stripped if len(e.num) > 1] == []
+    assert len(stripped) <= 446
+    assert len(divisions) <= 1769
 
 
 def test_round_cap_fails_loudly(monkeypatch):

@@ -28,6 +28,7 @@ from entropik.expr import (
     as_expr,
     collect_coefficients,
     eval_numeric,
+    eval_poly,
     expr_sum,
     monomial_expr,
     partial_diff,
@@ -35,6 +36,7 @@ from entropik.expr import (
     substitute,
     total_derivative,
 )
+from entropik.render import expr_str
 
 T, X = IndepVar("t"), IndepVar("x")
 RHO = JetVar("rho", (0, 0))
@@ -528,3 +530,56 @@ def test_substitute_matches_a_chain_of_products(e, pairs):
     got = substitute(e, pairs)
     assert _typed(got.num) == _typed(want.num)
     assert _typed(got.den) == _typed(want.den)
+
+
+# -- one common denominator against the per-term fold (property-based) ----
+
+def _fold_by_terms(p, pairs):
+    # each term canonicalized after every product by a replaced atom's
+    # power, then the terms added with + in order
+    terms = []
+    for m, c in p.items():
+        term = Expr({tuple(ae for ae in m if ae[0] not in pairs): qdiv(c, 1)}, {(): 1})
+        for a, k in m:
+            if a in pairs:
+                term = term * as_expr(pairs[a]) ** k
+        terms.append(term)
+    return reduce(add, terms, ZERO)
+
+
+def _check_against_fold(e, pairs):
+    def same(got, want):
+        assert got == want
+        assert _typed(got.num) == _typed(want.num)
+        assert _typed(got.den) == _typed(want.den)
+        assert expr_str(got) == expr_str(want)
+
+    for p in (e.num, e.den):
+        same(eval_poly(p, pairs), _fold_by_terms(p, pairs))
+    if not any(a in pairs for a in e.atoms()):
+        assert substitute(e, pairs) is e
+        return
+    try:
+        want = _fold_by_terms(e.num, pairs) / _fold_by_terms(e.den, pairs)
+    except DivisionByZeroExpr:
+        with pytest.raises(DivisionByZeroExpr):
+            substitute(e, pairs)
+        return
+    same(substitute(e, pairs), want)
+
+
+# images with monomial and two-term denominators, and zero
+@given(st.one_of(exprs, small_exprs),
+       st.dictionaries(st.sampled_from(DIV_ATOMS + ATOM_POOL),
+                       st.one_of(images, st.just(ZERO)), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_substitute_is_the_per_term_fold(e, pairs):
+    _check_against_fold(e, pairs)
+
+
+@given(st.one_of(exprs, small_exprs),
+       st.dictionaries(st.sampled_from(DIV_ATOMS + ATOM_POOL),
+                       st.sampled_from([ZERO, 0]), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_zero_only_substitute_is_the_per_term_fold(e, zeros):
+    _check_against_fold(e, zeros)

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from entropik import expr
 from entropik.atoms import JetVar
 from entropik.errors import NonlinearInLeading, OrderCapExceeded, SingularSystem
 from entropik.expr import substitute
@@ -11,7 +12,7 @@ from entropik.parser import parse_model
 from entropik.render import atom_str
 from entropik.solve import close_consequences, solve_leading
 
-from conftest import load_model, solution_run
+from conftest import MODELS, load_model, solution_run
 
 ALL_MODELS = ["gas1d", "fluid2d", "nonsimple2d", "granular2d"]
 
@@ -109,3 +110,24 @@ def test_pivot_determinant_certified(fluid):
     # every pivot factor is backed by a declared nonzero side condition
     # or is a pure rational; the determinant collects them
     assert not s.determinant.is_zero()
+
+
+def test_each_atom_derivative_is_expanded_once_per_context(monkeypatch):
+    # granular2d's functions take twelve arguments; a context expands an
+    # atom's chain rule once per direction (a parse makes two contexts,
+    # for plain and extended expressions)
+    expanded = []
+    expand = expr._expand
+
+    def counting(a, iv_index, ctx):
+        expanded.append((id(ctx), a, iv_index))
+        return expand(a, iv_index, ctx)
+
+    monkeypatch.setattr(expr, "_expand", counting)
+    text = (MODELS / "granular2d.epk").read_text()
+    m = parse_model(text, filename="granular2d.epk").raise_on_error()
+    assert len(expanded) == len(set(expanded)) == 74
+    s = solve_leading(m)
+    expanded.clear()
+    close_consequences(m, s)
+    assert len(expanded) == len(set(expanded)) == 132

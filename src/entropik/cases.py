@@ -27,17 +27,17 @@ the ratio of the two coefficients is pinned down, and whether it
 actually varies with each shared argument — the slot Wronskian of the
 pair — becomes a branching question.
 
-A reduction does each piece of work once: its state caches each
+A reduction does each piece of work once: its state caches each live
 constraint's linear scan (each first-power function atom with its
-coefficient) and the atoms it can solve for, a coefficient's residue
-(stripped of certified factors) once asked for, and the slot derivatives
-of each live value; a refresh substitutes only into constraints it did
-not output last time or that hold a function zeroed or solved since,
-and renormalizes only what that changed.  That is exact since the
-nonzero list is fixed once the state is made: a refreshed constraint
-has nothing to substitute until one of its functions is touched, and a
-normal form stays one.  Under one-term certified factors a coefficient
-of two or more terms keeps them all, so it is blocked without dividing.
+coefficient), a coefficient's residue (stripped of certified factors)
+once asked for, and the slot derivatives of each live value; a refresh
+substitutes only into constraints it did not output last time or that
+hold a function zeroed or solved since, and renormalizes only what that
+changed.  That is exact since the nonzero list is fixed once the state
+is made: a refreshed constraint has nothing to substitute until one of
+its functions is touched, and a normal form stays one.  Under one-term
+certified factors a coefficient of two or more terms keeps them all, so
+it is blocked without dividing.
 
 The reduction only solves.  What a tree node forks on is read from the
 cached scans once, at the node's fixed point, where they are exactly
@@ -176,7 +176,6 @@ class _State:
         self.touched: set[str] = set()  # functions zeroed or solved since
         self.scans: dict[Expr, list[tuple[Atom, Expr]]] = {}
         self.residues: dict[Expr, Expr] = {}
-        self.pivot_lists: dict[Expr, list[tuple[Atom, Expr]]] = {}
         self.composite_factors = False  # a certified factor of two or more terms
         self.slot_derivatives: dict[tuple[Expr, Atom], Expr] = {}
 
@@ -240,19 +239,11 @@ class _State:
         return self.residues[coeff]
 
     def divides(self, coeff: Expr) -> bool:
-        """Is ``coeff`` a genuine pivot, a product of certified factors and
-        no bare rational?  Under one-term factors only, a coefficient of
-        two or more terms keeps them all, so it is blocked without dividing."""
-        if coeff.is_rational() or len(coeff.num) > 1 and not self.composite_factors:
+        """Is ``coeff`` a product of certified factors and no bare rational?
+        Under one-term factors a coefficient of two terms or more is not."""
+        if len(coeff.num) > 1 and not self.composite_factors:
             return False
-        return self.residue(coeff).is_rational()
-
-    def pivots(self, c: Expr) -> list[tuple[Atom, Expr]]:
-        """The linear atoms of ``c`` whose coefficient :meth:`divides`."""
-        if c not in self.pivot_lists:
-            linear = self.linear_atoms(c)
-            self.pivot_lists[c] = [(u, k) for u, k in linear if self.divides(k)]
-        return self.pivot_lists[c]
+        return not coeff.is_rational() and self.residue(coeff).is_rational()
 
     def slot_derivative(self, e: Expr, arg: Atom) -> Expr:
         if (e, arg) not in self.slot_derivatives:
@@ -303,7 +294,9 @@ def _refresh(st: _State) -> bool:
     changed = changed or len(out) != len(st.constraints)
     st.constraints = list(out)
     st.clean = set(out)
-    st.scans = {c: st.scans[c] for c in out if c in st.scans}
+    for c in st.scans.keys() - out:  # a dropped scan's residues go with it
+        for _u, k in st.scans.pop(c):
+            st.residues.pop(k, None)
     st.touched.clear()
     for nz in st.nonzero:
         if st.subst_known(nz).is_zero():
@@ -350,7 +343,9 @@ def _eliminate(st: _State) -> bool:
     """Solve the first constraint that is linear in an atom whose
     coefficient is certified nonzero and not a bare rational."""
     for c in st.constraints:
-        for u, coeff in st.pivots(c):
+        for u, coeff in st.linear_atoms(c):
+            if not st.divides(coeff):
+                continue  # blocked, or no genuine pivot backs this division
             rest = collect_coefficients(c, [u]).get((), ZERO)
             value = st.subst_known(-rest / coeff)
             if _circular(u, value):

@@ -427,30 +427,43 @@ def eval_poly(p: Poly, pairs: Mapping[Atom, Expr]) -> Expr:
 
     Each term is its coefficient times the atoms ``pairs`` keeps, times
     the replaced atoms' powers in monomial order.  When every power has a
-    monomial denominator the terms are multiplied out raw and summed as by
-    :func:`expr_sum`: a raw term differs from its canonical form by a
-    monomial shared above and below, and stripping one monomial from every
-    key keeps the keys distinct and in order, so the sum is the same.
-    Otherwise each product is canonicalized.
+    monomial denominator each term is multiplied out raw and stripped of
+    the monomial shared above and below (a product's monomial content is
+    its factors' contents multiplied), so canonical, and all are summed as
+    by :func:`expr_sum`; otherwise each product is canonicalized.
     """
     powers: dict[tuple[Atom, int], Expr] = {}
     for m in p:
         for key in m:
             if key[0] in pairs and key not in powers:
                 powers[key] = as_expr(pairs[key[0]]) ** key[1]
-    terms = [  # each term without its replaced atoms, and their powers
-        ({tuple(ae for ae in m if ae not in powers): qdiv(c, 1)},
-         [powers[k] for k in m if k in powers])
-        for m, c in p.items()
-    ]
     if any(len(pw.den) != 1 for pw in powers.values()):
-        return expr_sum([
-            reduce(mul, pws, Expr(kept, dict(_ONE_POLY), _canonical=True))
-            for kept, pws in terms
-        ])
-    dens = [reduce(mono_mul, (next(iter(w.den)) for w in pws), ()) for _, pws in terms]
-    nums = (reduce(p_mul, (pw.num for pw in pws), kept) for kept, pws in terms)
-    return _monomial_sum(dens, nums)
+        return expr_sum([reduce(mul, (powers[k] for k in m if k in powers), Expr(
+            {tuple(ae for ae in m if ae not in powers): qdiv(c, 1)}, dict(_ONE_POLY),
+            _canonical=True)) for m, c in p.items()])
+    contents = {k: poly_content(pw.num) for k, pw in powers.items() if pw.num}
+    terms = []
+    for m, c in p.items():
+        keys = [k for k in m if k in powers]
+        if any(k not in contents for k in keys):
+            continue  # a zero factor
+        kept = tuple(ae for ae in m if ae not in powers)
+        den = reduce(mono_mul, (next(iter(powers[k].den)) for k in keys), ())
+        rest = {}  # what the kept atoms cannot give of the shared monomial
+        if den:
+            have = dict(kept)
+            tops = [have] + [contents[k] for k in keys]
+            shared = {a: min(e, sum(t.get(a, 0) for t in tops)) for a, e in den}
+            cut = {a: min(n, have.get(a, 0)) for a, n in shared.items()}
+            rest = {a: n - cut[a] for a, n in shared.items() if n > cut[a]}
+            kept, den = mono_strip(kept, cut), mono_strip(den, shared)
+        terms.append((den, {kept: qdiv(c, 1)}, keys, rest))
+    nums = (
+        {mono_strip(m, rest): c for m, c in num.items()} if rest else num
+        for _den, kept, keys, rest in terms
+        for num in [reduce(p_mul, (powers[k].num for k in keys), kept)]
+    )
+    return _monomial_sum([den for den, *_ in terms], nums)
 
 
 def substitute(e: ExprLike, pairs: Mapping[Atom, Expr]) -> Expr:
@@ -458,19 +471,11 @@ def substitute(e: ExprLike, pairs: Mapping[Atom, Expr]) -> Expr:
     themselves substituted).
 
     For triangular maps (no image contains a key atom) the result contains
-    no key atom and the operation is idempotent.  When every image is
-    zero, the monomials holding no key atom are kept, above and below,
-    and canonicalized once: exact for the reason :func:`eval_poly` is.
+    no key atom and the operation is idempotent.
     """
     e = as_expr(e)
     if not any(a in pairs for a in e.atoms()):
         return e
-    if not any(pairs.values()):
-        num, den = (
-            {m: qdiv(c, 1) for m, c in p.items() if not any(a in pairs for a, _ in m)}
-            for p in (e.num, e.den)
-        )
-        return Expr(num, den)
     if e.den == _ONE_POLY:
         return eval_poly(e.num, pairs)
     return eval_poly(e.num, pairs) / eval_poly(e.den, pairs)

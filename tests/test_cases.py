@@ -211,10 +211,6 @@ def _check_scan(state, c):
         assert state.divides(coeff) == (
             not coeff.is_rational() and residue.is_rational()
         )
-    assert [u for u, _ in state.pivots(c)] == [
-        u for u, ref in want
-        if not ref.is_rational() and strip_certified(ref, state.nonzero).is_rational()
-    ]
 
 
 @pytest.mark.parametrize("name", ["gas1d", "fluid2d", "nonsimple2d", "granular2d"])
@@ -275,8 +271,17 @@ def test_root_reduction_divides_only_where_it_can_succeed(monkeypatch):
     monkeypatch.setattr(algebra, "poly_divexact", counting_divexact)
     apply_assumptions(cs, ())
     assert [e for e in stripped if len(e.num) > 1] == []
-    assert len(stripped) <= 446
-    assert len(divisions) <= 1769
+    assert len(stripped) <= 439
+    assert len(divisions) <= 1750
+
+
+def test_reduction_caches_only_live_scans():
+    # a refresh drops the scan of each constraint it did not keep, and
+    # the residues taken from that scan with it
+    st = cases._make_state(solution_run("granular2d").system, ())
+    cases._reduce(st)
+    assert st.residues and set(st.scans) <= set(st.constraints)
+    assert set(st.residues) <= {k for scan in st.scans.values() for _u, k in scan}
 
 
 def test_round_cap_fails_loudly(monkeypatch):

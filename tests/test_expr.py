@@ -7,7 +7,7 @@ from itertools import permutations
 from operator import add
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import entropik
@@ -568,10 +568,14 @@ def _check_against_fold(e, pairs):
     same(substitute(e, pairs), want)
 
 
-# images with monomial and two-term denominators, and zero
+# images with monomial and two-term denominators, and zero; in the example
+# a denominator shares rho with another image's numerator, not with the
+# atoms a term keeps, or with them only in part
 @given(st.one_of(exprs, small_exprs),
        st.dictionaries(st.sampled_from(DIV_ATOMS + ATOM_POOL),
                        st.one_of(images, st.just(ZERO)), min_size=1, max_size=3))
+@example(e=Expr.atom(U) * P + Expr.atom(U) * Expr.atom(P)**2 * RHO + EPS,
+         pairs={U: Expr.atom(RHO) * EPS + RHO, P: 1 / Expr.atom(RHO)})
 @settings(max_examples=300, deadline=None)
 def test_substitute_is_the_per_term_fold(e, pairs):
     _check_against_fold(e, pairs)

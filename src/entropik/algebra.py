@@ -14,6 +14,16 @@ Dividing out the nonzero factors (:func:`normalize_constraint`,
 :func:`strip_certified`) skips every factor holding an atom the
 constraint lacks: such a factor cannot divide it, and most factors of a
 long assumption list are of that kind.
+
+Direct paths, each chosen from the input and giving the general path's
+result to the term order and coefficient types:
+
+* dividing out the nonzero factors takes every one-term factor in one
+  pass, by its content exponent, and sorts the quotient once in
+  graded-lex order; only a multi-term factor that may divide falls back
+  to repeated division;
+* :func:`arg_derivative` of a polynomial walks each contributing atom's
+  terms once and adds each differentiated, bumped term into one dict.
 """
 
 from __future__ import annotations
@@ -31,11 +41,13 @@ from .atoms import (
     mi_total,
     mi_unit,
 )
+from .backend import mono_mul, p_diff
 from .expr import (
     Expr,
     Monomial,
     ZERO,
     expr_sum,
+    grlex_sorted,
     mono_key,
     mono_strip,
     partial_diff,
@@ -103,11 +115,9 @@ def _foreign(f: Expr, have: Collection[Atom]) -> bool:
 
 def strip_certified(e: Expr, nonzero: Iterable[Expr]) -> Expr:
     """``e`` with every assumed-nonzero factor divided out."""
-    have = _num_atoms(e)
-    for f in nonzero:
-        if not _foreign(f, have):
-            e, _ = divide_out(e, f)
-    return e
+    if e.is_zero() or not e.is_polynomial():
+        return e
+    return _cancel(e, nonzero)[0]
 
 
 def certified_nonzero(e: Expr, nonzero: Iterable[Expr]) -> bool:
@@ -140,17 +150,57 @@ def normalize_constraint(
     divides, then scales so the graded-lex leading coefficient is 1.
     """
     e = e.numerator_expr()
-    log: list[Cancellation] = []
     if e.is_zero():
-        return ZERO, log
-    have = _num_atoms(e)
-    for f in nonzero:
-        if _foreign(f, have):
-            continue
-        e, times = divide_out(e, f)
-        if times:
-            log.append(Cancellation(factor=f, times=times))
+        return ZERO, []
+    e, log = _cancel(e, nonzero)
     return _monic(e.num), log
+
+
+def _cancel(e: Expr, nonzero: Iterable[Expr]) -> tuple[Expr, list[Cancellation]]:
+    """The nonzero polynomial ``e`` with each assumed-nonzero factor
+    divided out as often as it divides, and the cancellations made.
+
+    A one-term factor ``c*M`` divides ``e`` exactly ``k`` times, ``k`` the
+    least quotient of ``e``'s content exponent by ``M``'s over ``M``'s
+    atoms; such divisions are gathered into one monomial and one
+    coefficient and made in one pass.  A multi-term factor is divided out
+    by repeated division, after the gathered ones are made.  A quotient
+    comes in descending graded-lex order whatever the dividend's order, so
+    once anything divides, the result is that order, sorted once.
+    """
+    log: list[Cancellation] = []
+    have = _num_atoms(e)
+    p = e.num
+    content = poly_content(p)
+    strip: dict[Atom, int] = {}  # the gathered one-term divisions
+    scale = 1
+
+    def made() -> dict:  # ``p`` with the gathered divisions made
+        return {mono_strip(m, strip): qdiv(c, scale) for m, c in p.items()}
+
+    for f in nonzero:
+        if _foreign(f, have) or f.is_rational() or not f.is_polynomial():
+            continue
+        if len(f.num) == 1:
+            ((mf, cf),) = f.num.items()
+            times = min(content.get(a, 0) // k for a, k in mf)
+            if times:
+                for a, k in mf:
+                    content[a] -= k * times
+                    strip[a] = strip.get(a, 0) + k * times
+                scale = scale * cf**times
+                log.append(Cancellation(factor=f, times=times))
+            continue
+        if strip:
+            p, strip, scale = made(), {}, 1
+        q, times = divide_out(Expr(p, {(): 1}, _canonical=True), f)
+        if times:
+            p = q.num
+            content = poly_content(p)
+            log.append(Cancellation(factor=f, times=times))
+    if not log:
+        return e, log
+    return Expr(grlex_sorted(made() if strip else p), {(): 1}, _canonical=True), log
 
 
 def normal_set(
@@ -220,11 +270,16 @@ def arg_derivative(
     bumped partial; symbols that do not see ``a`` are constants.  ``a``
     itself differentiates to one; all other jet atoms are unrelated
     coordinates and differentiate to zero.
+
+    A polynomial ``e`` is differentiated in each contributing atom in
+    turn, and each term of that derivative, times the bumped partial, is
+    added into one dict in the order the sum of the per-atom products
+    would add it, so the result is that sum's.
     """
-    terms = []
+    bumps: list[tuple[Atom, Optional[Atom]]] = []  # (x, the partial it bumps to)
     for x in e.atoms():
         if x is a:
-            terms.append(partial_diff(e, x))
+            bumps.append((x, None))
             continue
         if not isinstance(x, (ConstitSym, ConstitPartial)):
             continue
@@ -236,8 +291,27 @@ def arg_derivative(
             d = ConstitPartial(x.name, mi_unit(len(args), j))
         else:
             d = ConstitPartial(x.name, mi_add(x.slots, mi_unit(len(args), j)))
-        terms.append(partial_diff(e, x) * Expr.atom(d))
-    return expr_sum(terms)
+        bumps.append((x, d))
+    if not e.is_polynomial():
+        return expr_sum([
+            partial_diff(e, x) if d is None else partial_diff(e, x) * Expr.atom(d)
+            for x, d in bumps
+        ])
+    out: dict = {}
+    for x, d in bumps:
+        dm = ((d, 1),) if d is not None else ()
+        for m, c in p_diff(e.num, x).items():
+            m = mono_mul(m, dm)
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            else:
+                s = s + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return Expr(out, {(): 1}, _canonical=True)
 
 
 def derive_partial(

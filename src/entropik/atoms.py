@@ -18,7 +18,11 @@ structural payload) is exposed through ``Atom.key`` and ``<``; canonical
 expression forms rely on it.
 
 The interner is the only shared mutable state in the kernel; registration
-uses ``dict.setdefault`` and is safe under concurrent use.
+uses ``dict.setdefault`` and is safe under concurrent use.  A constructor
+first looks its arguments up as the interned key, when they can be one (a
+multi-index given as a tuple), and normalizes and validates them only on a
+miss; nearly every call is a hit.  An invalid multi-index is never
+interned, so it always misses and raises.
 """
 
 from __future__ import annotations
@@ -86,26 +90,27 @@ class Atom:
         return self.key < other.key
 
     @classmethod
-    def _intern(cls, key: tuple, builder) -> "Atom":
+    def _intern(cls, key: tuple, **fields) -> "Atom":
         found = Atom._interned.get(key)
         if found is None:
-            found = Atom._interned.setdefault(key, builder())
+            found = object.__new__(cls)
+            found.key = key
+            for name, value in fields.items():
+                setattr(found, name, value)
+            found = Atom._interned.setdefault(key, found)
         return found
+
+
+_INTERNED = Atom._interned
 
 
 class IndepVar(Atom):
     __slots__ = ("name",)
 
     def __new__(cls, name: str) -> "IndepVar":
-        key = (0, name)
-
-        def build():
-            self = object.__new__(cls)
-            self.key = key
-            self.name = name
-            return self
-
-        return cls._intern(key, build)  # type: ignore[return-value]
+        return _INTERNED.get((0, name)) or cls._intern(  # type: ignore[return-value]
+            (0, name), name=name
+        )
 
     def __str__(self) -> str:
         return self.name
@@ -115,19 +120,15 @@ class JetVar(Atom):
     __slots__ = ("field", "orders")
 
     def __new__(cls, field: str, orders: Iterable[int]) -> "JetVar":
+        if type(orders) is tuple:  # the key itself, when it is interned
+            found = _INTERNED.get((1, field, orders))
+            if found is not None:
+                return found  # type: ignore[return-value]
         orders = tuple(int(o) for o in orders)
         if any(o < 0 for o in orders):
             raise ValueError(f"negative derivative order in {orders}")
         key = (1, field, orders)
-
-        def build():
-            self = object.__new__(cls)
-            self.key = key
-            self.field = field
-            self.orders = orders
-            return self
-
-        return cls._intern(key, build)  # type: ignore[return-value]
+        return cls._intern(key, field=field, orders=orders)  # type: ignore[return-value]
 
     def suffix(self, indep_names: tuple[str, ...]) -> str:
         """Subscript string like ``tx`` for orders (1,1) over (t, x)."""
@@ -146,15 +147,9 @@ class ConstitSym(Atom):
     __slots__ = ("name",)
 
     def __new__(cls, name: str) -> "ConstitSym":
-        key = (2, name)
-
-        def build():
-            self = object.__new__(cls)
-            self.key = key
-            self.name = name
-            return self
-
-        return cls._intern(key, build)  # type: ignore[return-value]
+        return _INTERNED.get((2, name)) or cls._intern(  # type: ignore[return-value]
+            (2, name), name=name
+        )
 
     def __str__(self) -> str:
         return self.name
@@ -172,19 +167,15 @@ class ConstitPartial(Atom):
     __slots__ = ("name", "slots")
 
     def __new__(cls, name: str, slots: Iterable[int]) -> "ConstitPartial":
+        if type(slots) is tuple:  # the key itself, when it is interned
+            found = _INTERNED.get((3, name, slots))
+            if found is not None:
+                return found  # type: ignore[return-value]
         slots = tuple(int(s) for s in slots)
         if any(s < 0 for s in slots) or sum(slots) == 0:
             raise ValueError(f"invalid slot multi-index {slots}")
         key = (3, name, slots)
-
-        def build():
-            self = object.__new__(cls)
-            self.key = key
-            self.name = name
-            self.slots = slots
-            return self
-
-        return cls._intern(key, build)  # type: ignore[return-value]
+        return cls._intern(key, name=name, slots=slots)  # type: ignore[return-value]
 
     @property
     def order(self) -> int:

@@ -88,6 +88,8 @@ def _resolve_dep(m: ModelDef, spec: str) -> tuple[Atom, ...]:
             raise click.UsageError(
                 f"unknown dependency {label!r}; model dependencies: {known}"
             )
+        if by_label[label] in out:
+            raise click.UsageError(f"dependency {label!r} is given twice")
         out.append(by_label[label])
     return tuple(out)
 

@@ -22,6 +22,14 @@ given order, since the form then depends on that order.
 monomial from each term, and by any other by eliminating leading terms;
 both give the quotient's terms in the same order.
 All values are immutable after construction and safe to share.
+
+Direct paths, each chosen from the input and giving the general path's
+result to the term order and coefficient types:
+
+* canonicalizing over a one-term denominator takes its one coefficient as
+  the leading coefficient, without ranking monomials;
+* :meth:`Expr.atoms` is taken on the first call and kept, since an
+  ``Expr`` never changes.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from ._ratio import Q, qdiv
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_add, mi_unit
@@ -60,6 +68,7 @@ __all__ = [
     "mono_strip",
     "poly_content",
     "poly_divexact",
+    "grlex_sorted",
 ]
 
 Monomial = tuple  # tuple[(Atom, int), ...]
@@ -104,7 +113,7 @@ def mono_strip(m: Monomial, content: dict) -> Monomial:
 class Expr:
     """Immutable canonical rational function."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_atoms")
 
     def __init__(self, num: Poly, den: Poly, _canonical: bool = False):
         if not _canonical:
@@ -112,6 +121,7 @@ class Expr:
         self.num = num
         self.den = den
         self._hash = None
+        self._atoms = None
 
     # -- constructors -----------------------------------------------------
 
@@ -147,14 +157,15 @@ class Expr:
     def is_polynomial(self) -> bool:
         return self.den == _ONE_POLY
 
-    def atoms(self) -> Iterator[Atom]:
-        seen = set()
-        for p in (self.num, self.den):
-            for m in p:
-                for a, _ in m:
-                    if a not in seen:
-                        seen.add(a)
-                        yield a
+    def atoms(self) -> tuple[Atom, ...]:
+        """A tuple of the atoms of the numerator, then of the denominator,
+        each once, in first-seen order; taken on the first call and kept."""
+        found = self._atoms
+        if found is None:
+            found = self._atoms = tuple(
+                {a: None for p in (self.num, self.den) for m in p for a, _ in m}
+            )
+        return found
 
     def numerator_expr(self) -> "Expr":
         return Expr(dict(self.num), dict(_ONE_POLY), _canonical=True)
@@ -260,7 +271,10 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
                 num = {mono_strip(m, common): c for m, c in num.items()}
                 den = {mono_strip(m, common): c for m, c in den.items()}
     # Scale: leading denominator coefficient becomes 1.
-    lc = den[max(den, key=mono_key)]
+    if len(den) == 1:
+        (lc,) = den.values()
+    else:
+        lc = den[max(den, key=mono_key)]
     if lc != 1:
         num = {m: qdiv(c, lc) for m, c in num.items()}
         den = {m: qdiv(c, lc) for m, c in den.items()}
@@ -572,6 +586,30 @@ def _eval_poly_numeric(p: Poly, assignment: Mapping[Atom, Q]) -> tuple[int, int]
 # ---------------------------------------------------------------------------
 # Exact polynomial division.
 
+def _dense(atoms: Sequence[Atom]):
+    """The exponent vector over ``atoms`` (in atom order) of a monomial
+    in them, its total degree first: native tuple order on these vectors
+    is the graded-lex order."""
+    index = {a: i for i, a in enumerate(atoms, 1)}
+    width = len(atoms) + 1
+
+    def dense(m):
+        v = [0] * width
+        for a, e in m:
+            v[index[a]] = e
+        v[0] = sum(v)
+        return tuple(v)
+
+    return dense
+
+
+def grlex_sorted(p: Poly) -> Poly:
+    """``p`` with its terms in descending graded-lex order, the order in
+    which :func:`poly_divexact` gives a quotient."""
+    dense = _dense(sorted({a for m in p for a, _ in m}, key=lambda a: a.key))
+    return {m: p[m] for m in sorted(p, key=dense, reverse=True)}
+
+
 def poly_divexact(p: Poly, q: Poly) -> Poly:
     """The exact quotient ``p / q``; ArithmeticError when ``q`` does not
     divide ``p``.
@@ -611,16 +649,7 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
             if e > top.get(a, 0):
                 top[a] = e
     atoms = sorted(top, key=lambda a: a.key)
-    index = {a: i for i, a in enumerate(atoms, 1)}
-    width = len(atoms) + 1
-
-    def dense(m):
-        v = [0] * width
-        for a, e in m:
-            v[index[a]] = e
-        v[0] = sum(v)
-        return tuple(v)
-
+    dense = _dense(atoms)
     if len(q) == 1:
         strip = dict(mq)
         return {

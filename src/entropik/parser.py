@@ -319,12 +319,14 @@ class CompileEnv:
     decls: dict[str, ConstitDecl]
     extended: bool = False
     parameters: frozenset[str] = frozenset()
+    diff_ctx: Optional[DiffContext] = None  # built from ``decls`` when None
 
     def __post_init__(self):
         self.indep_by_name = {v.name: v for v in self.indep}
-        self.diff_ctx = DiffContext(
-            indep=self.indep, args={n: d.args for n, d in self.decls.items()}
-        )
+        if self.diff_ctx is None:
+            self.diff_ctx = DiffContext(
+                indep=self.indep, args={n: d.args for n, d in self.decls.items()}
+            )
         self.deriv_ops = {"d" + v.name: v for v in self.indep}
         self.render_ctx = RenderContext(
             indep_names=tuple(v.name for v in self.indep), arg_names={}
@@ -547,8 +549,12 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
     indep_t = tuple(IndepVar(n) for n in indep)
     fields_t = tuple(fields)
 
+    # One DiffContext for the whole parse, so each chain rule is expanded
+    # once.  Argument lists differentiate only field derivatives, which
+    # need no declaration; the declarations join before pass 2.
+    ctx = DiffContext(indep=indep_t, args={})
     # Environment without constitutive declarations: for argument lists.
-    arg_env = CompileEnv(indep=indep_t, fields=fields_t, decls={})
+    arg_env = CompileEnv(indep=indep_t, fields=fields_t, decls={}, diff_ctx=ctx)
 
     decls: dict[str, ConstitDecl] = {}
     for c in decl_lines:
@@ -597,8 +603,11 @@ def parse_model(text: str, filename: str = "<model>") -> ParseResult:
         except ParseFailure as e:
             diags.append(e.diag)
 
-    env = CompileEnv(indep=indep_t, fields=fields_t, decls=decls)
-    ext_env = CompileEnv(indep=indep_t, fields=fields_t, decls=decls, extended=True)
+    ctx.args.update((n, d.args) for n, d in decls.items())
+    env = CompileEnv(indep=indep_t, fields=fields_t, decls=decls, diff_ctx=ctx)
+    ext_env = CompileEnv(
+        indep=indep_t, fields=fields_t, decls=decls, extended=True, diff_ctx=ctx
+    )
 
     # -- pass 2: equations, entropy, leading, assumptions ----------------
     equations: list[Equation] = []

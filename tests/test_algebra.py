@@ -1,11 +1,14 @@
 """Shared constraint algebra: division loops, the zero rule and
 substitution of known values."""
 
+from fractions import Fraction as Q
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropik.algebra import (
     Cancellation,
+    arg_derivative,
     certified_nonzero,
     divide_out,
     forced_zero,
@@ -16,7 +19,7 @@ from entropik.algebra import (
 )
 from entropik.atoms import ConstitPartial, ConstitSym, JetVar
 from entropik.bindings import parse_bindings
-from entropik.expr import ONE, ZERO, Expr
+from entropik.expr import ONE, ZERO, Expr, expr_sum, partial_diff
 
 from conftest import bindings_text
 
@@ -161,3 +164,136 @@ def test_dividing_out_skips_only_factors_that_cannot_divide(data):
         normalize_constraint(stripped, ())[0], log
     )
     assert strip_certified(e, nonzero) == _strip_by_every_factor(e, nonzero)[0]
+
+
+# -- direct kernel paths (property-based) ---------------------------------
+# The one-pass paths must give what the general ones give, down to the
+# insertion order and the type of every coefficient: later folds over
+# non-monomial denominators depend on both.
+
+# ints, and Fractions, integral ones among them, as a product can leave
+coeffs = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(-2, 2, max_denominator=3).filter(bool),
+)
+
+
+def _terms(p):
+    return [(m, c, type(c)) for m, c in p.items()]
+
+
+def _same(a, b):
+    return _terms(a.num) == _terms(b.num) and _terms(a.den) == _terms(b.den)
+
+
+def _raw_poly(terms, atoms):
+    """The polynomial with exactly these coefficients, summed key by key
+    and built without normalizing them."""
+    num = {}
+    for c, exps in terms:
+        m = tuple(sorted(((a, k) for a, k in zip(atoms, exps) if k),
+                         key=lambda ak: ak[0].key))
+        num[m] = num.get(m, 0) + c
+    return Expr({m: c for m, c in num.items() if c}, {(): 1}, _canonical=True)
+
+
+def _raw_polys(atoms, min_terms, max_terms):
+    term = st.tuples(coeffs, st.tuples(*(st.integers(0, 2) for _ in atoms)))
+    return st.lists(term, min_size=min_terms, max_size=max_terms).map(
+        lambda ts: _raw_poly(ts, atoms)
+    )
+
+
+DIFF_ATOMS = (
+    JetVar("rho", (0, 0)), JetVar("eps", (0, 0)), JetVar("u", (0, 0)),
+    ConstitSym("p"), DP_DRHO, ConstitPartial("p", (0, 1)), ConstitSym("q1"),
+    ConstitSym("h"),
+)
+# q1 does not see rho; h has no declaration
+DIFF_ARGS = {"p": DIFF_ATOMS[:2], "q1": DIFF_ATOMS[1:2]}
+
+
+def _arg_derivative_by_atoms(e, a, args_of):
+    """The general path: one quotient-rule derivative per atom, times the
+    bumped partial, summed."""
+    terms = []
+    for x in e.atoms():
+        if x is a:
+            terms.append(partial_diff(e, x))
+            continue
+        args = args_of.get(getattr(x, "name", None))
+        if not isinstance(x, (ConstitSym, ConstitPartial)) or not args or a not in args:
+            continue
+        slots = list(getattr(x, "slots", (0,) * len(args)))
+        slots[args.index(a)] += 1
+        terms.append(partial_diff(e, x) * Expr.atom(ConstitPartial(x.name, slots)))
+    return expr_sum(terms)
+
+
+def _cancelling_pairs(c, rest):
+    # c*p*X - c*rho*dp/drho*X: the rho-derivatives in rho and in p cancel
+    x = (0, rest[0], rest[1], 0, 0, 0, rest[2], 0)
+    return [(c, x[:3] + (1,) + x[4:]), (-c, (1,) + x[1:4] + (1,) + x[5:])]
+
+
+diff_polys = st.tuples(
+    st.lists(st.tuples(coeffs, st.tuples(*(st.integers(0, 2) for _ in DIFF_ATOMS))),
+             max_size=6),
+    st.lists(st.tuples(coeffs, st.tuples(*(st.integers(0, 1) for _ in range(3)))),
+             max_size=2),
+).map(lambda tp: _raw_poly(
+    tp[0] + [t for c, rest in tp[1] for t in _cancelling_pairs(c, rest)], DIFF_ATOMS
+))
+
+
+@given(diff_polys, st.sampled_from(DIFF_ATOMS[:2]))
+@settings(max_examples=300, deadline=None)
+def test_polynomial_arg_derivative_is_the_sum_over_atoms(e, a):
+    got = arg_derivative(e, a, DIFF_ARGS)
+    assert _same(got, _arg_derivative_by_atoms(e, a, DIFF_ARGS))
+
+
+def test_arg_derivative_cancels_across_atoms():
+    rho, p = Expr.atom(DIFF_ATOMS[0]), Expr.atom(ConstitSym("p"))
+    e = rho * Expr.atom(DP_DRHO) * Q(1, 2) - p / 2
+    assert arg_derivative(e, DIFF_ATOMS[0], DIFF_ARGS) == rho * Expr.atom(
+        ConstitPartial("p", (2, 0))) / 2
+
+
+def _by_repeated_division(e, nonzero):
+    log = []
+    for f in nonzero:
+        e, times = divide_out(e, f)
+        if times:
+            log.append(Cancellation(factor=f, times=times))
+    return e, log
+
+
+FACTOR_SYMS = tuple(a.atoms()[0] for a in FACTOR_ATOMS)
+one_term_factors = st.builds(
+    lambda c, exps: _raw_poly([(c, exps)], FACTOR_SYMS),
+    coeffs, st.tuples(*(st.integers(0, 2) for _ in FACTOR_SYMS)),
+)
+multi_term_factors = _raw_polys(FACTOR_SYMS, 2, 3).filter(lambda f: len(f.num) > 1)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_normal_form_is_repeated_division(data):
+    # one-term factors with Fraction coefficients, some dividing more than
+    # once, and a multi-term factor that divides, so the pass falls back
+    nonzero = data.draw(st.lists(
+        st.one_of(one_term_factors, one_term_factors, multi_term_factors, factors),
+        max_size=5,
+    ))
+    fallback = data.draw(multi_term_factors)
+    nonzero.insert(data.draw(st.integers(0, len(nonzero))), fallback)
+    e = data.draw(_raw_polys(FACTOR_SYMS[:3], 1, 4)) * fallback ** data.draw(
+        st.integers(0, 2))
+    for i in data.draw(st.lists(st.integers(0, len(nonzero) - 1), max_size=4)):
+        e = e * nonzero[i]
+    want, log = _by_repeated_division(e.numerator_expr(), nonzero)
+    got, got_log = normalize_constraint(e, nonzero)
+    assert got_log == log
+    assert _same(got, normalize_constraint(want, ())[0])
+    assert _same(strip_certified(e, nonzero), _by_repeated_division(e, nonzero)[0])

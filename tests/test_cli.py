@@ -106,6 +106,15 @@ def test_analyze_mueller_liu_multiplier_dep_resolves_labels(runner):
     assert "unknown dependency 'bogus'; model dependencies: eps, rho" in r.output
 
 
+def test_repeated_multiplier_dep_label_is_a_usage_error(runner):
+    # analyze and compare both resolve the labels in one place
+    analyze = ["analyze", model("gas1d"), "--method", "mueller-liu"]
+    for cmd in (analyze, ["compare", model("gas1d")]):
+        r = runner.invoke(main, cmd + ["--multiplier-dep", "rho, eps,rho"])
+        assert r.exit_code == 2
+        assert "dependency 'rho' is given twice" in r.output
+
+
 def test_analyze_mueller_liu_latex(runner):
     args = ["analyze", model("gas1d"), "--method", "mueller-liu"]
     r = runner.invoke(main, args + ["--output", "latex"])

@@ -135,12 +135,52 @@ def test_collect_coefficients_rejects_a_variable_in_the_denominator():
     assert err.value.code == "E003"
 
 
+# -- atoms ------------------------------------------------------------------
+
+@pytest.mark.parametrize("make, args", [
+    (IndepVar, ("t",)), (JetVar, ("rho", (0, 1))),
+    (ConstitSym, ("p",)), (ConstitPartial, ("p", (1, 0))),
+])
+def test_an_interned_key_gives_the_interned_atom(make, args):
+    first = make(*args)
+    assert make(*args) is first
+    if len(args) == 2:  # any spelling of the multi-index gives it too
+        assert make(args[0], list(args[1])) is first
+        assert make(args[0], tuple(float(o) for o in args[1])) is first
+
+
+def test_an_invalid_atom_raises_after_its_valid_one_is_interned():
+    JetVar("rho", (0, 1))
+    ConstitPartial("p", (1, 0))
+    for make, bad in ((JetVar, ("rho", (0, -1))), (ConstitPartial, ("p", (0, 0))),
+                      (ConstitPartial, ("p", (-1, 1)))):
+        with pytest.raises(ValueError):
+            make(*bad)
+
+
+def _first_seen_atoms(e):
+    seen = []
+    for p in (e.num, e.den):
+        for m in p:
+            for a, _ in m:
+                if a not in seen:
+                    seen.append(a)
+    return tuple(seen)
+
+
 # -- algebraic laws (property-based) --------------------------------------
 
 exprs = st.builds(
     lambda seed, depth: _rand_expr(random.Random(seed), depth),
     st.integers(0, 2**32), st.integers(1, 3),
 )
+
+
+@given(exprs)
+@settings(max_examples=100, deadline=None)
+def test_atoms_are_the_first_seen_atoms_once(a):
+    assert a.atoms() == _first_seen_atoms(a)
+    assert a.atoms() is a.atoms()
 
 
 @given(exprs, exprs, exprs)

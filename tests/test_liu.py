@@ -4,6 +4,7 @@ solution-manifold constraints."""
 import pytest
 
 import entropik.algebra
+import entropik.expr
 import entropik.liu
 from entropik.atoms import ConstitPartial, ConstitSym
 from entropik.expr import ONE, ZERO, Expr, substitute
@@ -171,6 +172,33 @@ def test_harvest_takes_each_slot_derivative_once(granular, monkeypatch):
     monkeypatch.setattr(entropik.liu, "arg_derivative", counting)
     liu_split(liu_extended(granular), granular)
     assert len(calls) == len(set(calls)) == 312
+
+
+def test_liu_split_takes_the_direct_kernel_paths(granular, monkeypatch):
+    # every slot derivative liu_split takes is of a polynomial, and every
+    # one-term denominator is scaled by its one coefficient, unranked
+    derived, diffs, keys, one_term = [], [], [], []
+    real_derivative = entropik.liu.arg_derivative
+    real_diff = entropik.algebra.partial_diff
+    real_key = entropik.expr.mono_key
+    real_canonicalize = entropik.expr._canonicalize
+
+    def canonicalize(num, den):
+        before = len(keys)
+        out = real_canonicalize(num, den)
+        if len(den) == 1:
+            one_term.append(len(keys) - before)
+        return out
+
+    monkeypatch.setattr(entropik.liu, "arg_derivative",
+                        lambda *args: derived.append(args) or real_derivative(*args))
+    monkeypatch.setattr(entropik.algebra, "partial_diff",
+                        lambda e, a: diffs.append(a) or real_diff(e, a))
+    monkeypatch.setattr(entropik.expr, "mono_key", lambda m: keys.append(m) or real_key(m))
+    monkeypatch.setattr(entropik.expr, "_canonicalize", canonicalize)
+    liu_split(liu_extended(granular), granular)
+    assert derived and not diffs
+    assert one_term and not any(one_term)
 
 
 def test_compare_tries_no_divisor_with_a_foreign_atom(monkeypatch):

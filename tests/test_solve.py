@@ -114,8 +114,8 @@ def test_pivot_determinant_certified(fluid):
 
 def test_each_atom_derivative_is_expanded_once_per_context(monkeypatch):
     # granular2d's functions take twelve arguments; a context expands an
-    # atom's chain rule once per direction (a parse makes two contexts,
-    # for plain and extended expressions)
+    # atom's chain rule once per direction (the plain and extended
+    # expressions of a parse share one context)
     expanded = []
     expand = expr._expand
 
@@ -126,7 +126,7 @@ def test_each_atom_derivative_is_expanded_once_per_context(monkeypatch):
     monkeypatch.setattr(expr, "_expand", counting)
     text = (MODELS / "granular2d.epk").read_text()
     m = parse_model(text, filename="granular2d.epk").raise_on_error()
-    assert len(expanded) == len(set(expanded)) == 74
+    assert len(expanded) == len(set(expanded)) == 58
     s = solve_leading(m)
     expanded.clear()
     close_consequences(m, s)

@@ -36,10 +36,9 @@ from .atoms import (
     Atom,
     ConstitPartial,
     ConstitSym,
-    mi_add,
+    mi_bump,
     mi_dominates,
     mi_total,
-    mi_unit,
 )
 from .backend import mono_mul, p_diff
 from .expr import (
@@ -286,12 +285,8 @@ def arg_derivative(
         args = args_of.get(x.name)
         if args is None or a not in args:
             continue
-        j = args.index(a)
-        if isinstance(x, ConstitSym):
-            d = ConstitPartial(x.name, mi_unit(len(args), j))
-        else:
-            d = ConstitPartial(x.name, mi_add(x.slots, mi_unit(len(args), j)))
-        bumps.append((x, d))
+        slots = x.slots if isinstance(x, ConstitPartial) else (0,) * len(args)
+        bumps.append((x, ConstitPartial(x.name, mi_bump(slots, args.index(a)))))
     if not e.is_polynomial():
         return expr_sum([
             partial_diff(e, x) if d is None else partial_diff(e, x) * Expr.atom(d)

@@ -35,7 +35,7 @@ __all__ = [
     "JetVar",
     "ConstitSym",
     "ConstitPartial",
-    "mi_add",
+    "mi_bump",
     "mi_unit",
     "mi_total",
     "mi_dominates",
@@ -50,10 +50,9 @@ def mi_unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def mi_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) != len(b):
-        raise ValueError(f"multi-index length mismatch: {a} vs {b}")
-    return tuple(x + y for x, y in zip(a, b))
+def mi_bump(a: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """``a`` with entry i raised by one: one more derivative in direction i."""
+    return a[:i] + (a[i] + 1,) + a[i + 1 :]
 
 
 def mi_total(a: tuple[int, ...]) -> int:

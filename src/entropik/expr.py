@@ -41,7 +41,7 @@ from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._ratio import Q, qdiv
-from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_add, mi_unit
+from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_bump
 from .backend import mono_mul, p_add, p_diff, p_mul, p_neg, p_pow, p_sub
 from .errors import (
     DenominatorVanishes,
@@ -396,8 +396,7 @@ def _expand(a: Atom, iv_index: int, ctx: DiffContext) -> Expr:
     if isinstance(a, IndepVar):
         return ONE if a is ctx.indep[iv_index] else ZERO
     if isinstance(a, JetVar):
-        unit = mi_unit(len(ctx.indep), iv_index)
-        return Expr.atom(JetVar(a.field, mi_add(a.orders, unit)))
+        return Expr.atom(JetVar(a.field, mi_bump(a.orders, iv_index)))
     if not isinstance(a, (ConstitSym, ConstitPartial)):
         raise TypeError(f"unknown atom kind: {a!r}")
     args = ctx.arg_atoms(a.name)
@@ -407,7 +406,7 @@ def _expand(a: Atom, iv_index: int, ctx: DiffContext) -> Expr:
         d_arg = atom_total_derivative(arg, iv_index, ctx)
         if d_arg.is_zero():
             continue
-        cp = ConstitPartial(a.name, mi_add(slots, mi_unit(len(args), j)))
+        cp = ConstitPartial(a.name, mi_bump(slots, j))
         terms.append(Expr.atom(cp) * d_arg)
     return expr_sum(terms)
 

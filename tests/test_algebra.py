@@ -260,15 +260,6 @@ def test_arg_derivative_cancels_across_atoms():
         ConstitPartial("p", (2, 0))) / 2
 
 
-def _by_repeated_division(e, nonzero):
-    log = []
-    for f in nonzero:
-        e, times = divide_out(e, f)
-        if times:
-            log.append(Cancellation(factor=f, times=times))
-    return e, log
-
-
 FACTOR_SYMS = tuple(a.atoms()[0] for a in FACTOR_ATOMS)
 one_term_factors = st.builds(
     lambda c, exps: _raw_poly([(c, exps)], FACTOR_SYMS),
@@ -292,8 +283,8 @@ def test_one_pass_normal_form_is_repeated_division(data):
         st.integers(0, 2))
     for i in data.draw(st.lists(st.integers(0, len(nonzero) - 1), max_size=4)):
         e = e * nonzero[i]
-    want, log = _by_repeated_division(e.numerator_expr(), nonzero)
+    want, log = _strip_by_every_factor(e.numerator_expr(), nonzero)
     got, got_log = normalize_constraint(e, nonzero)
     assert got_log == log
     assert _same(got, normalize_constraint(want, ())[0])
-    assert _same(strip_certified(e, nonzero), _by_repeated_division(e, nonzero)[0])
+    assert _same(strip_certified(e, nonzero), _strip_by_every_factor(e, nonzero)[0])

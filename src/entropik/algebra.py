@@ -19,9 +19,9 @@ Direct paths, each chosen from the input and giving the general path's
 result to the term order and coefficient types:
 
 * dividing out the nonzero factors takes every one-term factor in one
-  pass, by its content exponent, and sorts the quotient once in
-  graded-lex order; only a multi-term factor that may divide falls back
-  to repeated division;
+  pass, by its content exponent, keeping the constraint's term order;
+  only a multi-term factor that may divide falls back to repeated
+  division;
 * :func:`arg_derivative` of a polynomial walks each contributing atom's
   terms once and adds each differentiated, bumped term into one dict.
 """
@@ -46,7 +46,6 @@ from .expr import (
     Monomial,
     ZERO,
     expr_sum,
-    grlex_sorted,
     mono_key,
     mono_strip,
     partial_diff,
@@ -146,7 +145,8 @@ def normalize_constraint(
     """Monic normal form modulo the nonzero-assumption set.
 
     Cancels every assumed-nonzero polynomial factor as often as it
-    divides, then scales so the graded-lex leading coefficient is 1.
+    divides, then scales so the coefficient of the top term under
+    ``mono_key`` is 1.
     """
     e = e.numerator_expr()
     if e.is_zero():
@@ -163,9 +163,8 @@ def _cancel(e: Expr, nonzero: Iterable[Expr]) -> tuple[Expr, list[Cancellation]]
     least quotient of ``e``'s content exponent by ``M``'s over ``M``'s
     atoms; such divisions are gathered into one monomial and one
     coefficient and made in one pass.  A multi-term factor is divided out
-    by repeated division, after the gathered ones are made.  A quotient
-    comes in descending graded-lex order whatever the dividend's order, so
-    once anything divides, the result is that order, sorted once.
+    by repeated division, after the gathered ones are made.  One-term
+    divisions keep the terms in their order, as ``poly_divexact`` does.
     """
     log: list[Cancellation] = []
     have = _num_atoms(e)
@@ -199,7 +198,7 @@ def _cancel(e: Expr, nonzero: Iterable[Expr]) -> tuple[Expr, list[Cancellation]]
             log.append(Cancellation(factor=f, times=times))
     if not log:
         return e, log
-    return Expr(grlex_sorted(made() if strip else p), {(): 1}, _canonical=True), log
+    return Expr(made() if strip else p, {(): 1}, _canonical=True), log
 
 
 def normal_set(

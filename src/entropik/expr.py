@@ -6,7 +6,7 @@ An :class:`Expr` is a pair of sparse multivariate polynomials
 
 * monomials carry atoms sorted by the global atom order;
 * a zero numerator forces denominator 1;
-* the denominator's leading coefficient (w.r.t. the monomial order) is 1;
+* the denominator's leading coefficient (w.r.t. :func:`mono_key`) is 1;
 * monomial content common to numerator and denominator is cancelled.
 
 Two Exprs are equal iff their canonical forms are identical; no semantic
@@ -18,9 +18,12 @@ terms whose denominators are all monomials has one form whatever the
 order of its terms, and :func:`expr_sum` adds such terms in one pass over
 their least common denominator; any other sum it folds with ``+`` in the
 given order, since the form then depends on that order.
-:func:`poly_divexact` divides by a one-term polynomial by stripping its
-monomial from each term, and by any other by eliminating leading terms;
-both give the quotient's terms in the same order.
+One order serves every output: :func:`mono_key`, for printed terms and
+leading coefficients.  :func:`poly_divexact` divides by a one-term
+polynomial by stripping its monomial from each term, so the quotient
+keeps the dividend's term order; by any other it eliminates leading terms
+under a graded-lex monomial order whose exponent vectors stay inside that
+loop.
 All values are immutable after construction and safe to share.
 
 Direct paths, each chosen from the input and giving the general path's
@@ -68,7 +71,6 @@ __all__ = [
     "mono_strip",
     "poly_content",
     "poly_divexact",
-    "grlex_sorted",
 ]
 
 Monomial = tuple  # tuple[(Atom, int), ...]
@@ -78,7 +80,11 @@ _ONE_POLY = {(): 1}
 
 
 def mono_key(m: Monomial):
-    """Deterministic monomial sort key (graded, then atom-order lex)."""
+    """Monomial sort key: total degree, then the ``(atom key, exponent)``
+    pairs from the lowest atom present.  Every output reads this order:
+    printed terms, the monic scale of a constraint and the leading
+    coefficient of a multi-term denominator.  It is not a monomial order
+    (``rho < u``, yet ``rho*rho > rho*u``), so no division runs in it."""
     return (sum(e for _, e in m), tuple((a.key, e) for a, e in m))
 
 
@@ -585,30 +591,6 @@ def _eval_poly_numeric(p: Poly, assignment: Mapping[Atom, Q]) -> tuple[int, int]
 # ---------------------------------------------------------------------------
 # Exact polynomial division.
 
-def _dense(atoms: Sequence[Atom]):
-    """The exponent vector over ``atoms`` (in atom order) of a monomial
-    in them, its total degree first: native tuple order on these vectors
-    is the graded-lex order."""
-    index = {a: i for i, a in enumerate(atoms, 1)}
-    width = len(atoms) + 1
-
-    def dense(m):
-        v = [0] * width
-        for a, e in m:
-            v[index[a]] = e
-        v[0] = sum(v)
-        return tuple(v)
-
-    return dense
-
-
-def grlex_sorted(p: Poly) -> Poly:
-    """``p`` with its terms in descending graded-lex order, the order in
-    which :func:`poly_divexact` gives a quotient."""
-    dense = _dense(sorted({a for m in p for a, _ in m}, key=lambda a: a.key))
-    return {m: p[m] for m in sorted(p, key=dense, reverse=True)}
-
-
 def poly_divexact(p: Poly, q: Poly) -> Poly:
     """The exact quotient ``p / q``; ArithmeticError when ``q`` does not
     divide ``p``.
@@ -621,14 +603,16 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
     dividing; still, most of the divisions they make fail.  A one-term ``q``
     divides ``p`` exactly when its monomial divides every monomial of ``p``;
     the quotient is then each term with that monomial stripped and its
-    coefficient divided, in the order the elimination below would emit it.  Any other ``q`` is rejected before
-    any elimination when its degree in some atom exceeds that in ``p``, or
-    when its leading or trailing term does not divide ``p``'s: the extreme
-    terms of a product are the products of its factors' extreme terms.
-    Otherwise leading terms are eliminated under the graded-lex order over
-    ``p``'s atoms.  Exponent vectors carry their total degree first, so
-    native tuple order is that order, and the two term checks include the
-    top and bottom total degrees.
+    coefficient divided, in ``p``'s own term order.  Any other ``q`` is
+    rejected before any elimination when its degree in some atom exceeds
+    that in ``p``, or when its leading or trailing term does not divide
+    ``p``'s: the extreme terms of a product are the products of its
+    factors' extreme terms.  Otherwise leading terms are eliminated under
+    the graded-lex order over ``p``'s atoms, a monomial order, which
+    :func:`mono_key` is not.  The loop works on exponent vectors private to
+    it, each with its total degree first, so native tuple order is that
+    order, and the two term checks include the top and bottom total
+    degrees; the quotient comes in the order the loop finds its terms.
     """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
@@ -636,29 +620,34 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
         return {}
     if len(q) == 1:
         ((mq, cq),) = q.items()
+        strip = dict(mq)
         if mq:
             for m in p:
                 have = dict(m)
                 for a, e in mq:
                     if have.get(a, 0) < e:
                         raise ArithmeticError("inexact polynomial division")
+        return {mono_strip(m, strip): qdiv(c, cq) for m, c in p.items()}
     top: dict = {}
     for m in p:
         for a, e in m:
             if e > top.get(a, 0):
                 top[a] = e
-    atoms = sorted(top, key=lambda a: a.key)
-    dense = _dense(atoms)
-    if len(q) == 1:
-        strip = dict(mq)
-        return {
-            mono_strip(m, strip): qdiv(p[m], cq)
-            for m in sorted(p, key=dense, reverse=True)
-        }
     for m in q:
         for a, e in m:
             if e > top.get(a, 0):
                 raise ArithmeticError("inexact polynomial division")
+    atoms = sorted(top, key=lambda a: a.key)
+    index = {a: i for i, a in enumerate(atoms, 1)}
+    width = len(atoms) + 1
+
+    def dense(m):  # exponent vector, total degree first
+        v = [0] * width
+        for a, e in m:
+            v[index[a]] = e
+        v[0] = sum(v)
+        return tuple(v)
+
     r = {dense(m): c for m, c in p.items()}
     qd = {dense(m): c for m, c in q.items()}
     lq = max(qd)

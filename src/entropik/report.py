@@ -201,16 +201,6 @@ class AnalysisReport:
     system: dict[str, Any]
     timings: dict[str, float]
 
-    def digest_payload(self) -> dict[str, Any]:
-        """The determinism-relevant content (timings excluded)."""
-        d = asdict(self)
-        d.pop("timings")
-        return d
-
-    def digest(self) -> str:
-        text = json.dumps(self.digest_payload(), sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()
-
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=indent)
 

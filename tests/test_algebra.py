@@ -288,3 +288,22 @@ def test_one_pass_normal_form_is_repeated_division(data):
     assert got_log == log
     assert _same(got, normalize_constraint(want, ())[0])
     assert _same(strip_certified(e, nonzero), _strip_by_every_factor(e, nonzero)[0])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_normal_form_does_not_depend_on_the_term_order(data):
+    # the same polynomial with its terms in another order, under one-term
+    # and multi-term factors that divide it
+    nonzero = data.draw(st.lists(
+        st.one_of(one_term_factors, multi_term_factors, factors), max_size=4,
+    ))
+    e = data.draw(_raw_polys(FACTOR_SYMS[:3], 1, 4))
+    if nonzero:
+        for i in data.draw(st.lists(st.integers(0, len(nonzero) - 1), max_size=3)):
+            e = e * nonzero[i]
+    e = e.numerator_expr()
+    terms = data.draw(st.permutations(list(e.num.items())))
+    shuffled = Expr(dict(terms), {(): 1}, _canonical=True)
+    assert normalize_constraint(shuffled, nonzero) == normalize_constraint(e, nonzero)
+    assert strip_certified(shuffled, nonzero) == strip_certified(e, nonzero)

@@ -437,19 +437,33 @@ def test_version(runner):
     assert "0.1.0" in r.output
 
 
-def test_split_output_is_the_same_in_every_process():
-    # Atoms hash by identity, so iterating a set of them follows the
-    # memory layout of the process; no output may depend on that order.
+def _stdout_under_hash_seed(args, hash_seed):
     env = dict(os.environ)
     src = str(MODELS.parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    outputs = set()
-    for hash_seed in range(4):
-        env["PYTHONHASHSEED"] = str(hash_seed)
-        r = subprocess.run(
-            [sys.executable, "-m", "entropik.cli", "split", model("nonsimple2d"),
-             "--output", "json"],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
-        )
-        outputs.add(r.stdout)
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    r = subprocess.run(
+        [sys.executable, "-m", "entropik.cli", *args],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return r.stdout
+
+
+def test_split_output_is_the_same_in_every_process():
+    # Atoms hash by identity, so iterating a set of them follows the
+    # memory layout of the process; no output may depend on that order.
+    args = ["split", model("nonsimple2d"), "--output", "json"]
+    outputs = {_stdout_under_hash_seed(args, hash_seed) for hash_seed in range(4)}
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["split", model("nonsimple2d"), "--force-residual-zero", "--output", "json"],
+        ["compare", model("granular2d"), "--output", "json"],
+    ],
+    ids=["split-nonsimple2d-forced", "compare-granular2d"],
+)
+def test_output_does_not_depend_on_the_hash_seed(args):
+    assert _stdout_under_hash_seed(args, 0) == _stdout_under_hash_seed(args, 1)

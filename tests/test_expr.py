@@ -30,6 +30,8 @@ from entropik.expr import (
     eval_numeric,
     eval_poly,
     expr_sum,
+    mono_key,
+    mono_strip,
     monomial_expr,
     partial_diff,
     poly_divexact,
@@ -520,7 +522,21 @@ def test_divexact_by_one_term_matches_the_elimination_loop(a, q, multiple):
         with pytest.raises(ArithmeticError):
             poly_divexact(p, q)
         return
-    assert _typed(poly_divexact(p, q)) == _typed(want)
+    got = poly_divexact(p, q)
+    assert {m: (c, type(c)) for m, c in got.items()} == {
+        m: (c, type(c)) for m, c in want.items()
+    }
+    # a one-term quotient keeps the dividend's term order
+    ((mq, _),) = q.items()
+    assert list(got) == [mono_strip(m, dict(mq)) for m in p]
+
+
+def test_mono_key_is_not_a_monomial_order():
+    # rho < u, yet rho*rho > rho*u: the order of printed terms and leading
+    # coefficients is not multiplicative, so no division can run in it
+    rho, u = ((RHO, 1),), ((U, 1),)
+    assert mono_key(rho) < mono_key(u)
+    assert mono_key(backend.mono_mul(rho, rho)) > mono_key(backend.mono_mul(rho, u))
 
 
 # -- substitution against a chain of products (property-based) ------------

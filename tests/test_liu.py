@@ -1,12 +1,22 @@
 """Lagrange-multiplier identities and the comparison with the
-solution-manifold constraints."""
+solution-manifold constraints.
+
+``golden/<model>.compare.json`` is ``compare <model> --output json`` for
+the three small models, and ``golden/granular2d.compare.sha256`` is the
+SHA-256 of that output for granular2d, which is too large to keep.
+"""
+
+import hashlib
+import pathlib
 
 import pytest
+from click.testing import CliRunner
 
 import entropik.algebra
 import entropik.expr
 import entropik.liu
 from entropik.atoms import ConstitPartial, ConstitSym
+from entropik.cli import main
 from entropik.expr import ONE, ZERO, Expr, substitute
 from entropik.liu import (
     LiuResult,
@@ -19,7 +29,9 @@ from entropik.liu import (
 from entropik.render import RenderContext, atom_str, expr_str
 from entropik.split import ConstraintSystem, entropy_on_solutions
 
-from conftest import liu_run, load_model, solution_run
+from conftest import MODELS, liu_run, load_model, solution_run
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def test_multiplier_symbols_per_equation(gas):
@@ -67,6 +79,24 @@ def test_identical_verdict(name):
     assert rep.verdict == "identical"
     assert not rep.liu_only
     assert not rep.solution_only
+
+
+def _compare_json(name):
+    r = CliRunner().invoke(
+        main, ["compare", str(MODELS / f"{name}.epk"), "--output", "json"]
+    )
+    assert r.exit_code == 0, r.output
+    return r.output
+
+
+@pytest.mark.parametrize("name", ["gas1d", "fluid2d", "nonsimple2d"])
+def test_compare_matches_golden(name):
+    assert _compare_json(name) == (GOLDEN / f"{name}.compare.json").read_text()
+
+
+def test_granular_compare_matches_digest():
+    digest = hashlib.sha256(_compare_json("granular2d").encode()).hexdigest()
+    assert digest == (GOLDEN / "granular2d.compare.sha256").read_text().strip()
 
 
 def test_nonsimple_over_restriction(nonsimple):

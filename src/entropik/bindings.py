@@ -40,7 +40,7 @@ from .errors import (
     UnboundSymbol,
     UnsettledBindings,
 )
-from .expr import Expr, eval_numeric
+from .expr import Expr, PointEvaluator
 from .model import ModelDef
 from .parser import CompileEnv, ParseFailure, compile_node, model_env, parse_expr_text
 from .render import expr_str
@@ -203,14 +203,17 @@ def sampled_production(
     m: ModelDef, s: SolvedSystem, bs: BindingSet, trials: int, seed: int
 ) -> tuple[Q, ...]:
     """Entropy-production numerator on the solutions, under the bindings,
-    at random exact rational points, one value per trial."""
+    at random exact rational points, one value per trial; the numerator is
+    compiled once into a :class:`~entropik.expr.PointEvaluator`."""
     num = _substituter(m, bs)(entropy_on_solutions(m, s).numerator_expr())
+    ev = PointEvaluator()
+    compiled = ev.compile(num)
     out = []
     atoms = sorted(num.atoms(), key=lambda a: a.key)
     for trial in range(trials):
         rnd = random.Random(seed * 1000003 + trial)
-        point = {a: Q(rnd.randint(1, 9), rnd.randint(1, 9)) for a in atoms}
-        out.append(eval_numeric(num, point))
+        ev.assign({a: Q(rnd.randint(1, 9), rnd.randint(1, 9)) for a in atoms})
+        out.append(ev.value(compiled))
     return tuple(out)
 
 

@@ -48,13 +48,14 @@ class NotPolynomialInVars(EngineError):
 
 
 class DenominatorVanishes(EngineError):
-    """eval_numeric: the denominator evaluates to zero."""
+    """Point evaluation (``PointEvaluator``, ``eval_numeric``): the
+    denominator evaluates to zero."""
 
     code = "E004"
 
 
 class MissingAssignment(EngineError):
-    """eval_numeric: an atom of the expression has no assigned value."""
+    """Point evaluation: an atom of the expression has no assigned value."""
 
     code = "E005"
 

@@ -26,6 +26,11 @@ under a graded-lex monomial order whose exponent vectors stay inside that
 loop.
 All values are immutable after construction and safe to share.
 
+Exact evaluation at points compiles its polynomials once:
+:class:`PointEvaluator` holds one table of ``(atom, exponent)`` slots,
+takes each point's powers once as integer pairs and sums every term in
+plain ``int``s; :func:`eval_numeric` is its one-shot form.
+
 Direct paths, each chosen from the input and giving the general path's
 result to the term order and coefficient types:
 
@@ -67,6 +72,7 @@ __all__ = [
     "monomial_expr",
     "eval_numeric",
     "eval_poly",
+    "PointEvaluator",
     "mono_key",
     "mono_strip",
     "poly_content",
@@ -539,53 +545,121 @@ def collect_coefficients(e: ExprLike, vars: Iterable[Atom]) -> dict[Monomial, Ex
 # ---------------------------------------------------------------------------
 # Exact numeric evaluation.
 
-def eval_numeric(e: ExprLike, assignment: Mapping[Atom, Q]) -> Q:
-    """Exact rational evaluation; every atom must be assigned.
+class PointEvaluator:
+    """Exact evaluation of fixed polynomials at many points.
 
-    Each half of ``e`` is summed in plain ``int``s: a term's numerator and
-    denominator are its coefficient's times its atoms' values' numerators
-    and denominators, added into one integer numerator over a running
-    common denominator.  The two halves then make one exact ``Q``; no
-    intermediate ``Q`` and never a ``float`` is built.
+    :meth:`code` compiles a polynomial, given as ``(keys, coefficient)``
+    terms, into one flat tuple of indices into one table of slots: a slot
+    per ``(atom, exponent)`` pair and one per distinct coefficient.  Each
+    term is ``~`` its coefficient's slot followed by its atoms' slots, and
+    a ``-1`` ends the tuple.  :meth:`assign` takes the powers of the given
+    atoms' values once, as integer (numerator, denominator) pairs, into
+    their slots; every other slot keeps its value.  :meth:`sum` multiplies
+    each term out in plain ``int``s and adds it into one integer numerator
+    over a running common denominator, the least common multiple of the
+    terms' denominators, with a ``gcd`` only when a term's denominator does
+    not divide it; no ``Q`` is built and never a ``float``.  A slot not yet
+    assigned raises :class:`MissingAssignment` naming the first such atom
+    in term order.  An evaluator belongs to the call that builds it.
     """
-    e = as_expr(e)
-    nn, nd = _eval_poly_numeric(e.num, assignment)
-    dn, dd = _eval_poly_numeric(e.den, assignment)
-    if dn == 0:
-        raise DenominatorVanishes("denominator evaluates to zero")
-    return Q(nn * dd, nd * dn)
+
+    __slots__ = ("_index", "_keys", "_num", "_den", "_slots_of")
+
+    def __init__(self):
+        self._index: dict = {}  # (atom, exponent) or coefficient -> slot
+        self._keys: list = []
+        self._num: list = []
+        self._den: list = []
+        self._slots_of: dict[Atom, list[tuple[int, int]]] = {}
+        self._slot(1)  # slot 0, which the end marker -1 names
+
+    def _slot(self, key) -> int:
+        """The slot of an ``(atom, exponent)`` pair, or ``~`` the slot of a
+        coefficient, kept so that every code shares one int per slot."""
+        s = self._index.get(key)
+        if s is None:
+            s = len(self._keys)
+            self._keys.append(key)
+            if type(key) is tuple:  # an (atom, exponent) pair, unassigned
+                self._num.append(None)
+                self._den.append(None)
+                self._slots_of.setdefault(key[0], []).append((s, key[1]))
+            else:
+                self._num.append(key.numerator)
+                self._den.append(key.denominator)
+                s = ~s
+            self._index[key] = s
+        return s
+
+    def code(self, terms: Iterable[tuple[Iterable[tuple[Atom, int]], Q]]) -> tuple:
+        """The compiled sum over ``terms`` of coefficient times keys."""
+        known, slot = self._index.get, self._slot  # no kept slot is 0
+        out = []
+        put = out.append
+        for keys, c in terms:
+            put(known(c) or slot(c))
+            for key in keys:
+                put(known(key) or slot(key))
+        put(-1)
+        return tuple(out)
+
+    def compile(self, e: Expr) -> tuple[tuple, tuple]:
+        """The compiled numerator and denominator of ``e``."""
+        return self.code(e.num.items()), self.code(e.den.items())
+
+    def assign(self, values: Mapping[Atom, Q]) -> None:
+        """Take the powers of the values of ``values``' atoms."""
+        num, den, slots_of = self._num, self._den, self._slots_of
+        for a, v in values.items():
+            slots = slots_of.get(a)
+            if slots:
+                n, d = v.numerator, v.denominator
+                for s, e in slots:
+                    num[s] = n ** e
+                    den[s] = d ** e
+
+    def sum(self, code: tuple) -> tuple[int, int]:
+        """The compiled polynomial at the assigned values, as an integer
+        numerator and a positive denominator, not reduced."""
+        num, den = self._num, self._den
+        total, lcd, tn, td = 0, 1, 0, 1
+        try:
+            for s in code:
+                if s >= 0:
+                    tn *= num[s]
+                    td *= den[s]
+                    continue
+                if td == 1:
+                    total += tn * lcd
+                elif lcd % td == 0:
+                    total += tn * (lcd // td)
+                else:
+                    g = gcd(lcd, td)
+                    total = total * (td // g) + tn * (lcd // g)
+                    lcd = lcd // g * td
+                tn, td = num[~s], den[~s]
+        except TypeError:  # an unassigned slot holds None
+            a = next(self._keys[s][0] for s in code if s >= 0 and num[s] is None)
+            raise MissingAssignment(f"no value assigned to {a}") from None
+        return total, lcd
+
+    def value(self, compiled: tuple[tuple, tuple]) -> Q:
+        """A compiled expression at the assigned values, exactly."""
+        nn, nd = self.sum(compiled[0])
+        dn, dd = self.sum(compiled[1])
+        if dn == 0:
+            raise DenominatorVanishes("denominator evaluates to zero")
+        return Q(nn * dd, nd * dn)
 
 
-def _eval_poly_numeric(p: Poly, assignment: Mapping[Atom, Q]) -> tuple[int, int]:
-    """``p`` at ``assignment`` as an integer numerator and a positive
-    denominator, not reduced."""
-    total, den = 0, 1
-    powers: dict[tuple[Atom, int], tuple[int, int]] = {}
-    for m, c in p.items():
-        if type(c) is int:
-            tn, td = c, 1
-        else:
-            tn, td = c.numerator, c.denominator
-        for key in m:
-            pw = powers.get(key)
-            if pw is None:
-                a, e = key
-                try:
-                    v = assignment[a]
-                except KeyError:
-                    raise MissingAssignment(f"no value assigned to {a}") from None
-                pw = powers[key] = (v.numerator ** e, v.denominator ** e)
-            tn *= pw[0]
-            td *= pw[1]
-        if td == 1:
-            total += tn * den
-        elif den % td == 0:
-            total += tn * (den // td)
-        else:
-            g = gcd(den, td)
-            total = total * (td // g) + tn * (den // g)
-            den = den // g * td
-    return total, den
+def eval_numeric(e: ExprLike, assignment: Mapping[Atom, Q]) -> Q:
+    """Exact rational evaluation; every atom must be assigned.  The
+    one-shot form of :class:`PointEvaluator`: ``e`` compiled, the
+    assignment's powers taken, and each half summed in plain ``int``s."""
+    ev = PointEvaluator()
+    compiled = ev.compile(as_expr(e))
+    ev.assign(assignment)
+    return ev.value(compiled)
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from ._ratio import Q, qdiv
 from .algebra import Cancellation, nonzero_factors, normal_set
 from .atoms import Atom, ConstitPartial, ConstitSym, mi_unit
 from .errors import DenominatorVanishes, EngineError, NotPolynomialInFreeElements
 from .expr import (
+    ONE,
     Expr,
     Monomial,
+    PointEvaluator,
     ZERO,
     collect_coefficients,
-    eval_numeric,
-    expr_sum,
     mono_key,
-    monomial_expr,
     substitute,
 )
 from .model import ModelDef
@@ -46,6 +45,8 @@ __all__ = [
 _UNKNOWN = (ConstitSym, ConstitPartial)  # atoms of the unknown functions
 # Oracle draws are never 0: a 0 would empty coefficient rows of the repair.
 _NUMERATORS = (*range(-9, 0), *range(1, 10))
+# every value a draw can give, keyed by its (numerator, denominator) draw
+_DRAWS = {(n, d): Q(n, d) for n in _NUMERATORS for d in range(1, 10)}
 
 
 @dataclass(frozen=True)
@@ -204,40 +205,38 @@ def _repair_layers(cs: ConstraintSystem) -> list[tuple[list[Expr], set[Atom]]]:
     return out
 
 
-def _solve_layer(cons: list[Expr], xs: set[Atom], point: dict[Atom, Q]) -> bool:
-    """Set the atoms ``xs`` of ``point`` so that every constraint of
-    ``cons`` (affine in them) vanishes, by exact Gaussian elimination over
-    Q; atoms without a pivot keep their values.  False when inconsistent.
+def _layer_rows(ev: PointEvaluator, cons: list[Expr], xs: set[Atom]) -> list:
+    """Each constraint of ``cons`` as its terms grouped by the atom of
+    ``xs`` they hold (``None`` for none), in first-seen order, each group
+    compiled by ``ev`` with that atom taken out."""
+    rows = []
+    for con in cons:
+        groups: dict = {}
+        for mono, c in con.num.items():
+            x = next((a for a, _ in mono if a in xs), None)
+            if x is not None:
+                mono = tuple(key for key in mono if key[0] is not x)
+            groups.setdefault(x, []).append((mono, c))
+        rows.append([(x, ev.code(terms)) for x, terms in groups.items()])
+    return rows
+
+
+def _solve_layer(rows: list, ev: PointEvaluator, point: dict[Atom, Q]) -> bool:
+    """Set atoms of ``point`` so that every constraint of ``rows`` (affine
+    in them, see :func:`_layer_rows`) vanishes, by exact Gaussian
+    elimination over Q, and refresh ``ev`` with them; atoms without a pivot
+    keep their values.  False when inconsistent.
 
     Rows are kept in integers: a constraint's row is its coefficients and
     constant over one common denominator, and eliminating a pivot scales
     the row instead of dividing it.  A scaled row has the same pivots and
-    the same solution as the monic one."""
+    the same solution as the monic one.  Back-substitution sums a pivot's
+    row over the common denominator of the values it reads."""
     echelon = []  # (pivot, its coefficient, the rest with the constant at None)
-    powers: dict[tuple[Atom, int], tuple[int, int]] = {}
-    for con in cons:
-        terms = []
-        den = 1
-        for mono, c in con.num.items():
-            x = None
-            n, d = (c, 1) if type(c) is int else (c.numerator, c.denominator)
-            for key in mono:
-                a, e = key
-                if a in xs:
-                    x = a
-                    continue
-                pw = powers.get(key)
-                if pw is None:
-                    v = point[a]
-                    pw = powers[key] = (v.numerator ** e, v.denominator ** e)
-                n *= pw[0]
-                d *= pw[1]
-            terms.append((x, n, d))
-            if den % d:
-                den = den // gcd(den, d) * d
-        row: dict = {}
-        for x, n, d in terms:
-            row[x] = row.get(x, 0) + n * (den // d)
+    for groups in rows:
+        sums = [(x, *ev.sum(code)) for x, code in groups]
+        den = lcm(*(d for _, _, d in sums))
+        row = {x: n * (den // d) for x, n, d in sums}
         for p, lead, prow in echelon:
             if f := row.pop(p, 0):
                 g = gcd(f, lead)
@@ -258,10 +257,13 @@ def _solve_layer(cons: list[Expr], xs: set[Atom], point: dict[Atom, Q]) -> bool:
         row[None] = const // g
         echelon.append((p, lead, row))
     for p, lead, row in reversed(echelon):
-        total = -row.pop(None)
-        for x, v in row.items():
-            total -= v * point[x]
-        point[p] = qdiv(total, lead)
+        const = row.pop(None)
+        values = [(v, point[x]) for x, v in row.items()]
+        den = lcm(*(q.denominator for _, q in values))
+        total = -const * den - sum(
+            v * q.numerator * (den // q.denominator) for v, q in values)
+        point[p] = qdiv(total, den * lead)
+    ev.assign({p: point[p] for p, _, _ in echelon})
     return True
 
 
@@ -279,18 +281,34 @@ def numeric_oracle(
     solve the constraints layer by layer (:func:`_repair_layers`); the table
     sum must vanish there.  An inconsistent layer, or a nonzero factor the
     repair zeroes, makes the trial a skip.
+
+    Every expression is compiled once per call into one
+    :class:`~entropik.expr.PointEvaluator`, the table as one polynomial
+    whose terms are each row's monomial times a term of its coefficient
+    (a polynomial, as :func:`split` collects it), so each point's powers
+    are taken once and the table sum is never built as an ``Expr``.
     """
     solved = s.substitution
     equations = [(eq.label, eq.lhs) for eq in m.equations] + [
         (f"d{st.direction}({st.source})", st.equation) for st in s.consequence_log]
-    table = [(monomial_expr(mono), coeff) for mono, coeff in cs.table]
-    table_sum = expr_sum([mono * coeff for mono, coeff in table])
     pieces = (m.entropy_lhs, cs.residual_numerator, cs.denominator,
               *cs.nonzero, *cs.constraints, *solved.values(),
-              *(e for _, e in equations), *(e for row in table for e in row))
-    drawn = sorted({a for p in pieces for a in p.atoms()} - solved.keys(),
-                   key=lambda a: a.key)
-    layers = _repair_layers(cs)
+              *(e for _, e in equations), *(coeff for _, coeff in cs.table))
+    found = {a for p in pieces for a in p.atoms()}
+    found.update(a for mono, _ in cs.table for a, _ in mono)
+    drawn = sorted(found - solved.keys(), key=lambda a: a.key)
+
+    ev = PointEvaluator()
+    values = [(k, ev.compile(v)) for k, v in solved.items()]
+    nonzero = [ev.compile(nz) for nz in cs.nonzero]
+    equations = [(label, ev.compile(e)) for label, e in equations]
+    entropy, denominator, residual = map(
+        ev.compile, (m.entropy_lhs, cs.denominator, cs.residual_numerator))
+    if not all(coeff.is_polynomial() for _, coeff in cs.table):
+        raise ValueError("table coefficients must be polynomials")
+    table = (ev.code((mono + t, c) for mono, coeff in cs.table
+                     for t, c in coeff.num.items()), ev.code(ONE.num.items()))
+    layers = [_layer_rows(ev, cons, xs) for cons, xs in _repair_layers(cs)]
 
     failures: list[OracleFailure] = []
     id_pass = var_pass = var_skip = 0
@@ -302,12 +320,14 @@ def numeric_oracle(
     for trial in range(trials):
         rnd = random.Random(seed * 1000003 + trial)
         for _ in range(64):
-            point = {a: Q(rnd.choice(_NUMERATORS), rnd.randint(1, 9))
+            point = {a: _DRAWS[rnd.choice(_NUMERATORS), rnd.randint(1, 9)]
                      for a in drawn}
+            ev.assign(point)
             try:
-                for k, v in solved.items():
-                    point[k] = eval_numeric(v, point)
-                if all(eval_numeric(nz, point) for nz in cs.nonzero):
+                for k, v in values:
+                    point[k] = ev.value(v)
+                    ev.assign({k: point[k]})
+                if all(ev.value(nz) for nz in nonzero):
                     break
             except DenominatorVanishes:
                 continue
@@ -316,10 +336,9 @@ def numeric_oracle(
             continue
 
         # The point solves the model; the table must rebuild its entropy.
-        bad = [f"{label} is {v}" for label, e in equations
-               if (v := eval_numeric(e, point))]
-        lhs = eval_numeric(m.entropy_lhs, point) * eval_numeric(cs.denominator, point)
-        rhs = eval_numeric(cs.residual_numerator, point) + eval_numeric(table_sum, point)
+        bad = [f"{label} is {v}" for label, e in equations if (v := ev.value(e))]
+        lhs = ev.value(entropy) * ev.value(denominator)
+        rhs = ev.value(residual) + ev.value(table)
         if lhs != rhs:
             bad.append(f"entropy numerator {lhs}, table {rhs}")
         if bad:
@@ -327,10 +346,10 @@ def numeric_oracle(
             continue
         id_pass += 1
 
-        if not all(_solve_layer(cons, xs, point) for cons, xs in layers) or (
-                not all(eval_numeric(nz, point) for nz in cs.nonzero)):
+        if not all(_solve_layer(rows, ev, point) for rows in layers) or (
+                not all(ev.value(nz) for nz in nonzero)):
             var_skip += 1
-        elif (v := eval_numeric(table_sum, point)) == 0:
+        elif (v := ev.value(table)) == 0:
             var_pass += 1
         else:
             fail(trial, "variety", f"table sum {v} != 0 on the variety", point)

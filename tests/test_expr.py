@@ -25,6 +25,7 @@ from entropik.expr import (
     ZERO,
     DiffContext,
     Expr,
+    PointEvaluator,
     as_expr,
     collect_coefficients,
     eval_numeric,
@@ -367,7 +368,7 @@ def _reference_eval(e, point):
             term = Q(c)
             for a, k in mono:
                 if a not in point:
-                    raise MissingAssignment(str(a))
+                    raise MissingAssignment(f"no value assigned to {a}")
                 term *= point[a] ** k
             total += term
         return total
@@ -407,6 +408,38 @@ def test_eval_numeric_matches_a_fraction_reference(num, den, values, unassigned)
     got = eval_numeric(e, point)
     assert type(got) is Q
     assert got == want and str(got) == str(want)
+
+
+def _outcome(evaluate):
+    # a value, or the error raised and its message (which names the atom)
+    try:
+        v = evaluate()
+    except (MissingAssignment, DenominatorVanishes) as err:
+        return type(err), str(err)
+    assert type(v) is Q
+    return v, str(v)
+
+
+@given(st.lists(st.tuples(eval_polys, eval_polys), min_size=1, max_size=4),
+       st.tuples(*(point_values for _ in EVAL_ATOMS)),
+       st.one_of(st.none(), st.sampled_from(EVAL_ATOMS)),
+       st.tuples(*(st.one_of(st.none(), point_values) for _ in EVAL_ATOMS)))
+@settings(max_examples=400, deadline=None)
+def test_a_compiled_evaluator_matches_the_reference_after_a_refresh(
+        halves, values, unassigned, changes):
+    # expressions sharing atoms and slots, at a point, then after some
+    # values change and only those are refreshed
+    exprs = [Expr(num, den) for num, den in halves]
+    ev = PointEvaluator()
+    compiled = [ev.compile(e) for e in exprs]
+    point = {a: v for a, v in zip(EVAL_ATOMS, values) if a is not unassigned}
+    ev.assign(point)
+    for changed in ({}, {a: v for a, v in zip(EVAL_ATOMS, changes) if v is not None}):
+        point.update(changed)
+        ev.assign(changed)
+        for e, c in zip(exprs, compiled):
+            assert _outcome(lambda: ev.value(c)) == _outcome(
+                lambda: _reference_eval(e, point))
 
 
 # -- exact polynomial division (property-based) ---------------------------

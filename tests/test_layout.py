@@ -1,6 +1,6 @@
 """Module layout guard for the ``entropik`` package.
 
-Seven rules, checked on the source with ``ast``:
+Eight rules, checked on the source with ``ast``:
 
 * no module imports an underscore-prefixed name from another ``entropik``
   module (shared helpers live under a public name in one home module);
@@ -20,7 +20,13 @@ Seven rules, checked on the source with ``ast``:
   attribute (``x.f``), somewhere in ``src/``, ``perfbench/`` or
   ``tools/``: a read in ``tests/`` alone does not keep test-only API in
   the package.  Dunders are exempt, and so are functions that a decorator
-  call registers (the click commands).
+  call registers (the click commands);
+* no function stores into, deletes from, rebinds through ``global``, or
+  calls a mutating method (``append``, ``add``, ``update``, ``setdefault``,
+  ``pop``, ...) of a module-level name of its module, except
+  ``expr._ATOM_CACHE``: state lives in objects a call builds, so a call
+  in a long-lived process does what it does in a fresh one.  The rule
+  reads the name itself, not an attribute of it (``Atom._interned``).
 
 The last two rules match a name, not a class: a read of ``x.name`` counts
 for every field or method of that name in any class.  A bare ``name``
@@ -272,3 +278,110 @@ def test_every_public_function_and_method_is_read_by_the_program():
         and node.name not in (attrs if "." in qualified else bare | attrs)
     )
     assert not unread, f"public API only tests read: {unread}"
+
+
+_MUTATORS = {
+    "add", "append", "appendleft", "clear", "difference_update", "discard",
+    "extend", "extendleft", "insert", "intersection_update", "pop", "popitem",
+    "popleft", "remove", "reverse", "setdefault", "sort",
+    "symmetric_difference_update", "update", "__setitem__", "__delitem__",
+}
+# (module, name): the one module-level store a function may write, the
+# interned one-atom Exprs
+MODULE_STATE = {("expr.py", "_ATOM_CACHE")}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _module_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            )
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_bound_names(node))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def _local_names(fn):
+    """The parameters and the names ``fn`` binds itself, and the names it
+    declares ``global``."""
+    a = fn.args
+    local = {
+        x.arg
+        for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+        if x is not None
+    }
+    declared = set()
+    stack = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            local.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            local.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            local.update(_bound_names(node))
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return local - declared, declared
+
+
+def _written_name(node):
+    """The name ``node`` stores into, deletes from or mutates, if it is a
+    bare name: ``x[k] = v``, ``del x[k]``, ``x.a = v`` or ``x.append(v)``."""
+    if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
+        node.ctx, (ast.Store, ast.Del)
+    ):
+        target = node.value
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _MUTATORS
+    ):
+        target = node.func.value
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def _module_state_writes(path):
+    tree = _tree(path)
+    module = _module_names(tree)
+    found = []
+
+    def scan(node, scope):
+        # ``scope`` is None outside functions, else the names that shadow
+        # module-level ones there
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, _FUNCTIONS):
+                local, declared = _local_names(child)
+                found.extend(
+                    (child.lineno, f"global {name}") for name in sorted(declared)
+                )
+                inner = (scope or set()) - declared | local
+            elif scope is not None:
+                name = _written_name(child)
+                if name in module and name not in scope:
+                    found.append((child.lineno, name))
+            scan(child, inner)
+
+    scan(tree, None)
+    return [
+        f"line {line}: {what}"
+        for line, what in found
+        if (path.name, what) not in MODULE_STATE
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_writes_module_state(path):
+    writes = _module_state_writes(path)
+    assert not writes, f"{path.name} writes module-level names: {writes}"

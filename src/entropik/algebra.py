@@ -22,8 +22,9 @@ result to the term order and coefficient types:
   pass, by its content exponent, keeping the constraint's term order;
   only a multi-term factor that may divide falls back to repeated
   division;
-* :func:`arg_derivative` of a polynomial walks each contributing atom's
-  terms once and adds each differentiated, bumped term into one dict.
+* :func:`arg_derivative` of a polynomial adds each contributing atom's
+  derivative, times its bumped partial, into one dict with
+  ``backend.p_addmul``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .atoms import (
     mi_dominates,
     mi_total,
 )
-from .backend import mono_mul, p_diff
+from .backend import p_addmul, p_diff
 from .expr import (
     Expr,
     Monomial,
@@ -79,7 +80,7 @@ def try_divexact(a: Expr, b: Expr) -> Optional[Expr]:
     if not a.is_polynomial() or not b.is_polynomial() or b.is_zero():
         return None
     try:
-        return Expr(poly_divexact(a.num, b.num), {(): 1})
+        return Expr.poly(poly_divexact(a.num, b.num))
     except ArithmeticError:
         return None
 
@@ -128,7 +129,7 @@ def certified_nonzero(e: Expr, nonzero: Iterable[Expr]) -> bool:
 
 def _monic(p: dict) -> Expr:
     lead = p[max(p, key=mono_key)]
-    return Expr({m: qdiv(c, lead) for m, c in p.items()}, {(): 1})
+    return Expr.poly({m: qdiv(c, lead) for m, c in p.items()})
 
 
 @dataclass(frozen=True)
@@ -191,14 +192,14 @@ def _cancel(e: Expr, nonzero: Iterable[Expr]) -> tuple[Expr, list[Cancellation]]
             continue
         if strip:
             p, strip, scale = made(), {}, 1
-        q, times = divide_out(Expr(p, {(): 1}, _canonical=True), f)
+        q, times = divide_out(Expr.poly(p), f)
         if times:
             p = q.num
             content = poly_content(p)
             log.append(Cancellation(factor=f, times=times))
     if not log:
         return e, log
-    return Expr(made() if strip else p, {(): 1}, _canonical=True), log
+    return Expr.poly(made() if strip else p), log
 
 
 def normal_set(
@@ -244,17 +245,16 @@ def nonzero_factors(e: Expr) -> list[Expr]:
 
 def single_monomial(e: Expr) -> Optional[Monomial]:
     """The one monomial of ``e``'s numerator, or None."""
-    e = e.numerator_expr()
     if len(e.num) != 1:
         return None
-    mono, = e.num.keys()
+    mono, = e.num
     return mono
 
 
 def constit_atoms(e: Expr) -> list[Atom]:
     """The unknown-function atoms of ``e``, in atom order."""
     return sorted(
-        (a for a in set(e.atoms()) if isinstance(a, (ConstitSym, ConstitPartial))),
+        (a for a in e.atoms() if isinstance(a, (ConstitSym, ConstitPartial))),
         key=lambda a: a.key,
     )
 
@@ -293,19 +293,8 @@ def arg_derivative(
         ])
     out: dict = {}
     for x, d in bumps:
-        dm = ((d, 1),) if d is not None else ()
-        for m, c in p_diff(e.num, x).items():
-            m = mono_mul(m, dm)
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    return Expr(out, {(): 1}, _canonical=True)
+        p_addmul(out, p_diff(e.num, x), ((d, 1),) if d is not None else (), 1)
+    return Expr.poly(out)
 
 
 def derive_partial(

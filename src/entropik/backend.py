@@ -8,6 +8,12 @@ goes through ``entropik._ratio.qdiv``.  A monomial is a tuple of
 ``(atom, exponent)`` pairs with positive exponents, sorted by the global
 atom order; the empty tuple is the unit monomial.  Zero is the empty dict.
 
+The format's term rule lives here once.  :func:`p_addmul` is the one step
+that adds terms into a polynomial: a term meets its monomial's entry, a
+zero sum deletes it, and a new monomial goes last, which fixes the term
+order; :func:`p_mul` and every caller that accumulates terms go through
+it, and only :func:`p_add` and :func:`p_diff` keep their own loops.
+
 ``BACKEND`` names the kernel in benchmark stamps; there is only this one.
 """
 
@@ -72,6 +78,24 @@ def p_sub(p1, p2):
     return p_add(p1, p_neg(p2))
 
 
+def p_addmul(out, p, m, c):
+    """Add ``c*m*p`` into ``out`` in place: each term of ``p`` is moved by
+    the monomial ``m``, its coefficient multiplied by ``c`` (always, so the
+    product's type is the arithmetic's), and added into its entry."""
+    for pm, pc in p.items():
+        k = mono_mul(m, pm)
+        v = c * pc
+        s = out.get(k)
+        if s is None:
+            out[k] = v
+        else:
+            s = s + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+
+
 def p_mul(p1, p2):
     if not p1 or not p2:
         return {}
@@ -79,18 +103,7 @@ def p_mul(p1, p2):
         p1, p2 = p2, p1
     out = {}
     for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            m = mono_mul(m1, m2)
-            c = c1 * c2
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        p_addmul(out, p2, m1, c1)
     return out
 
 

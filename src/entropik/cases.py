@@ -207,7 +207,7 @@ class _State:
             return
         for k in list(self.solved):
             old = self.solved[k]
-            if a in set(old.atoms()):
+            if a in old.atoms():
                 self.solved[k] = substitute(old, {a: v})
         self.solved[a] = v
         self.touched.add(a.name)
@@ -228,7 +228,7 @@ class _State:
                         linear.setdefault(a, {})[m[:i] + m[i + 1:]] = k
             out = []
             for u in sorted(linear.keys() - higher, key=lambda a: a.key):
-                out.append((u, Expr(linear[u], {(): 1}, _canonical=True)))
+                out.append((u, Expr.poly(linear[u])))
             self.scans[c] = out
         return out
 
@@ -327,7 +327,7 @@ def _zero_rule(st: _State) -> bool:
 
 
 def _blocked_candidate(residue: Expr) -> Optional[Expr]:
-    if len(residue.numerator_expr().num) > 1:
+    if len(residue.num) > 1:
         n, _ = normalize_constraint(residue, ())
         return n
     mono = single_monomial(residue)
@@ -428,10 +428,9 @@ def _repeated_pairs(
     shared proportionality, worth interrogating per argument."""
     counts: dict[tuple[Atom, Atom], int] = {}
     for c in constraints:
-        p = c.numerator_expr()
-        if len(p.num) != 2:
+        if len(c.num) != 2:
             continue
-        m1, m2 = p.num.keys()
+        m1, m2 = c.num
 
         def partials(mono):
             return [a for a, _k in mono if isinstance(a, ConstitPartial)]
@@ -477,7 +476,7 @@ def pivot_candidates(cs: ConstraintSystem) -> tuple[Expr, ...]:
     fork, but they document where divisions happened)."""
     occurrence: dict[Atom, int] = {}
     for c in cs.constraints:
-        for a in set(c.atoms()):
+        for a in c.atoms():
             if isinstance(a, ConstitPartial):
                 occurrence[a] = occurrence.get(a, 0) + 1
     ranked = sorted(occurrence, key=lambda a: (-occurrence[a], a.key))
@@ -583,7 +582,7 @@ def _order_blocked(st: _State) -> list[Expr]:
             count[e] = count.get(e, 0) + 1
 
     def key(e: Expr):
-        multi = len(e.numerator_expr().num) > 1
+        multi = len(e.num) > 1
         return (-count[e], 0 if multi else 1)
 
     return sorted(count, key=key)
@@ -630,7 +629,7 @@ def build_tree(
     if not root.inconsistent:
         pool = pivot_candidates(cs)
     in_pool = set(pool)
-    statics = [p for p in pool if len(p.numerator_expr().num) > 1]
+    statics = [p for p in pool if len(p.num) > 1]
 
     def node(st: _State) -> CaseNode:
         path = st.assumptions

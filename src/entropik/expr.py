@@ -24,7 +24,17 @@ polynomial by stripping its monomial from each term, so the quotient
 keeps the dividend's term order; by any other it eliminates leading terms
 under a graded-lex monomial order whose exponent vectors stay inside that
 loop.
-All values are immutable after construction and safe to share.
+All values are immutable after construction and safe to share, down to
+their polynomial dicts.
+
+The polynomial format belongs to :mod:`entropik.backend`: every sum of
+terms here goes through its kernels, and :func:`~entropik.backend.p_addmul`
+is the one step that adds terms into a dict.  :meth:`Expr.poly` is the
+one constructor that takes a polynomial as it is, over a unit denominator;
+every other ``Expr(num, den)`` is canonicalized.  Arithmetic takes
+``Expr`` operands only, and powers are non-negative integers: the engine
+builds its constants with :meth:`Expr.rational` and its atoms with
+:meth:`Expr.atom`.
 
 Exact evaluation at points compiles its polynomials once:
 :class:`PointEvaluator` holds one table of ``(atom, exponent)`` slots,
@@ -46,11 +56,11 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from ._ratio import Q, qdiv
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_bump
-from .backend import mono_mul, p_add, p_diff, p_mul, p_neg, p_pow, p_sub
+from .backend import mono_mul, p_add, p_addmul, p_diff, p_mul, p_neg, p_pow, p_sub
 from .errors import (
     DenominatorVanishes,
     DivisionByZeroExpr,
@@ -138,17 +148,21 @@ class Expr:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
+    def poly(p: Poly) -> "Expr":
+        """The polynomial ``p`` as it is: over a unit denominator a
+        polynomial is already canonical.  ``p`` is kept, not copied."""
+        return Expr(p, _ONE_POLY, _canonical=True)
+
+    @staticmethod
     def rational(q) -> "Expr":
         q = qdiv(q, 1)
-        num = {(): q} if q else {}
-        return Expr(num, dict(_ONE_POLY), _canonical=True)
+        return Expr.poly({(): q} if q else {})
 
     @staticmethod
     def atom(a: Atom) -> "Expr":
         e = _ATOM_CACHE.get(a)
         if e is None:
-            e = Expr({((a, 1),): 1}, dict(_ONE_POLY), _canonical=True)
-            _ATOM_CACHE[a] = e
+            e = _ATOM_CACHE[a] = Expr.poly({((a, 1),): 1})
         return e
 
     # -- predicates -------------------------------------------------------
@@ -160,11 +174,6 @@ class Expr:
         return self.den == _ONE_POLY and (
             not self.num or set(self.num) == {()}
         )
-
-    def as_rational(self) -> Q:
-        if not self.is_rational():
-            raise ValueError(f"not a rational constant: {self}")
-        return self.num.get((), 0)
 
     def is_polynomial(self) -> bool:
         return self.den == _ONE_POLY
@@ -180,53 +189,38 @@ class Expr:
         return found
 
     def numerator_expr(self) -> "Expr":
-        return Expr(dict(self.num), dict(_ONE_POLY), _canonical=True)
+        return self if self.den == _ONE_POLY else Expr.poly(self.num)
 
     def denominator_expr(self) -> "Expr":
-        return Expr(dict(self.den), dict(_ONE_POLY), _canonical=True)
+        return Expr.poly(self.den)
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other) -> "Expr":
-        other = as_expr(other)
+    def __add__(self, other: "Expr") -> "Expr":
         if self.den == other.den:
-            return Expr(p_add(self.num, other.num), dict(self.den))
+            return Expr(p_add(self.num, other.num), self.den)
         return Expr(
             p_add(p_mul(self.num, other.den), p_mul(other.num, self.den)),
             p_mul(self.den, other.den),
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Expr":
-        return Expr(p_neg(self.num), dict(self.den), _canonical=True)
+        return Expr(p_neg(self.num), self.den, _canonical=True)
 
-    def __sub__(self, other) -> "Expr":
-        return self + (-as_expr(other))
+    def __sub__(self, other: "Expr") -> "Expr":
+        return self + (-other)
 
-    def __rsub__(self, other) -> "Expr":
-        return as_expr(other) + (-self)
-
-    def __mul__(self, other) -> "Expr":
-        other = as_expr(other)
+    def __mul__(self, other: "Expr") -> "Expr":
         return Expr(p_mul(self.num, other.num), p_mul(self.den, other.den))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Expr":
-        other = as_expr(other)
+    def __truediv__(self, other: "Expr") -> "Expr":
         return Expr(p_mul(self.num, other.den), p_mul(self.den, other.num))
 
-    def __rtruediv__(self, other) -> "Expr":
-        return as_expr(other) / self
-
     def __pow__(self, n: int) -> "Expr":
-        if not isinstance(n, int):
-            raise TypeError("only integer powers are supported")
+        if not isinstance(n, int) or n < 0:
+            raise TypeError("only non-negative integer powers are supported")
         if n == 0:
             return ONE
-        if n < 0:
-            return Expr(p_pow(self.den, -n), p_pow(self.num, -n))
         return Expr(p_pow(self.num, n), p_pow(self.den, n))
 
     # -- identity ---------------------------------------------------------
@@ -235,8 +229,6 @@ class Expr:
         if self is other:
             return True
         if not isinstance(other, Expr):
-            if isinstance(other, (int, Q)):
-                return self.is_rational() and self.as_rational() == other
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -268,7 +260,7 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if not den:
         raise DivisionByZeroExpr("denominator is the zero polynomial")
     if not num:
-        return {}, dict(_ONE_POLY)
+        return {}, _ONE_POLY
     # Cancel shared monomial content.
     if den != _ONE_POLY:
         cn = poly_content(num)
@@ -293,22 +285,9 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
-ZERO = Expr({}, dict(_ONE_POLY), _canonical=True)
-ONE = Expr(dict(_ONE_POLY), dict(_ONE_POLY), _canonical=True)
+ZERO = Expr.poly({})
+ONE = Expr.poly(_ONE_POLY)
 _ATOM_CACHE: dict[Atom, Expr] = {}
-
-
-ExprLike = Union["Expr", Atom, int, Q]
-
-
-def as_expr(x: ExprLike) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, Atom):
-        return Expr.atom(x)
-    if isinstance(x, (int, Q)):
-        return Expr.rational(x)
-    raise TypeError(f"cannot coerce {x!r} to Expr")
 
 
 def expr_sum(terms: Sequence[Expr]) -> Expr:
@@ -344,17 +323,7 @@ def _monomial_sum(dens: Sequence[Monomial], nums: Iterable[Poly]) -> Expr:
         q = scale.get(d)
         if q is None:
             q = scale[d] = mono_strip(lcm, dict(d))
-        for m, c in num.items():
-            m = mono_mul(m, q)
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        p_addmul(out, num, q, 1)
     return Expr(out, {lcm: 1})
 
 
@@ -369,10 +338,10 @@ def partial_diff(e: Expr, a: Atom) -> Expr:
     """
     dn = p_diff(e.num, a)
     if e.den == _ONE_POLY:
-        return Expr(dn, dict(_ONE_POLY))
+        return Expr.poly(dn)
     dd = p_diff(e.den, a)
     if not dd:
-        return Expr(dn, dict(e.den))
+        return Expr(dn, e.den)
     num = p_sub(p_mul(dn, e.den), p_mul(e.num, dd))
     return Expr(num, p_mul(e.den, e.den))
 
@@ -423,14 +392,13 @@ def _expand(a: Atom, iv_index: int, ctx: DiffContext) -> Expr:
     return expr_sum(terms)
 
 
-def total_derivative(e: ExprLike, iv: IndepVar, ctx: DiffContext) -> Expr:
+def total_derivative(e: Expr, iv: IndepVar, ctx: DiffContext) -> Expr:
     """Total derivative along independent variable ``iv``.
 
     Jet variables prolong (multi-index bumped); constitutive symbols and
     their partials chain-expand over their declared arguments; Leibniz and
     quotient rules come from the underlying partial derivatives.
     """
-    e = as_expr(e)
     try:
         iv_index = ctx.indep.index(iv)
     except ValueError:
@@ -461,11 +429,10 @@ def eval_poly(p: Poly, pairs: Mapping[Atom, Expr]) -> Expr:
     for m in p:
         for key in m:
             if key[0] in pairs and key not in powers:
-                powers[key] = as_expr(pairs[key[0]]) ** key[1]
+                powers[key] = pairs[key[0]] ** key[1]
     if any(len(pw.den) != 1 for pw in powers.values()):
-        return expr_sum([reduce(mul, (powers[k] for k in m if k in powers), Expr(
-            {tuple(ae for ae in m if ae not in powers): qdiv(c, 1)}, dict(_ONE_POLY),
-            _canonical=True)) for m, c in p.items()])
+        return expr_sum([reduce(mul, (powers[k] for k in m if k in powers), Expr.poly(
+            {tuple(ae for ae in m if ae not in powers): qdiv(c, 1)})) for m, c in p.items()])
     contents = {k: poly_content(pw.num) for k, pw in powers.items() if pw.num}
     terms = []
     for m, c in p.items():
@@ -491,14 +458,13 @@ def eval_poly(p: Poly, pairs: Mapping[Atom, Expr]) -> Expr:
     return _monomial_sum([den for den, *_ in terms], nums)
 
 
-def substitute(e: ExprLike, pairs: Mapping[Atom, Expr]) -> Expr:
+def substitute(e: Expr, pairs: Mapping[Atom, Expr]) -> Expr:
     """Replace every key atom by its image, all at once (images are not
     themselves substituted).
 
     For triangular maps (no image contains a key atom) the result contains
     no key atom and the operation is idempotent.
     """
-    e = as_expr(e)
     if not any(a in pairs for a in e.atoms()):
         return e
     if e.den == _ONE_POLY:
@@ -516,7 +482,7 @@ def monomial_expr(m: Monomial) -> Expr:
     return e
 
 
-def collect_coefficients(e: ExprLike, vars: Iterable[Atom]) -> dict[Monomial, Expr]:
+def collect_coefficients(e: Expr, vars: Iterable[Atom]) -> dict[Monomial, Expr]:
     """Exact decomposition of the numerator over monomials in ``vars``.
 
     numerator(e) == sum(monomial * coefficient); coefficients are
@@ -524,7 +490,6 @@ def collect_coefficients(e: ExprLike, vars: Iterable[Atom]) -> dict[Monomial, Ex
     part.  Raises NotPolynomialInVars if the denominator contains one of
     the variables.
     """
-    e = as_expr(e)
     vset = set(vars)
     for m in e.den:
         for a, _ in m:
@@ -537,9 +502,7 @@ def collect_coefficients(e: ExprLike, vars: Iterable[Atom]) -> dict[Monomial, Ex
         vpart = tuple((a, k) for a, k in m if a in vset)
         rest = tuple((a, k) for a, k in m if a not in vset)
         groups.setdefault(vpart, {})[rest] = c
-    return {
-        vm: Expr(p, dict(_ONE_POLY), _canonical=True) for vm, p in groups.items()
-    }
+    return {vm: Expr.poly(p) for vm, p in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +615,12 @@ class PointEvaluator:
         return Q(nn * dd, nd * dn)
 
 
-def eval_numeric(e: ExprLike, assignment: Mapping[Atom, Q]) -> Q:
+def eval_numeric(e: Expr, assignment: Mapping[Atom, Q]) -> Q:
     """Exact rational evaluation; every atom must be assigned.  The
     one-shot form of :class:`PointEvaluator`: ``e`` compiled, the
     assignment's powers taken, and each half summed in plain ``int``s."""
     ev = PointEvaluator()
-    compiled = ev.compile(as_expr(e))
+    compiled = ev.compile(e)
     ev.assign(assignment)
     return ev.value(compiled)
 

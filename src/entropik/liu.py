@@ -34,6 +34,7 @@ from .algebra import (
     try_divexact,
 )
 from .atoms import Atom, ConstitPartial, ConstitSym, JetVar, mi_total
+from .backend import p_addmul
 from .errors import NonlinearExtendedInequality
 from .expr import (
     Expr,
@@ -125,7 +126,7 @@ def _apply_zeros(e: Expr, zeros: Iterable[Atom]) -> Expr:
 def _field_pieces(e: Expr, free_fields: Sequence[JetVar]) -> list[Expr]:
     """Split over undifferentiated fields outside every dependency: no
     unknown function sees them, so each coefficient vanishes on its own."""
-    fs = [f for f in free_fields if f in set(e.atoms())]
+    fs = [f for f in free_fields if f in e.atoms()]
     if not fs:
         return [e]
     return list(collect_coefficients(e, fs).values())
@@ -330,7 +331,7 @@ def eliminate_multipliers(
         progress = False
         for lam in sorted(remaining, key=lambda a: a.key):
             for ident in pending:
-                if lam not in set(ident.atoms()):
+                if lam not in ident.atoms():
                     continue
                 coeffs = collect_coefficients(ident, [lam])
                 mono = ((lam, 1),)
@@ -359,7 +360,7 @@ def eliminate_multipliers(
     assert settled, "multiplier values feed back into each other"
 
     physical, _ = normal_set(
-        (x for x in pending if not set(x.atoms()) & remaining), nonzero
+        (x for x in pending if remaining.isdisjoint(x.atoms())), nonzero
     )
     return solved, tuple(physical), tuple(sorted(remaining, key=lambda a: a.key))
 
@@ -386,12 +387,7 @@ def _reduce_row(row: dict, pivots: Sequence[tuple[Monomial, dict]]) -> dict:
     for mono, prow in pivots:
         c = row.get(mono)
         if c:
-            for m2, v in prow.items():
-                nv = row.get(m2, 0) - c * v
-                if nv:
-                    row[m2] = nv
-                else:
-                    row.pop(m2, None)
+            p_addmul(row, prow, (), -c)
     return row
 
 

@@ -77,7 +77,7 @@ class SolvedSystem:
 
 
 def _divexact(a: Expr, b: Expr) -> Expr:
-    return Expr(poly_divexact(a.num, b.num), {(): 1})
+    return Expr.poly(poly_divexact(a.num, b.num))
 
 
 def solve_leading(m: ModelDef) -> SolvedSystem:

@@ -46,7 +46,7 @@ def test_divide_out_skips_non_polynomial_factor():
 
 def test_certified_nonzero_terminates_on_rational_factor():
     assert certified_nonzero(P, [Expr.rational(2)]) is False
-    assert certified_nonzero(3 * RHO**2, [Expr.rational(2), RHO]) is True
+    assert certified_nonzero(Expr.rational(3) * RHO**2, [Expr.rational(2), RHO]) is True
 
 
 def test_forced_zero_lets_a_jet_cofactor_ride_along():
@@ -71,8 +71,9 @@ def test_subst_known_zeroes_dominating_partials(gas):
 def test_subst_known_stores_a_derived_partial(gas):
     values = {ConstitSym("p"): RHO**2 * EPS}
     out = subst_known(Expr.atom(DP_DRHO) + P, values, (), _args_of(gas), 2)
-    assert out == 2 * RHO * EPS + RHO**2 * EPS
-    assert values[DP_DRHO] == 2 * RHO * EPS
+    two = Expr.rational(2)
+    assert out == two * RHO * EPS + RHO**2 * EPS
+    assert values[DP_DRHO] == two * RHO * EPS
 
 
 def test_subst_known_gives_up_on_a_cycle(gas):
@@ -86,8 +87,8 @@ def test_subst_known_derives_bound_partials(gas):
     bs = parse_bindings(bindings_text("gas1d_ideal"), gas)
     values = bs.values()
     expected = {
-        DP_DRHO: Expr.rational(2) / 5 * EPS,
-        ConstitPartial("p", (1, 1)): Expr.rational(2) / 5,
+        DP_DRHO: Expr.rational(Q(2, 5)) * EPS,
+        ConstitPartial("p", (1, 1)): Expr.rational(Q(2, 5)),
         ConstitPartial("eta", (1, 1)): Expr.rational(0),
     }
     for x, value in expected.items():
@@ -96,9 +97,9 @@ def test_subst_known_derives_bound_partials(gas):
 
 
 def test_settle_resolves_a_chain_and_rejects_a_cycle():
-    chain = {ConstitSym("p"): Q1 + 1, ConstitSym("q1"): RHO}
+    chain = {ConstitSym("p"): Q1 + ONE, ConstitSym("q1"): RHO}
     assert settle(chain, 2)
-    assert chain[ConstitSym("p")] == RHO + 1
+    assert chain[ConstitSym("p")] == RHO + ONE
     assert not settle({ConstitSym("p"): Q1, ConstitSym("q1"): P}, 4)
 
 
@@ -194,7 +195,7 @@ def _raw_poly(terms, atoms):
         m = tuple(sorted(((a, k) for a, k in zip(atoms, exps) if k),
                          key=lambda ak: ak[0].key))
         num[m] = num.get(m, 0) + c
-    return Expr({m: c for m, c in num.items() if c}, {(): 1}, _canonical=True)
+    return Expr.poly({m: c for m, c in num.items() if c})
 
 
 def _raw_polys(atoms, min_terms, max_terms):
@@ -255,9 +256,10 @@ def test_polynomial_arg_derivative_is_the_sum_over_atoms(e, a):
 
 def test_arg_derivative_cancels_across_atoms():
     rho, p = Expr.atom(DIFF_ATOMS[0]), Expr.atom(ConstitSym("p"))
-    e = rho * Expr.atom(DP_DRHO) * Q(1, 2) - p / 2
+    half = Expr.rational(Q(1, 2))
+    e = rho * Expr.atom(DP_DRHO) * half - p * half
     assert arg_derivative(e, DIFF_ATOMS[0], DIFF_ARGS) == rho * Expr.atom(
-        ConstitPartial("p", (2, 0))) / 2
+        ConstitPartial("p", (2, 0))) * half
 
 
 FACTOR_SYMS = tuple(a.atoms()[0] for a in FACTOR_ATOMS)
@@ -304,6 +306,6 @@ def test_normal_form_does_not_depend_on_the_term_order(data):
             e = e * nonzero[i]
     e = e.numerator_expr()
     terms = data.draw(st.permutations(list(e.num.items())))
-    shuffled = Expr(dict(terms), {(): 1}, _canonical=True)
+    shuffled = Expr.poly(dict(terms))
     assert normalize_constraint(shuffled, nonzero) == normalize_constraint(e, nonzero)
     assert strip_certified(shuffled, nonzero) == strip_certified(e, nonzero)

@@ -366,8 +366,8 @@ def test_zero_value_is_recorded_as_a_zeroed_function():
 
 def test_circular_value_holding_the_atom_itself():
     dg = ConstitPartial("g", (1,))
-    assert cases._circular(dg, Expr.atom(dg) + 1)
-    assert not cases._circular(dg, Expr.atom(W) + 1)
+    assert cases._circular(dg, Expr.atom(dg) + ONE)
+    assert not cases._circular(dg, Expr.atom(W) + ONE)
 
 
 def test_circular_whole_symbol_assignments():

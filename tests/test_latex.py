@@ -1,6 +1,7 @@
 """LaTeX emission: structural validity of the standalone documents."""
 
 import re
+from fractions import Fraction as Q
 
 import pytest
 
@@ -70,7 +71,7 @@ def test_atom_tex_jet_suffix(fluid):
 
 def test_expr_tex_fractional_coefficient():
     rho = Expr.atom(JetVar("rho", (0,)))
-    assert expr_tex(Expr.rational(3) / 2 * rho - 2) == r"\tfrac{3}{2}\,\rho - 2"
+    assert expr_tex(Expr.rational(Q(3, 2)) * rho - Expr.rational(2)) == r"\tfrac{3}{2}\,\rho - 2"
 
 
 def test_empty_relations_still_a_document(gas):

@@ -1,6 +1,6 @@
 """Module layout guard for the ``entropik`` package.
 
-Eight rules, checked on the source with ``ast``:
+Nine rules, checked on the source with ``ast``:
 
 * no module imports an underscore-prefixed name from another ``entropik``
   module (shared helpers live under a public name in one home module);
@@ -26,10 +26,14 @@ Eight rules, checked on the source with ``ast``:
   ``pop``, ...) of a module-level name of its module, except
   ``expr._ATOM_CACHE``: state lives in objects a call builds, so a call
   in a long-lived process does what it does in a fresh one.  The rule
-  reads the name itself, not an attribute of it (``Atom._interned``).
+  reads the name itself, not an attribute of it (``Atom._interned``);
+* a call passes an underscore-prefixed keyword (``_canonical=``) only in
+  the module that defines a function taking that parameter: a private
+  parameter is its module's own shortcut, and other modules go through
+  the public constructors (``Expr.poly``).
 
-The last two rules match a name, not a class: a read of ``x.name`` counts
-for every field or method of that name in any class.  A bare ``name``
+The sixth and seventh rules match a name, not a class: a read of ``x.name``
+counts for every field or method of that name in any class.  A bare ``name``
 never keeps a method or a field: only a function or class is read so.
 """
 
@@ -385,3 +389,28 @@ def _module_state_writes(path):
 def test_no_function_writes_module_state(path):
     writes = _module_state_writes(path)
     assert not writes, f"{path.name} writes module-level names: {writes}"
+
+
+def _private_params(tree):
+    """The underscore-prefixed parameter names of every function in ``tree``."""
+    return {
+        x.arg
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for x in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)
+        if _is_private(x.arg)
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_keywords_stay_in_their_module(path):
+    tree = _tree(path)
+    own = _private_params(tree)
+    bad = sorted(
+        f"line {node.lineno}: {kw.arg}="
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg is not None and _is_private(kw.arg) and kw.arg not in own
+    )
+    assert not bad, f"{path.name} passes another module's private keywords: {bad}"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropik.atoms import ConstitPartial, ConstitSym, JetVar
+from entropik.expr import Expr
 from entropik.parser import (
     MAX_NESTING,
     CompileEnv,
@@ -85,7 +86,7 @@ def test_extended_grammar_jet_suffix(fluid):
         extended=True,
     )
     e = compile_node(parse_expr_text("theta_xy"), env)
-    assert e == __import__("entropik").Expr.atom(JetVar("theta", (0, 1, 1)))
+    assert e == Expr.atom(JetVar("theta", (0, 1, 1)))
 
 
 def test_partial_ref_compiles_to_partial(gas):

@@ -12,7 +12,7 @@ import pytest
 
 from entropik.algebra import normalize_constraint
 from entropik.atoms import ConstitSym, JetVar
-from entropik.expr import ZERO, Expr, monomial_expr
+from entropik.expr import ONE, ZERO, Expr, monomial_expr
 from entropik.parser import parse_model
 from entropik.render import expr_str
 from entropik.report import run_solution_set
@@ -159,7 +159,7 @@ def test_numeric_oracle_catches_tampering(gas):
     # model's entropy production
     bad_table = list(cs.table)
     mono, coeff = bad_table[0]
-    bad_table[0] = (mono, coeff + 1)
+    bad_table[0] = (mono, coeff + ONE)
     _assert_caught(_gas_oracle(table=tuple(bad_table)), "identity")
 
 
@@ -197,7 +197,7 @@ def test_numeric_oracle_checks_the_model_equations(gas):
     u_t = JetVar("u", (1, 0))
     assert u_t not in set(gas.entropy_lhs.atoms())
     wrong = dict(s.substitution)
-    wrong[u_t] = wrong[u_t] + 1
+    wrong[u_t] = wrong[u_t] + ONE
     rep = _gas_oracle(solved=dataclasses.replace(s, substitution=wrong))
     _assert_caught(rep, "identity")
     assert all(f.detail.startswith("momentum is ") for f in rep.failures)
@@ -223,7 +223,7 @@ def test_numeric_oracle_skips_a_repair_that_zeroes_a_nonzero_factor(gas):
 def test_oracle_catches_wrong_constraint(gas):
     cs = solution_run("gas1d").system
     # replace a constraint by one whose variety misses the table's
-    wrong = (Expr.atom(ConstitSym("p")) + 1,) + cs.constraints[1:]
+    wrong = (Expr.atom(ConstitSym("p")) + ONE,) + cs.constraints[1:]
     rep = _gas_oracle(constraints=wrong)
     assert not rep.ok
     assert rep.identity_passes == 20

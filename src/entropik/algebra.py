@@ -6,9 +6,10 @@ assumed nonzero.  The operations they share live here, once: exact
 division, dividing out assumed-nonzero factors, the monic normal form
 and the normal set of a list of constraints (:func:`normal_set`), the
 recorded factors of a nonzero condition, slot derivatives of the
-unknown material functions, the zero rule (:func:`forced_zero`), and
-substitution of known values and zeros (:func:`subst_known`, and
-:func:`settle` for a map substituted into itself).
+unknown material functions, the zero rule (:func:`forced_zero`), one
+table per function of its known and zero partials
+(:class:`KnownPartials`), substitution from it (:func:`subst_known`), and
+:func:`settle` for a map substituted into itself.
 
 Dividing out the nonzero factors (:func:`normalize_constraint`,
 :func:`strip_certified`) skips every factor holding an atom the
@@ -30,6 +31,7 @@ result to the term order and coefficient types:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Collection, Iterable, Mapping, MutableMapping, Optional, Sequence
 
 from ._ratio import qdiv
@@ -68,7 +70,7 @@ __all__ = [
     "single_monomial",
     "constit_atoms",
     "arg_derivative",
-    "derive_partial",
+    "KnownPartials",
     "forced_zero",
     "subst_known",
     "settle",
@@ -297,42 +299,6 @@ def arg_derivative(
     return Expr.poly(out)
 
 
-def derive_partial(
-    x: Atom,
-    values: Mapping[Atom, Expr],
-    args_of: Mapping[str, tuple[Atom, ...]],
-) -> Optional[Expr]:
-    """Value of the partial ``x`` derived from a known value of the same
-    function: the symbol itself or the highest-order partial that ``x``
-    dominates, slot-differentiated up to ``x``.  None if there is none."""
-    if not isinstance(x, ConstitPartial):
-        return None
-    args = args_of.get(x.name)
-    if args is None:
-        return None
-    base: Optional[Atom] = None
-    base_slots = tuple(0 for _ in args)
-    sym = ConstitSym(x.name)
-    if sym in values:
-        base = sym
-    for k in values:
-        if (
-            isinstance(k, ConstitPartial)
-            and k.name == x.name
-            and k is not x
-            and mi_dominates(x.slots, k.slots)
-            and (base is None or mi_total(k.slots) > mi_total(base_slots))
-        ):
-            base, base_slots = k, k.slots
-    if base is None:
-        return None
-    v = values[base]
-    for j, a in enumerate(args):
-        for _ in range(x.slots[j] - base_slots[j]):
-            v = arg_derivative(v, a, args_of)
-    return v
-
-
 def forced_zero(c: Expr, nonzero: Iterable[Expr]) -> Optional[Atom]:
     """The unknown function a single-monomial identity ``c = 0`` forces to
     vanish: its one function factor not certified nonzero, or None.
@@ -346,40 +312,91 @@ def forced_zero(c: Expr, nonzero: Iterable[Expr]) -> Optional[Atom]:
     return uncert[0] if len(uncert) == 1 else None
 
 
-def subst_known(
-    e: Expr,
-    values: MutableMapping[Atom, Expr],
-    zeros: Collection[Atom],
-    args_of: Mapping[str, tuple[Atom, ...]],
-    passes: int,
-) -> Optional[Expr]:
-    """``e`` with the known zeros and values substituted to a fixed point,
-    or None when it has not settled in ``passes`` passes.
+class KnownPartials:
+    """Each unknown function's partials (the symbol included) with a known
+    value or zero, in ``values`` and ``zeros`` in entry order; a question
+    about a partial reads only its own function's entries."""
 
-    ``zeros`` vanish as functions: a vanishing symbol kills all its
-    partials, a vanishing partial every partial that dominates it.  Then
-    come the known ``values``, then partials derived from a known value
-    (:func:`derive_partial`), which are stored into ``values``."""
-    fns = [z for z in zeros if isinstance(z, (ConstitSym, ConstitPartial))]
-    # Only a function with a known value has partials to derive, and a
-    # derived partial is stored under a name already in this set.
-    known = {k.name for k in values if isinstance(k, (ConstitSym, ConstitPartial))}
+    def __init__(self, args_of: Mapping[str, tuple[Atom, ...]],
+                 values: Iterable[tuple[Atom, Expr]] = ()):
+        self.args_of = args_of
+        self.values: dict[Atom, Expr] = {}
+        self.zeros: dict[Atom, None] = {}
+        # name -> (entries with a value, zeros, partials with no base)
+        self._fns: dict[str, tuple[list[Atom], list[Atom], set[Atom]]] = {}
+        for a, v in values:
+            self.put(a, v)
+
+    def put(self, a: Atom, v: Expr) -> None:
+        """Record the known value ``v`` of ``a``."""
+        bases, _zeros, misses = self._fns.setdefault(a.name, ([], [], set()))
+        if a not in self.values:
+            bases.append(a)
+        self.values[a] = v
+        misses.clear()
+
+    def zero(self, a: Atom) -> None:
+        """Record that ``a`` vanishes as a function, and so every partial
+        that dominates it."""
+        self.zeros[a] = None
+        self._fns.setdefault(a.name, ([], [], set()))[1].append(a)
+
+    def get(self, x: Atom) -> Optional[Expr]:
+        """``x``'s value: zero if it vanishes, else its known value, else
+        one derived, and stored, from its base (:func:`_best_base`), else
+        None.  A partial with no base is remembered until its function
+        gets a :meth:`put`: a value derived since is no base for it."""
+        if not isinstance(x, (ConstitSym, ConstitPartial)) or x.name not in self._fns:
+            return None
+        bases, zeros, misses = self._fns[x.name]
+        if any(
+            z is x or isinstance(x, ConstitPartial) and (
+                isinstance(z, ConstitSym) or mi_dominates(x.slots, z.slots))
+            for z in zeros
+        ):
+            return ZERO
+        v = self.values.get(x)
+        if v is not None or not bases or x in misses:
+            return v
+        args = self.args_of.get(x.name)
+        base = None if args is None else _best_base(x, bases)
+        if base is None:
+            misses.add(x)
+            return None
+        v = self.values[base]
+        have = base.slots if isinstance(base, ConstitPartial) else (0,) * len(args)
+        for j, a in enumerate(args):
+            for _ in range(x.slots[j] - have[j]):
+                v = arg_derivative(v, a, self.args_of)
+        self.values[x] = v
+        bases.append(x)
+        return v
+
+    def first_partials(self) -> dict[str, dict[ConstitPartial, Expr]]:
+        """Each function's first partials with a known value or zero (a
+        zero wins), by function in the order of its first such value."""
+        out: dict[str, dict[ConstitPartial, Expr]] = {}
+        for k, v in chain(self.values.items(), ((z, ZERO) for z in self.zeros)):
+            if isinstance(k, ConstitPartial) and mi_total(k.slots) == 1:
+                out.setdefault(k.name, {})[k] = v
+        return out
+
+
+def _best_base(x: ConstitPartial, bases: Sequence[Atom]) -> Optional[Atom]:
+    """The highest-order entry of ``bases`` that ``x`` dominates, the
+    first of equal orders; the symbol counts as order zero."""
+    fits = (
+        b for b in bases if isinstance(b, ConstitSym) or mi_dominates(x.slots, b.slots)
+    )
+    return max(fits, key=lambda b: mi_total(getattr(b, "slots", ())), default=None)
+
+
+def subst_known(e: Expr, known: KnownPartials, passes: int) -> Optional[Expr]:
+    """``e`` with what ``known`` knows substituted to a fixed point, or
+    None when it has not settled in ``passes`` passes
+    (:meth:`KnownPartials.get`)."""
     for _ in range(passes):
-        sub: dict[Atom, Expr] = {}
-        for x in e.atoms():
-            if x in zeros or isinstance(x, ConstitPartial) and any(
-                z.name == x.name
-                and (isinstance(z, ConstitSym) or mi_dominates(x.slots, z.slots))
-                for z in fns
-            ):
-                sub[x] = ZERO
-            elif x in values:
-                sub[x] = values[x]
-            elif isinstance(x, ConstitPartial) and x.name in known:
-                dv = derive_partial(x, values, args_of)
-                if dv is not None:
-                    values[x] = dv
-                    sub[x] = dv
+        sub = {x: v for x in e.atoms() if (v := known.get(x)) is not None}
         if not sub:
             return e
         e = substitute(e, sub)

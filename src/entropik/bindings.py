@@ -16,10 +16,10 @@ Format, one statement per line (``#`` comments)::
     bind q1 = 0
 
 Each target is bound, and each parameter declared, at most once.
-Checking substitutes the bindings and the parameters' test values into
-every constraint (:func:`~entropik.algebra.subst_known`), deriving any
-partial the constraints mention from the nearest bound value by slot
-differentiation; a constraint passes when it normalizes to zero.  When
+Checking substitutes one table of the bindings and the parameters' test
+values (:class:`~entropik.algebra.KnownPartials`) into every constraint,
+deriving a partial from the highest-order bound value it dominates by
+slot differentiation; a constraint passes when it normalizes to zero.  When
 no binding refers back to itself, substitution settles in one pass per
 bound name plus one; a file that does not is circular and fails with
 ``E052``.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ._ratio import Q
-from .algebra import subst_known
+from .algebra import KnownPartials, subst_known
 from .atoms import Atom, ConstitPartial, ConstitSym
 from .errors import (
     ModelError,
@@ -182,13 +182,12 @@ def parse_bindings(
 
 def _substituter(m: ModelDef, bs: BindingSet) -> Callable[[Expr], Expr]:
     """Substitution of the bindings to a fixed point; the calls share one
-    values map and the partials derived into it."""
-    args_of = {d.name: d.args for d in m.decls}
-    values = bs.values()
-    passes = len(values) + 1
+    table of known partials and the partials derived into it."""
+    known = KnownPartials({d.name: d.args for d in m.decls}, bs.values().items())
+    passes = len(known.values) + 1
 
     def bound(e: Expr) -> Expr:
-        v = subst_known(e, values, (), args_of, passes)
+        v = subst_known(e, known, passes)
         if v is None:
             raise UnsettledBindings(
                 f"bindings did not settle in {passes} substitution passes; "

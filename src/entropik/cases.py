@@ -27,17 +27,18 @@ the ratio of the two coefficients is pinned down, and whether it
 actually varies with each shared argument — the slot Wronskian of the
 pair — becomes a branching question.
 
-A reduction does each piece of work once: its state caches each live
-constraint's linear scan (each first-power function atom with its
-coefficient), a coefficient's residue (stripped of certified factors)
-once asked for, and the slot derivatives of each live value; a refresh
-substitutes only into constraints it did not output last time or that
-hold a function zeroed or solved since, and renormalizes only what that
-changed.  That is exact since the nonzero list is fixed once the state
-is made: a refreshed constraint has nothing to substitute until one of
-its functions is touched, and a normal form stays one.  Under one-term
-certified factors a coefficient of two or more terms keeps them all, so
-it is blocked without dividing.
+A reduction keeps its solved, derived and zeroed partials in one
+:class:`~entropik.algebra.KnownPartials` table and does each piece of
+work once: its state caches each live constraint's linear scan (each
+first-power function atom with its coefficient), a coefficient's residue
+(stripped of certified factors) once asked for, and the slot derivatives
+of each live value; a refresh substitutes only into constraints it did
+not output last time or that hold a function zeroed or solved since, and
+renormalizes only what that changed.  That is exact since the nonzero
+list is fixed once the state is made: a refreshed constraint has nothing
+to substitute until one of its functions is touched, and a normal form
+stays one.  Under one-term certified factors a coefficient of two or
+more terms keeps them all, so it is blocked without dividing.
 
 The reduction only solves.  What a tree node forks on is read from the
 cached scans once, at the node's fixed point, where they are exactly
@@ -48,10 +49,11 @@ computes no fork candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
+    KnownPartials,
     arg_derivative,
     certified_nonzero,
     constit_atoms,
@@ -63,7 +65,7 @@ from .algebra import (
     strip_certified,
     subst_known,
 )
-from .atoms import Atom, ConstitPartial, ConstitSym, mi_dominates, mi_total
+from .atoms import Atom, ConstitPartial, ConstitSym, mi_dominates
 from .errors import ReductionCapExceeded
 from .expr import Expr, ZERO, collect_coefficients, substitute
 from .render import RenderContext, expr_str
@@ -165,10 +167,8 @@ class _State:
     def __init__(self, cs: ConstraintSystem, assumptions: Iterable[Assumption]):
         self.constraints: list[Expr] = list(cs.constraints)
         self.nonzero: list[Expr] = list(cs.nonzero)
-        self.zeros: set[Atom] = set()
-        self.solved: dict[Atom, Expr] = {}
+        self.known = KnownPartials(dict(cs.args_of))
         self.log: list[Certificate] = []
-        self.args_of: dict[str, tuple[Atom, ...]] = dict(cs.args_of)
         self.indep_names = cs.indep_names
         self.inconsistent: Optional[str] = None
         self.assumptions = tuple(assumptions)
@@ -180,7 +180,7 @@ class _State:
         self.slot_derivatives: dict[tuple[Expr, Atom], Expr] = {}
 
     def cap_error(self, what: str) -> ReductionCapExceeded:
-        rc = RenderContext.labelled(self.indep_names, self.args_of.items())
+        rc = RenderContext.labelled(self.indep_names, self.known.args_of.items())
         path = ", ".join(
             f"{expr_str(a.expr, rc)} "
             + ("= 0" if a.polarity == "zero" else "!= 0")
@@ -189,7 +189,7 @@ class _State:
         return ReductionCapExceeded(f"reduction {what}; assumptions: {path or 'none'}")
 
     def subst_known(self, e: Expr) -> Expr:
-        v = subst_known(e, self.solved, self.zeros, self.args_of, _MAX_PASSES)
+        v = subst_known(e, self.known, _MAX_PASSES)
         if v is None:
             raise self.cap_error(
                 f"substitution did not settle in {_MAX_PASSES} passes"
@@ -197,7 +197,7 @@ class _State:
         return v
 
     def add_zero(self, a: Atom) -> None:
-        self.zeros.add(a)
+        self.known.zero(a)
         self.touched.add(a.name)
         self.log.append(Certificate("zero"))
 
@@ -205,11 +205,11 @@ class _State:
         if v.is_zero():
             self.add_zero(a)
             return
-        for k in list(self.solved):
-            old = self.solved[k]
+        values = self.known.values
+        for k, old in values.items():
             if a in old.atoms():
-                self.solved[k] = substitute(old, {a: v})
-        self.solved[a] = v
+                values[k] = substitute(old, {a: v})
+        self.known.put(a, v)
         self.touched.add(a.name)
         self.log.append(Certificate("solve"))
 
@@ -247,7 +247,7 @@ class _State:
 
     def slot_derivative(self, e: Expr, arg: Atom) -> Expr:
         if (e, arg) not in self.slot_derivatives:
-            self.slot_derivatives[e, arg] = arg_derivative(e, arg, self.args_of)
+            self.slot_derivatives[e, arg] = arg_derivative(e, arg, self.known.args_of)
         return self.slot_derivatives[e, arg]
 
 
@@ -358,47 +358,31 @@ def _eliminate(st: _State) -> bool:
 
 def _compat(st: _State) -> bool:
     """Cross-argument agreement of solved single-slot partials."""
-    by_name: dict[str, list[ConstitPartial]] = {}
-    values: dict[ConstitPartial, Expr] = {}
-    for k, v in st.solved.items():
-        if isinstance(k, ConstitPartial) and mi_total(k.slots) == 1:
-            by_name.setdefault(k.name, []).append(k)
-            values[k] = v
-    for k in st.zeros:
-        # a vanishing single-slot partial still constrains its siblings
-        if isinstance(k, ConstitPartial) and mi_total(k.slots) == 1:
-            by_name.setdefault(k.name, []).append(k)
-            values[k] = ZERO
-    live = set(values.values())
+    # a vanishing single-slot partial still constrains its siblings
+    by_name = st.known.first_partials()
+    live = {v for values in by_name.values() for v in values.values()}
     st.slot_derivatives = {
         k: d for k, d in st.slot_derivatives.items() if k[0] in live
     }
     changed = False
-    for name, parts in by_name.items():
-        args = st.args_of.get(name)
-        if args is None or len(parts) < 2:
+    for name, values in by_name.items():
+        args = st.known.args_of.get(name)
+        if args is None or len(values) < 2:
             continue
-        parts = sorted(parts, key=lambda a: a.key)
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                pi, pj = parts[i], parts[j]
-                ai = args[pi.slots.index(1)]
-                aj = args[pj.slots.index(1)]
-                k = st.slot_derivative(values[pi], aj) - st.slot_derivative(
-                    values[pj], ai
-                )
-                k = st.subst_known(k)
-                n, _ = normalize_constraint(k, st.nonzero)
-                if n.is_zero() or n in st.constraints:
-                    continue
-                if not constit_atoms(n):
-                    st.inconsistent = (
-                        "incompatible mixed partials of a solved function"
-                    )
-                    return False
-                st.constraints.append(n)
-                st.log.append(Certificate("compat"))
-                changed = True
+        for pi, pj in combinations(sorted(values, key=lambda a: a.key), 2):
+            ai, aj = args[pi.slots.index(1)], args[pj.slots.index(1)]
+            k = st.subst_known(
+                st.slot_derivative(values[pi], aj) - st.slot_derivative(values[pj], ai)
+            )
+            n, _ = normalize_constraint(k, st.nonzero)
+            if n.is_zero() or n in st.constraints:
+                continue
+            if not constit_atoms(n):
+                st.inconsistent = "incompatible mixed partials of a solved function"
+                return False
+            st.constraints.append(n)
+            st.log.append(Certificate("compat"))
+            changed = True
     return changed
 
 
@@ -525,7 +509,7 @@ def _make_state(cs: ConstraintSystem, assumptions: Iterable[Assumption]) -> _Sta
             atoms = constit_atoms(a.expr)
             mono = single_monomial(a.expr)
             if mono is not None and len(atoms) == 1 and len(mono) == 1:
-                st.zeros.add(atoms[0])
+                st.known.zero(atoms[0])
             else:
                 n, _ = normalize_constraint(a.expr, ())
                 if not n.is_zero():
@@ -542,12 +526,12 @@ def _finish(st: _State) -> ReducedSystem:
             atoms = constit_atoms(a.expr)
             if len(atoms) == 1:
                 assumed.add(atoms[0])
-    zeroed = tuple(sorted(st.zeros, key=lambda x: x.key))
+    zeroed = tuple(sorted(st.known.zeros, key=lambda x: x.key))
     return ReducedSystem(
         constraints=tuple(st.constraints),
         nonzero=tuple(st.nonzero),
         zeroed=zeroed,
-        solved=tuple(sorted(st.solved.items(), key=lambda kv: kv[0].key)),
+        solved=tuple(sorted(st.known.values.items(), key=lambda kv: kv[0].key)),
         certificates=tuple(st.log),
         derived_zeros=tuple(a for a in zeroed if a not in assumed),
         inconsistent=st.inconsistent,
@@ -592,13 +576,9 @@ def _relevant_static(w: Expr, st: _State) -> bool:
     v = st.subst_known(w)
     if v.is_zero() or certified_nonzero(v, st.nonzero):
         return False
-    names = {a.name for a in w.atoms() if isinstance(a, (ConstitSym, ConstitPartial))}
-    present: set[str] = set()
-    for c in st.constraints:
-        present.update(
-            a.name for a in c.atoms() if isinstance(a, (ConstitSym, ConstitPartial))
-        )
-    return names <= present
+    fns = (ConstitSym, ConstitPartial)
+    present = {a.name for c in st.constraints for a in c.atoms() if isinstance(a, fns)}
+    return {a.name for a in w.atoms() if isinstance(a, fns)} <= present
 
 
 def build_tree(

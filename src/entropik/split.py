@@ -177,11 +177,13 @@ def _repair_layers(cs: ConstraintSystem) -> list[tuple[list[Expr], set[Atom]]]:
     """
     names = [name for name, _ in cs.args_of]
     coupled: dict[str, set[str]] = {f: set() for f in names}
-    for con in cs.constraints:
-        for mono in con.num:
-            fs = {a.name for a, _ in mono if isinstance(a, _UNKNOWN)}
-            for f in fs & coupled.keys():
-                coupled[f] |= fs - {f}
+    for fs in {
+        frozenset(a.name for a, _ in mono if isinstance(a, _UNKNOWN))
+        for con in cs.constraints
+        for mono in con.num
+    }:
+        for f in fs & coupled.keys():
+            coupled[f] |= fs - {f}
     layer_of: dict[str, int] = {}
     rest = list(names)
     while first := next((f for f in rest if coupled[f].intersection(rest)), None):

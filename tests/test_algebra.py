@@ -1,13 +1,15 @@
-"""Shared constraint algebra: division loops, the zero rule and
-substitution of known values."""
+"""Shared constraint algebra: division loops, the zero rule, the table of
+known partials and substitution from it."""
 
 from fractions import Fraction as Q
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropik import algebra
 from entropik.algebra import (
     Cancellation,
+    KnownPartials,
     arg_derivative,
     certified_nonzero,
     divide_out,
@@ -63,37 +65,86 @@ def test_subst_known_zeroes_dominating_partials(gas):
     d2q = Expr.atom(ConstitPartial("q1", (2, 0)))
     dq_deps = Expr.atom(ConstitPartial("q1", (0, 1)))
     e = RHO * d2q + dq_deps + Expr.atom(DP_DRHO)
-    zeros = {ConstitPartial("q1", (1, 0)), ConstitSym("p")}
-    out = subst_known(e, {}, zeros, _args_of(gas), 2)
+    known = KnownPartials(_args_of(gas))
+    known.zero(ConstitPartial("q1", (1, 0)))
+    known.zero(ConstitSym("p"))
+    out = subst_known(e, known, 2)
     assert out == dq_deps
 
 
 def test_subst_known_stores_a_derived_partial(gas):
-    values = {ConstitSym("p"): RHO**2 * EPS}
-    out = subst_known(Expr.atom(DP_DRHO) + P, values, (), _args_of(gas), 2)
+    known = KnownPartials(_args_of(gas), [(ConstitSym("p"), RHO**2 * EPS)])
+    out = subst_known(Expr.atom(DP_DRHO) + P, known, 2)
     two = Expr.rational(2)
     assert out == two * RHO * EPS + RHO**2 * EPS
-    assert values[DP_DRHO] == two * RHO * EPS
+    assert known.values[DP_DRHO] == two * RHO * EPS
 
 
 def test_subst_known_gives_up_on_a_cycle(gas):
-    values = {ConstitSym("p"): Q1, ConstitSym("q1"): P}
-    assert subst_known(P, values, (), _args_of(gas), 5) is None
+    known = KnownPartials(_args_of(gas), [(ConstitSym("p"), Q1), (ConstitSym("q1"), P)])
+    assert subst_known(P, known, 5) is None
 
 
 def test_subst_known_derives_bound_partials(gas):
     # gas1d_ideal binds p = (gamma - 1)*rho*eps and the first partials of
     # eta; gamma = 7/5 and Cv = 5/2 are the parameters' test values.
     bs = parse_bindings(bindings_text("gas1d_ideal"), gas)
-    values = bs.values()
+    known = KnownPartials(_args_of(gas), bs.values().items())
     expected = {
         DP_DRHO: Expr.rational(Q(2, 5)) * EPS,
         ConstitPartial("p", (1, 1)): Expr.rational(Q(2, 5)),
         ConstitPartial("eta", (1, 1)): Expr.rational(0),
     }
     for x, value in expected.items():
-        assert subst_known(Expr.atom(x), values, (), _args_of(gas), 3) == value
-        assert x in values
+        assert subst_known(Expr.atom(x), known, 3) == value
+        assert x in known.values
+
+
+def test_a_zero_answers_only_for_its_own_function(gas):
+    # p's zeros never reach q1: only q1's own zero, which d2q1/drho.deps
+    # does not dominate, is tested for it
+    known = KnownPartials(_args_of(gas))
+    known.zero(ConstitSym("p"))
+    known.zero(ConstitPartial("q1", (0, 2)))
+    dq = ConstitPartial("q1", (1, 1))
+    assert known.get(ConstitPartial("p", (2, 0))) == ZERO
+    assert known.get(dq) is None
+    assert known.get(ConstitSym("q1")) is None
+    assert subst_known(Expr.atom(dq) + P, known, 2) == Expr.atom(dq)
+
+
+def test_a_miss_is_forgotten_when_its_function_gets_a_value(gas, monkeypatch):
+    searches = []
+    best = algebra._best_base
+
+    def counting(x, bases):
+        searches.append(x)
+        return best(x, bases)
+
+    monkeypatch.setattr(algebra, "_best_base", counting)
+    known = KnownPartials(_args_of(gas), [(ConstitPartial("p", (0, 1)), RHO)])
+    # d2p/drho2 dominates no entry of p: one search, then remembered
+    d2p = ConstitPartial("p", (2, 0))
+    assert known.get(d2p) is None
+    assert known.get(d2p) is None
+    assert searches == [d2p]
+    # a value of q1 leaves p's miss alone; a value of p forgets it
+    known.put(ConstitSym("q1"), RHO)
+    assert known.get(d2p) is None
+    assert searches == [d2p]
+    known.put(DP_DRHO, RHO * EPS)
+    assert known.get(d2p) == EPS
+    assert searches == [d2p, d2p]
+
+
+def test_a_tie_between_bases_goes_to_the_first_entered(gas):
+    # d2p/drho.deps dominates both first partials; each gives a value
+    # that differentiates to a different one, so the base shows
+    d2p = ConstitPartial("p", (1, 1))
+    eps_first = [(ConstitPartial("p", (0, 1)), RHO**2), (DP_DRHO, RHO * EPS)]
+    for entries, value in ((eps_first, Expr.rational(2) * RHO), (eps_first[::-1], RHO)):
+        known = KnownPartials(_args_of(gas), entries)
+        assert known.get(d2p) == value
 
 
 def test_settle_resolves_a_chain_and_rejects_a_cycle():

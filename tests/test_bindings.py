@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from entropik.algebra import subst_known
+from entropik.algebra import KnownPartials, subst_known
 from entropik.atoms import ConstitPartial, ConstitSym
 from entropik.bindings import (
     BindingSet,
@@ -55,7 +55,7 @@ def test_partial_bindings_close_under_differentiation(gas):
     bs = _gas_bindings(gas)
     args_of = {d.name: d.args for d in gas.decls}
     dp = ConstitPartial("p", (1, 0))
-    val = subst_known(Expr.atom(dp), bs.values(), (), args_of, 3)
+    val = subst_known(Expr.atom(dp), KnownPartials(args_of, bs.values().items()), 3)
     # d/drho[(gamma-1)*rho*eps] with gamma = 7/5
     eps_atom = gas.decl_map()["p"].args[1]
     assert val == Expr.rational(Q(2, 5)) * Expr.atom(eps_atom)

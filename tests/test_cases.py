@@ -275,6 +275,24 @@ def test_root_reduction_divides_only_where_it_can_succeed(monkeypatch):
     assert len(divisions) <= 1750
 
 
+def test_root_reduction_remembers_partials_with_no_base(monkeypatch):
+    # a partial with no base is remembered until its function gets a new
+    # value, so a search that finds nothing is not repeated each pass
+    cs = solution_run("granular2d").system
+    misses = []
+    best = algebra._best_base
+
+    def counting(x, bases):
+        found = best(x, bases)
+        if found is None:
+            misses.append(x)
+        return found
+
+    monkeypatch.setattr(algebra, "_best_base", counting)
+    apply_assumptions(cs, ())
+    assert len(misses) <= 74
+
+
 def test_reduction_caches_only_live_scans():
     # a refresh drops the scan of each constraint it did not keep, and
     # the residues taken from that scan with it

@@ -1,6 +1,6 @@
 """Module layout guard for the ``entropik`` package.
 
-Nine rules, checked on the source with ``ast``:
+Ten rules, checked on the source with ``ast``:
 
 * no module imports an underscore-prefixed name from another ``entropik``
   module (shared helpers live under a public name in one home module);
@@ -30,7 +30,9 @@ Nine rules, checked on the source with ``ast``:
 * a call passes an underscore-prefixed keyword (``_canonical=``) only in
   the module that defines a function taking that parameter: a private
   parameter is its module's own shortcut, and other modules go through
-  the public constructors (``Expr.poly``).
+  the public constructors (``Expr.poly``);
+* every entry of a module's ``__all__`` names a module-level definition
+  or import of that module, so an export outlives no deleted function.
 
 The sixth and seventh rules match a name, not a class: a read of ``x.name``
 counts for every field or method of that name in any class.  A bare ``name``
@@ -414,3 +416,10 @@ def test_private_keywords_stay_in_their_module(path):
         if kw.arg is not None and _is_private(kw.arg) and kw.arg not in own
     )
     assert not bad, f"{path.name} passes another module's private keywords: {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    tree = _tree(path)
+    stale = sorted(_exported(tree) - _module_names(tree))
+    assert not stale, f"{path.name} exports undefined names: {stale}"

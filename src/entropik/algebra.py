@@ -314,49 +314,57 @@ def forced_zero(c: Expr, nonzero: Iterable[Expr]) -> Optional[Atom]:
 
 class KnownPartials:
     """Each unknown function's partials (the symbol included) with a known
-    value or zero, in ``values`` and ``zeros`` in entry order; a question
-    about a partial reads only its own function's entries."""
+    value or zero, in entry order; a question about a partial reads only
+    its own function's entries.  ``values`` holds every value and is for
+    reading: a value changes only through :meth:`put` and :meth:`rewrite`."""
 
     def __init__(self, args_of: Mapping[str, tuple[Atom, ...]],
                  values: Iterable[tuple[Atom, Expr]] = ()):
         self.args_of = args_of
         self.values: dict[Atom, Expr] = {}
-        self.zeros: dict[Atom, None] = {}
-        # name -> (entries with a value, zeros, partials with no base)
-        self._fns: dict[str, tuple[list[Atom], list[Atom], set[Atom]]] = {}
+        # name -> (its keys of values, its zeros, its partials with no base)
+        self._fns: dict[str, tuple[list[Atom], dict[Atom, None], set[Atom]]] = {}
         for a, v in values:
             self.put(a, v)
 
     def put(self, a: Atom, v: Expr) -> None:
         """Record the known value ``v`` of ``a``."""
-        bases, _zeros, misses = self._fns.setdefault(a.name, ([], [], set()))
+        bases, _zeros, misses = self._fns.setdefault(a.name, ([], {}, set()))
         if a not in self.values:
             bases.append(a)
         self.values[a] = v
         misses.clear()
 
+    def rewrite(self, a: Atom, v: Expr) -> None:
+        """Substitute ``v`` for ``a`` in every known value."""
+        for k, old in self.values.items():
+            if a in old.atoms():
+                self.values[k] = substitute(old, {a: v})
+
     def zero(self, a: Atom) -> None:
         """Record that ``a`` vanishes as a function, and so every partial
         that dominates it."""
-        self.zeros[a] = None
-        self._fns.setdefault(a.name, ([], [], set()))[1].append(a)
+        self._fns.setdefault(a.name, ([], {}, set()))[1][a] = None
+
+    def zeros(self) -> list[Atom]:
+        """Every partial that vanishes, function by function."""
+        return [z for _bases, zeros, _misses in self._fns.values() for z in zeros]
 
     def get(self, x: Atom) -> Optional[Expr]:
         """``x``'s value: zero if it vanishes, else its known value, else
-        one derived, and stored, from its base (:func:`_best_base`), else
-        None.  A partial with no base is remembered until its function
-        gets a :meth:`put`: a value derived since is no base for it."""
+        for a partial one derived, and stored, from its base
+        (:func:`_best_base`), else None.  A partial with no base is
+        remembered until its function gets a :meth:`put`: a value derived
+        since is no base for it."""
         if not isinstance(x, (ConstitSym, ConstitPartial)) or x.name not in self._fns:
             return None
         bases, zeros, misses = self._fns[x.name]
-        if any(
-            z is x or isinstance(x, ConstitPartial) and (
-                isinstance(z, ConstitSym) or mi_dominates(x.slots, z.slots))
-            for z in zeros
+        if x in zeros or isinstance(x, ConstitPartial) and any(
+            isinstance(z, ConstitSym) or mi_dominates(x.slots, z.slots) for z in zeros
         ):
             return ZERO
         v = self.values.get(x)
-        if v is not None or not bases or x in misses:
+        if v is not None or not isinstance(x, ConstitPartial) or not bases or x in misses:
             return v
         args = self.args_of.get(x.name)
         base = None if args is None else _best_base(x, bases)
@@ -374,9 +382,10 @@ class KnownPartials:
 
     def first_partials(self) -> dict[str, dict[ConstitPartial, Expr]]:
         """Each function's first partials with a known value or zero (a
-        zero wins), by function in the order of its first such value."""
+        zero wins), by function in the order of its first such value, a
+        function with only zeros last."""
         out: dict[str, dict[ConstitPartial, Expr]] = {}
-        for k, v in chain(self.values.items(), ((z, ZERO) for z in self.zeros)):
+        for k, v in chain(self.values.items(), ((z, ZERO) for z in self.zeros())):
             if isinstance(k, ConstitPartial) and mi_total(k.slots) == 1:
                 out.setdefault(k.name, {})[k] = v
         return out

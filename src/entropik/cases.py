@@ -49,7 +49,7 @@ computes no fork candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
@@ -67,7 +67,7 @@ from .algebra import (
 )
 from .atoms import Atom, ConstitPartial, ConstitSym, mi_dominates
 from .errors import ReductionCapExceeded
-from .expr import Expr, ZERO, collect_coefficients, substitute
+from .expr import Expr, ZERO, collect_coefficients
 from .render import RenderContext, expr_str
 from .split import ConstraintSystem
 
@@ -167,8 +167,9 @@ class _State:
     def __init__(self, cs: ConstraintSystem, assumptions: Iterable[Assumption]):
         self.constraints: list[Expr] = list(cs.constraints)
         self.nonzero: list[Expr] = list(cs.nonzero)
-        self.known = KnownPartials(dict(cs.args_of))
         self.log: list[Certificate] = []
+        self.args_of: dict[str, tuple[Atom, ...]] = dict(cs.args_of)
+        self.known = KnownPartials(self.args_of)
         self.indep_names = cs.indep_names
         self.inconsistent: Optional[str] = None
         self.assumptions = tuple(assumptions)
@@ -180,7 +181,7 @@ class _State:
         self.slot_derivatives: dict[tuple[Expr, Atom], Expr] = {}
 
     def cap_error(self, what: str) -> ReductionCapExceeded:
-        rc = RenderContext.labelled(self.indep_names, self.known.args_of.items())
+        rc = RenderContext.labelled(self.indep_names, self.args_of.items())
         path = ", ".join(
             f"{expr_str(a.expr, rc)} "
             + ("= 0" if a.polarity == "zero" else "!= 0")
@@ -205,10 +206,7 @@ class _State:
         if v.is_zero():
             self.add_zero(a)
             return
-        values = self.known.values
-        for k, old in values.items():
-            if a in old.atoms():
-                values[k] = substitute(old, {a: v})
+        self.known.rewrite(a, v)
         self.known.put(a, v)
         self.touched.add(a.name)
         self.log.append(Certificate("solve"))
@@ -247,7 +245,7 @@ class _State:
 
     def slot_derivative(self, e: Expr, arg: Atom) -> Expr:
         if (e, arg) not in self.slot_derivatives:
-            self.slot_derivatives[e, arg] = arg_derivative(e, arg, self.known.args_of)
+            self.slot_derivatives[e, arg] = arg_derivative(e, arg, self.args_of)
         return self.slot_derivatives[e, arg]
 
 
@@ -366,23 +364,30 @@ def _compat(st: _State) -> bool:
     }
     changed = False
     for name, values in by_name.items():
-        args = st.known.args_of.get(name)
+        args = st.args_of.get(name)
         if args is None or len(values) < 2:
             continue
-        for pi, pj in combinations(sorted(values, key=lambda a: a.key), 2):
-            ai, aj = args[pi.slots.index(1)], args[pj.slots.index(1)]
-            k = st.subst_known(
-                st.slot_derivative(values[pi], aj) - st.slot_derivative(values[pj], ai)
-            )
-            n, _ = normalize_constraint(k, st.nonzero)
-            if n.is_zero() or n in st.constraints:
-                continue
-            if not constit_atoms(n):
-                st.inconsistent = "incompatible mixed partials of a solved function"
-                return False
-            st.constraints.append(n)
-            st.log.append(Certificate("compat"))
-            changed = True
+        parts = sorted(values, key=lambda a: a.key)
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                pi, pj = parts[i], parts[j]
+                ai = args[pi.slots.index(1)]
+                aj = args[pj.slots.index(1)]
+                k = st.slot_derivative(values[pi], aj) - st.slot_derivative(
+                    values[pj], ai
+                )
+                k = st.subst_known(k)
+                n, _ = normalize_constraint(k, st.nonzero)
+                if n.is_zero() or n in st.constraints:
+                    continue
+                if not constit_atoms(n):
+                    st.inconsistent = (
+                        "incompatible mixed partials of a solved function"
+                    )
+                    return False
+                st.constraints.append(n)
+                st.log.append(Certificate("compat"))
+                changed = True
     return changed
 
 
@@ -526,7 +531,7 @@ def _finish(st: _State) -> ReducedSystem:
             atoms = constit_atoms(a.expr)
             if len(atoms) == 1:
                 assumed.add(atoms[0])
-    zeroed = tuple(sorted(st.known.zeros, key=lambda x: x.key))
+    zeroed = tuple(sorted(st.known.zeros(), key=lambda x: x.key))
     return ReducedSystem(
         constraints=tuple(st.constraints),
         nonzero=tuple(st.nonzero),
@@ -576,9 +581,13 @@ def _relevant_static(w: Expr, st: _State) -> bool:
     v = st.subst_known(w)
     if v.is_zero() or certified_nonzero(v, st.nonzero):
         return False
-    fns = (ConstitSym, ConstitPartial)
-    present = {a.name for c in st.constraints for a in c.atoms() if isinstance(a, fns)}
-    return {a.name for a in w.atoms() if isinstance(a, fns)} <= present
+    names = {a.name for a in w.atoms() if isinstance(a, (ConstitSym, ConstitPartial))}
+    present: set[str] = set()
+    for c in st.constraints:
+        present.update(
+            a.name for a in c.atoms() if isinstance(a, (ConstitSym, ConstitPartial))
+        )
+    return names <= present
 
 
 def build_tree(

@@ -113,6 +113,12 @@ def test_a_zero_answers_only_for_its_own_function(gas):
     assert subst_known(Expr.atom(dq) + P, known, 2) == Expr.atom(dq)
 
 
+def test_a_symbol_is_never_derived_from_its_partials(gas):
+    known = KnownPartials(_args_of(gas), [(DP_DRHO, RHO * EPS)])
+    assert known.get(ConstitSym("p")) is None
+    assert subst_known(P + Expr.atom(DP_DRHO), known, 2) == P + RHO * EPS
+
+
 def test_a_miss_is_forgotten_when_its_function_gets_a_value(gas, monkeypatch):
     searches = []
     best = algebra._best_base

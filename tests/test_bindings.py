@@ -61,6 +61,15 @@ def test_partial_bindings_close_under_differentiation(gas):
     assert val == Expr.rational(Q(2, 5)) * Expr.atom(eps_atom)
 
 
+def test_a_bound_partial_leaves_its_symbol_alone(gas):
+    # only dp/drho is bound: the constraints' p has no value to derive
+    # from it, and stays as it is
+    text = "parameter gamma = 7/5\nbind dp/drho = (gamma - 1)*eps\n"
+    rep = check_candidate(gas, solution_run("gas1d").system, parse_bindings(text, gas))
+    assert not rep.ok
+    assert any(re.search(r"\bp\b", c.value) for c in rep.checks)
+
+
 def test_nonsimple_family_passes(nonsimple):
     bs = parse_bindings(bindings_text("nonsimple2d_family"), nonsimple)
     rep = check_candidate(nonsimple, solution_run("nonsimple2d").system, bs)

@@ -8,8 +8,16 @@ and the normal set of a list of constraints (:func:`normal_set`), the
 recorded factors of a nonzero condition, slot derivatives of the
 unknown material functions, the zero rule (:func:`forced_zero`), one
 table per function of its known and zero partials
-(:class:`KnownPartials`), substitution from it (:func:`subst_known`), and
-:func:`settle` for a map substituted into itself.
+(:class:`KnownPartials`), substitution from it (:func:`subst_known`),
+:func:`settle` for a map substituted into itself, and :class:`Memo`, the
+kept results of pure steps.
+
+A table keeps, in its :class:`Memo`, each substitution it makes
+(:func:`subst_known`, :meth:`KnownPartials.rewrite`) under the expression
+and the frozen pairs, and each slot derivative it takes under the
+expression and the argument.  Both are pure, and a table serves one
+declaration of arguments, so a kept result is the one a new call would
+make.
 
 Dividing out the nonzero factors (:func:`normalize_constraint`,
 :func:`strip_certified`) skips every factor holding an atom the
@@ -71,6 +79,7 @@ __all__ = [
     "constit_atoms",
     "arg_derivative",
     "KnownPartials",
+    "Memo",
     "forced_zero",
     "subst_known",
     "settle",
@@ -312,15 +321,46 @@ def forced_zero(c: Expr, nonzero: Iterable[Expr]) -> Optional[Atom]:
     return uncert[0] if len(uncert) == 1 else None
 
 
+class Memo:
+    """Results of pure steps, each kept under a key of a tag and the step's
+    arguments, in layers: a lookup reads this layer, then its parent's and
+    on up, and a new result goes into this layer.  A child layer shares
+    what its parents hold and takes its own entries with it when it is
+    dropped.  Nothing iterates over a memo, so the order of its entries,
+    which hash atoms by identity, reaches no output."""
+
+    __slots__ = ("_layer", "_parent")
+
+    def __init__(self, parent: Optional["Memo"] = None):
+        self._layer: dict = {}
+        self._parent = parent
+
+    def call(self, key, f, *args):
+        """``f(*args)``, or the result kept under ``key`` in this layer or
+        a parent's; a new result is kept in this layer."""
+        memo = self
+        while memo is not None:
+            v = memo._layer.get(key)
+            if v is not None:
+                return v
+            memo = memo._parent
+        v = self._layer[key] = f(*args)
+        return v
+
+
 class KnownPartials:
     """Each unknown function's partials (the symbol included) with a known
     value or zero, in entry order; a question about a partial reads only
     its own function's entries.  ``values`` holds every value and is for
-    reading: a value changes only through :meth:`put` and :meth:`rewrite`."""
+    reading: a value changes only through :meth:`put` and :meth:`rewrite`.
+    ``memo`` keeps the table's substitutions and slot derivatives; a
+    caller may pass one to share them, with the same ``args_of``."""
 
     def __init__(self, args_of: Mapping[str, tuple[Atom, ...]],
-                 values: Iterable[tuple[Atom, Expr]] = ()):
+                 values: Iterable[tuple[Atom, Expr]] = (),
+                 memo: Optional[Memo] = None):
         self.args_of = args_of
+        self.memo = Memo() if memo is None else memo
         self.values: dict[Atom, Expr] = {}
         # name -> (its keys of values, its zeros, its partials with no base)
         self._fns: dict[str, tuple[list[Atom], dict[Atom, None], set[Atom]]] = {}
@@ -337,9 +377,10 @@ class KnownPartials:
 
     def rewrite(self, a: Atom, v: Expr) -> None:
         """Substitute ``v`` for ``a`` in every known value."""
+        sub, key = {a: v}, frozenset({(a, v)})
         for k, old in self.values.items():
             if a in old.atoms():
-                self.values[k] = substitute(old, {a: v})
+                self.values[k] = self.memo.call(("s", old, key), substitute, old, sub)
 
     def zero(self, a: Atom) -> None:
         """Record that ``a`` vanishes as a function, and so every partial
@@ -375,7 +416,7 @@ class KnownPartials:
         have = base.slots if isinstance(base, ConstitPartial) else (0,) * len(args)
         for j, a in enumerate(args):
             for _ in range(x.slots[j] - have[j]):
-                v = arg_derivative(v, a, self.args_of)
+                v = self.memo.call(("d", v, a), arg_derivative, v, a, self.args_of)
         self.values[x] = v
         bases.append(x)
         return v
@@ -403,12 +444,12 @@ def _best_base(x: ConstitPartial, bases: Sequence[Atom]) -> Optional[Atom]:
 def subst_known(e: Expr, known: KnownPartials, passes: int) -> Optional[Expr]:
     """``e`` with what ``known`` knows substituted to a fixed point, or
     None when it has not settled in ``passes`` passes
-    (:meth:`KnownPartials.get`)."""
+    (:meth:`KnownPartials.get`); each pass is kept in ``known.memo``."""
     for _ in range(passes):
         sub = {x: v for x in e.atoms() if (v := known.get(x)) is not None}
         if not sub:
             return e
-        e = substitute(e, sub)
+        e = known.memo.call(("s", e, frozenset(sub.items())), substitute, e, sub)
     return None
 
 

@@ -30,15 +30,26 @@ pair — becomes a branching question.
 A reduction keeps its solved, derived and zeroed partials in one
 :class:`~entropik.algebra.KnownPartials` table and does each piece of
 work once: its state caches each live constraint's linear scan (each
-first-power function atom with its coefficient), a coefficient's residue
-(stripped of certified factors) once asked for, and the slot derivatives
-of each live value; a refresh substitutes only into constraints it did
-not output last time or that hold a function zeroed or solved since, and
-renormalizes only what that changed.  That is exact since the nonzero
-list is fixed once the state is made: a refreshed constraint has nothing
-to substitute until one of its functions is touched, and a normal form
-stays one.  Under one-term certified factors a coefficient of two or
-more terms keeps them all, so it is blocked without dividing.
+first-power function atom with its coefficient) and a coefficient's
+residue (stripped of certified factors) once asked for; a refresh
+substitutes only into constraints it did not output last time or that
+hold a function zeroed or solved since, and renormalizes only what that
+changed.  That is exact since the nonzero list is fixed once the state is
+made: a refreshed constraint has nothing to substitute until one of its
+functions is touched, and a normal form stays one.  Under one-term
+certified factors a coefficient of two or more terms keeps them all, so
+it is blocked without dividing.
+
+A case tree does each piece of algebra once along a path.  Each reduced
+state has its own layer of an :class:`~entropik.algebra.Memo` over its
+parent node's layer, and keeps there the results of the reducer's pure
+steps under their arguments: the table's substitutions and slot
+derivatives, and each normal form and residue under the state's nonzero
+tuple.  A child reads what its ancestors computed, and a finished
+subtree's layers go with its states.  A kept result is the one a new call
+would make: the steps are pure, every state of a tree declares the same
+arguments, and a normal form is keyed by the nonzero tuple it was taken
+under.  :func:`apply_assumptions` reduces under a one-layer memo.
 
 The reduction only solves.  What a tree node forks on is read from the
 cached scans once, at the node's fixed point, where they are exactly
@@ -54,6 +65,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
     KnownPartials,
+    Memo,
     arg_derivative,
     certified_nonzero,
     constit_atoms,
@@ -164,12 +176,15 @@ class CaseTree:
 
 
 class _State:
-    def __init__(self, cs: ConstraintSystem, assumptions: Iterable[Assumption]):
+    def __init__(
+        self, cs: ConstraintSystem, assumptions: Iterable[Assumption], memo: Memo
+    ):
         self.constraints: list[Expr] = list(cs.constraints)
-        self.nonzero: list[Expr] = list(cs.nonzero)
+        self.nonzero: tuple[Expr, ...] = tuple(cs.nonzero)
         self.log: list[Certificate] = []
         self.args_of: dict[str, tuple[Atom, ...]] = dict(cs.args_of)
-        self.known = KnownPartials(self.args_of)
+        self.memo = memo
+        self.known = KnownPartials(self.args_of, memo=memo)
         self.indep_names = cs.indep_names
         self.inconsistent: Optional[str] = None
         self.assumptions = tuple(assumptions)
@@ -178,7 +193,6 @@ class _State:
         self.scans: dict[Expr, list[tuple[Atom, Expr]]] = {}
         self.residues: dict[Expr, Expr] = {}
         self.composite_factors = False  # a certified factor of two or more terms
-        self.slot_derivatives: dict[tuple[Expr, Atom], Expr] = {}
 
     def cap_error(self, what: str) -> ReductionCapExceeded:
         rc = RenderContext.labelled(self.indep_names, self.args_of.items())
@@ -230,11 +244,22 @@ class _State:
             self.scans[c] = out
         return out
 
+    def normalize(self, e: Expr) -> tuple[Expr, int]:
+        """The normal form of ``e`` under the nonzero list and the number of
+        cancellations made (:func:`normalize_constraint`), kept."""
+        key = ("n", e, self.nonzero)
+        n, log = self.memo.call(key, normalize_constraint, e, self.nonzero)
+        return n, len(log)
+
     def residue(self, coeff: Expr) -> Expr:
         """``coeff`` with its certified factors divided out."""
-        if coeff not in self.residues:
-            self.residues[coeff] = strip_certified(coeff, self.nonzero)
-        return self.residues[coeff]
+        r = self.residues.get(coeff)
+        if r is None:
+            key = ("r", coeff, self.nonzero)
+            r = self.residues[coeff] = self.memo.call(
+                key, strip_certified, coeff, self.nonzero
+            )
+        return r
 
     def divides(self, coeff: Expr) -> bool:
         """Is ``coeff`` a product of certified factors and no bare rational?
@@ -244,9 +269,7 @@ class _State:
         return not coeff.is_rational() and self.residue(coeff).is_rational()
 
     def slot_derivative(self, e: Expr, arg: Atom) -> Expr:
-        if (e, arg) not in self.slot_derivatives:
-            self.slot_derivatives[e, arg] = arg_derivative(e, arg, self.args_of)
-        return self.slot_derivatives[e, arg]
+        return self.memo.call(("d", e, arg), arg_derivative, e, arg, self.args_of)
 
 
 def _circular(u: Atom, value: Expr) -> bool:
@@ -277,8 +300,8 @@ def _refresh(st: _State) -> bool:
         if clean and r is c:
             n = c  # nothing substituted into a normal form: it stays
         else:
-            n, logs = normalize_constraint(r, st.nonzero)
-            st.log.extend(Certificate("cancel") for _ in logs)
+            n, cancels = st.normalize(r)
+            st.log.extend(Certificate("cancel") for _ in range(cancels))
             if n.is_zero():
                 continue
             if not constit_atoms(n):
@@ -358,10 +381,6 @@ def _compat(st: _State) -> bool:
     """Cross-argument agreement of solved single-slot partials."""
     # a vanishing single-slot partial still constrains its siblings
     by_name = st.known.first_partials()
-    live = {v for values in by_name.values() for v in values.values()}
-    st.slot_derivatives = {
-        k: d for k, d in st.slot_derivatives.items() if k[0] in live
-    }
     changed = False
     for name, values in by_name.items():
         args = st.args_of.get(name)
@@ -377,7 +396,7 @@ def _compat(st: _State) -> bool:
                     values[pj], ai
                 )
                 k = st.subst_known(k)
-                n, _ = normalize_constraint(k, st.nonzero)
+                n, _ = st.normalize(k)
                 if n.is_zero() or n in st.constraints:
                     continue
                 if not constit_atoms(n):
@@ -505,11 +524,17 @@ def force_residual(cs: ConstraintSystem) -> ConstraintSystem:
 # Public reduction and tree construction.
 
 
-def _make_state(cs: ConstraintSystem, assumptions: Iterable[Assumption]) -> _State:
-    st = _State(cs, assumptions)
+def _make_state(
+    cs: ConstraintSystem,
+    assumptions: Iterable[Assumption],
+    parent: Optional[Memo] = None,
+) -> _State:
+    """A state with its own memo layer over ``parent``'s."""
+    st = _State(cs, assumptions, Memo(parent))
+    nonzero = list(st.nonzero)
     for a in st.assumptions:
         if a.polarity == "nonzero":
-            st.nonzero.extend(nonzero_factors(a.expr))
+            nonzero.extend(nonzero_factors(a.expr))
         else:
             atoms = constit_atoms(a.expr)
             mono = single_monomial(a.expr)
@@ -519,7 +544,7 @@ def _make_state(cs: ConstraintSystem, assumptions: Iterable[Assumption]) -> _Sta
                 n, _ = normalize_constraint(a.expr, ())
                 if not n.is_zero():
                     st.constraints.append(n)
-    st.nonzero = list(dict.fromkeys(st.nonzero))
+    st.nonzero = tuple(dict.fromkeys(nonzero))
     st.composite_factors = any(len(f.num) > 1 for f in st.nonzero)
     return st
 
@@ -534,7 +559,7 @@ def _finish(st: _State) -> ReducedSystem:
     zeroed = tuple(sorted(st.known.zeros(), key=lambda x: x.key))
     return ReducedSystem(
         constraints=tuple(st.constraints),
-        nonzero=tuple(st.nonzero),
+        nonzero=st.nonzero,
         zeroed=zeroed,
         solved=tuple(sorted(st.known.values.items(), key=lambda kv: kv[0].key)),
         certificates=tuple(st.log),
@@ -604,16 +629,17 @@ def build_tree(
     member, tested only when reached.  A fork whose two children reduce
     to the same system is skipped as vacuous.  The root
     is reduced before the pool is ranked; when it closes, no fork
-    consults the pool and the tree reports an empty one."""
+    consults the pool and the tree reports an empty one.  A child reduces
+    under a memo layer of its own over its parent's."""
     if depth < 1:
         raise ValueError("depth cap must be at least 1")
 
-    def reduced(path: tuple[Assumption, ...]) -> _State:
-        st = _make_state(cs, path)
+    def reduced(path: tuple[Assumption, ...], parent: Optional[Memo]) -> _State:
+        st = _make_state(cs, path, parent)
         _reduce(st)
         return st
 
-    root = reduced(tuple(assumptions))
+    root = reduced(tuple(assumptions), None)
     pool: tuple[Expr, ...] = ()
     if not root.inconsistent:
         pool = pivot_candidates(cs)
@@ -633,8 +659,8 @@ def build_tree(
         )):
             if len(path) >= depth:
                 return CaseNode(path, system, status="open", capped=cand)
-            hi = node(reduced(path + (Assumption.nonzero(cand),)))
-            lo = node(reduced(path + (Assumption.zero(cand),)))
+            hi = node(reduced(path + (Assumption.nonzero(cand),), st.memo))
+            lo = node(reduced(path + (Assumption.zero(cand),), st.memo))
             if hi.system.same_content(lo.system):
                 continue  # the fork changes nothing; vacuous pivot
             return CaseNode(path, system, pivot=cand, children=(hi, lo), status="open")

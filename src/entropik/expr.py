@@ -16,8 +16,13 @@ no monomial content shared and a monic monomial denominator, ``N/M`` and
 ``N'/M'`` can only be equal when ``M == M'`` and ``N == N'``.  So a sum of
 terms whose denominators are all monomials has one form whatever the
 order of its terms, and :func:`expr_sum` adds such terms in one pass over
-their least common denominator; any other sum it folds with ``+`` in the
-given order, since the form then depends on that order.
+their least common denominator.  A sum whose terms are each over 1 or over
+one polynomial ``D`` with no monomial content is also added in one pass:
+no content is shared with ``D`` and ``D`` is monic, so each step of the
+fold is canonical as it stands, and the pass makes the same steps in
+place, to the fold's term order and coefficient types.  Any other sum it
+folds with ``+`` in the given order, since the form then depends on that
+order.
 One order serves every output: :func:`mono_key`, for printed terms and
 leading coefficients.  :func:`poly_divexact` divides by a one-term
 polynomial by stripping its monomial from each term, so the quotient
@@ -56,7 +61,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ._ratio import Q, qdiv
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_bump
@@ -300,12 +305,55 @@ def expr_sum(terms: Sequence[Expr]) -> Expr:
     fold's, down to the insertion order of its numerator: scaling every
     monomial of a running sum by one monomial keeps the keys distinct, so
     terms meet and cancel on the same keys in the same order.
+
+    When every denominator is 1 or one polynomial ``D`` with no monomial
+    content, :func:`_shared_sum` makes the fold's steps on one running
+    numerator.  Any other sum is folded with ``+``.
     """
     if len(terms) < 2:
         return terms[0] if terms else ZERO
-    if any(len(t.den) != 1 for t in terms):
+    if all(len(t.den) == 1 for t in terms):
+        return _monomial_sum([next(iter(t.den)) for t in terms], (t.num for t in terms))
+    if not _shares([t.den for t in terms]):
         return reduce(add, terms)
-    return _monomial_sum([next(iter(t.den)) for t in terms], (t.num for t in terms))
+    return _shared_sum((t.num, t.den if len(t.den) > 1 else None) for t in terms)
+
+
+def _shares(dens: Sequence[Poly]) -> bool:
+    """Is each of ``dens`` 1 or one polynomial ``D`` with no monomial
+    content?  At least one must be ``D``."""
+    den = next(d for d in dens if len(d) > 1)
+    return not poly_content(den) and all(
+        d is den or d == den or d == _ONE_POLY for d in dens
+    )
+
+
+def _shared_sum(terms: Iterable[tuple[Poly, Optional[Poly]]]) -> Expr:
+    """The fold of nonzero ``num / den`` over ``terms``, each ``den`` None
+    for 1 or one polynomial ``D`` with no monomial content, made on one
+    running numerator.
+
+    ``D`` is monic and shares no content with any numerator, so each step
+    of the fold is canonical as it stands and is made in place: over the
+    same denominator it adds the numerators; from 1 to ``D`` it takes
+    ``p_mul(num, D)``, in ``p_mul``'s operand order, and adds the term's
+    numerator; from ``D`` to 1 it adds ``p_mul(term, D)``, made whole
+    first; a sum that cancels to zero is over 1 again.  The running ``D``
+    is the dict that switched to it, as in the fold, so the result's term
+    order and coefficient types are the fold's.
+    """
+    out: Poly = {}
+    den = None  # the running denominator, None for 1
+    for num, d in terms:
+        if d is None:
+            p_addmul(out, num if den is None else p_mul(num, den), (), 1)
+        else:
+            if den is None:
+                out, den = p_mul(out, d), d
+            p_addmul(out, num, (), 1)
+        if not out:
+            den = None
+    return Expr.poly(out) if den is None else Expr(out, den, _canonical=True)
 
 
 def _monomial_sum(dens: Sequence[Monomial], nums: Iterable[Poly]) -> Expr:
@@ -423,7 +471,10 @@ def eval_poly(p: Poly, pairs: Mapping[Atom, Expr]) -> Expr:
     monomial denominator each term is multiplied out raw and stripped of
     the monomial shared above and below (a product's monomial content is
     its factors' contents multiplied), so canonical, and all are summed as
-    by :func:`expr_sum`; otherwise each product is canonicalized.
+    by :func:`expr_sum`; otherwise each product is canonicalized and the
+    products go to :func:`expr_sum`, which adds them in one pass when each
+    is over 1 or over one polynomial with no monomial content (a value
+    over a power of one such polynomial, substituted linearly).
     """
     powers: dict[tuple[Atom, int], Expr] = {}
     for m in p:
@@ -431,8 +482,21 @@ def eval_poly(p: Poly, pairs: Mapping[Atom, Expr]) -> Expr:
             if key[0] in pairs and key not in powers:
                 powers[key] = pairs[key[0]] ** key[1]
     if any(len(pw.den) != 1 for pw in powers.values()):
-        return expr_sum([reduce(mul, (powers[k] for k in m if k in powers), Expr.poly(
-            {tuple(ae for ae in m if ae not in powers): qdiv(c, 1)})) for m, c in p.items()])
+        terms = [
+            ({tuple(ae for ae in m if ae not in powers): qdiv(c, 1)},
+             [powers[k] for k in m if k in powers])
+            for m, c in p.items()
+        ]
+        if _shares([pw.den for pw in powers.values()]) and all(
+            sum(len(f.den) > 1 for f in fs) < 2 for _kept, fs in terms
+        ):
+            return _shared_sum(
+                (reduce(p_mul, (f.num for f in fs), kept),
+                 next((f.den for f in fs if len(f.den) > 1), None))
+                for kept, fs in terms
+                if all(f.num for f in fs)  # a zero factor adds nothing
+            )
+        return expr_sum([reduce(mul, fs, Expr.poly(kept)) for kept, fs in terms])
     contents = {k: poly_content(pw.num) for k, pw in powers.items() if pw.num}
     terms = []
     for m, c in p.items():

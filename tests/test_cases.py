@@ -275,6 +275,21 @@ def test_root_reduction_divides_only_where_it_can_succeed(monkeypatch):
     assert len(divisions) <= 1750
 
 
+def test_a_tree_substitutes_each_value_once_along_a_path(monkeypatch):
+    # a child reads its ancestors' substitutions from their memo layers;
+    # reducing every node from the root took 253 calls
+    calls = []
+    substitute = algebra.substitute
+
+    def counting(e, pairs):
+        calls.append(e)
+        return substitute(e, pairs)
+
+    monkeypatch.setattr(algebra, "substitute", counting)
+    _depth3_tree("nonsimple2d")
+    assert len(calls) <= 126
+
+
 def test_root_reduction_remembers_partials_with_no_base(monkeypatch):
     # a partial with no base is remembered until its function gets a new
     # value, so a search that finds nothing is not repeated each pass
@@ -453,6 +468,39 @@ def test_each_open_node_orders_its_blocked_divisions_once(
         n.assumptions for n in tree.root.walk()
         if n.status != "closed-inconsistent"
     )
+
+
+def _printed(rs, rc):
+    # every field of a reduced system as printed, with the term order and
+    # coefficient types of each expression
+    def expr(e):
+        return expr_str(e, rc), [(m, c, type(c)) for p in (e.num, e.den)
+                                 for m, c in p.items()]
+
+    return (
+        [expr(c) for c in rs.constraints],
+        [expr(f) for f in rs.nonzero],
+        [atom_str(a, rc) for a in rs.zeroed],
+        [(atom_str(k, rc), expr(v)) for k, v in rs.solved],
+        [c.kind for c in rs.certificates],
+        [atom_str(a, rc) for a in rs.derived_zeros],
+        rs.inconsistent,
+    )
+
+
+@pytest.mark.parametrize("name,forced", [("nonsimple2d", False), ("fluid2d", True)])
+def test_a_node_reduced_on_its_own_is_the_node_of_the_tree(name, forced):
+    # a node reads the memo layers of its ancestors; reduced alone, under
+    # a memo of its own, it prints the same system
+    cs = solution_run(name).system
+    cs = force_residual(cs) if forced else cs
+    rc = load_model(name).render_ctx()
+    tree = build_tree(cs, depth=3)
+    nodes = list(tree.root.walk())
+    assert len(nodes) > 1
+    for node in nodes:
+        alone = apply_assumptions(cs, node.assumptions)
+        assert _printed(alone, rc) == _printed(node.system, rc)
 
 
 @pytest.mark.parametrize("name", ["fluid2d", "nonsimple2d"])

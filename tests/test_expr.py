@@ -593,6 +593,43 @@ def test_mono_key_is_not_a_monomial_order():
     assert mono_key(backend.mono_mul(rho, rho)) > mono_key(backend.mono_mul(rho, u))
 
 
+# terms over 1 or over one polynomial D: coefficients of every type, a
+# denominator-1 prefix that can outgrow D (so the switch to D multiplies in
+# p_mul's swapped operand order), the running sum cancelled to zero at a
+# drawn point, and a D with monomial content, which only the fold may add
+# (in the second example the sum's numerator takes on that content)
+typed_coeffs = st.one_of(
+    coeffs,  # ints and proper Fractions
+    st.builds(Q, st.integers(-6, 6).filter(bool)),  # integral Fractions
+)
+typed_polys = st.dictionaries(monomials, typed_coeffs, min_size=1, max_size=4)
+shared_dens = st.builds(
+    lambda p, c: (ONE / Expr.poly({**p, (): c})).den, polys, coeffs
+).filter(lambda d: len(d) > 1)
+
+
+@given(shared_dens, st.lists(typed_polys, max_size=3),
+       st.lists(st.tuples(typed_polys, st.booleans()), min_size=1, max_size=5),
+       st.integers(0, 8), st.booleans())
+@example(d={((RHO, 1),): 1, (): 1}, prefix=[{((U, 1),): 1, ((EPS, 1),): Q(2), ((P, 1),): Q(1, 2)}],
+         rest=[({((U, 1),): 1}, True)], cut=0, content=False)
+@example(d={((U, 1),): 1, (): 1}, prefix=[],
+         rest=[({((RHO, 1), (U, 1)): 1, (): 1}, True),
+               ({((EPS, 1), (RHO, 1)): 1, (): -1}, True)], cut=0, content=True)
+@settings(max_examples=400, deadline=None)
+def test_expr_sum_over_one_shared_denominator_is_the_fold(d, prefix, rest, cut, content):
+    if content:
+        d = (ONE / Expr.poly(backend.p_mul(d, {((RHO, 1),): 1}))).den
+    terms = [Expr.poly(p) for p in prefix]
+    terms += [Expr(p, d) if over else Expr.poly(p) for p, over in rest]
+    cut = min(cut, len(terms))
+    terms.insert(cut, -reduce(add, terms[:cut], ZERO))
+    want, got = reduce(add, terms), expr_sum(terms)
+    assert got == want
+    assert _typed(got.num) == _typed(want.num)
+    assert _typed(got.den) == _typed(want.den)
+
+
 # -- substitution against a chain of products (property-based) ------------
 
 def _substitute_by_products(e, pairs):
@@ -679,9 +716,11 @@ def _check_against_fold(e, pairs):
     same(substitute(e, pairs), want)
 
 
-# images with monomial and two-term denominators, and zero; in the example
-# a denominator shares rho with another image's numerator, not with the
-# atoms a term keeps, or with them only in part
+# images with monomial and two-term denominators, and zero; in the first
+# example a denominator shares rho with another image's numerator, not with
+# the atoms a term keeps, or with them only in part; in the other two the
+# images share one two-term denominator, which a term meets once after
+# three terms over 1, or twice
 @given(st.one_of(exprs, small_exprs),
        st.dictionaries(st.sampled_from(DIV_ATOMS + ATOM_POOL),
                        st.one_of(images, st.just(ZERO)), min_size=1, max_size=3))
@@ -689,6 +728,12 @@ def _check_against_fold(e, pairs):
          + Expr.atom(U) * Expr.atom(P)**2 * Expr.atom(RHO) + Expr.atom(EPS),
          pairs={U: Expr.atom(RHO) * Expr.atom(EPS) + Expr.atom(RHO),
                 P: ONE / Expr.atom(RHO)})
+@example(e=Expr.atom(RHO) * Expr.atom(EPS) + Expr.atom(RHO) + Expr.atom(EPS)
+         + Expr.atom(U) * Expr.atom(P),
+         pairs={U: Expr.atom(RHO) / (Expr.atom(RHO) + Expr.atom(EPS))})
+@example(e=Expr.atom(U) * Expr.atom(P) + Expr.atom(RHO),
+         pairs={U: Expr.atom(RHO) / (Expr.atom(RHO) + Expr.atom(EPS)),
+                P: Expr.atom(EPS) / (Expr.atom(RHO) + Expr.atom(EPS))})
 @settings(max_examples=300, deadline=None)
 def test_substitute_is_the_per_term_fold(e, pairs):
     _check_against_fold(e, pairs)

@@ -16,8 +16,8 @@ A table keeps, in its :class:`Memo`, each substitution it makes
 (:func:`subst_known`, :meth:`KnownPartials.rewrite`) under the expression
 and the frozen pairs, and each slot derivative it takes under the
 expression and the argument.  Both are pure, and a table serves one
-declaration of arguments, so a kept result is the one a new call would
-make.
+declaration of arguments, so a kept result equals in value what a new
+call would make (see :class:`Memo` for its term order).
 
 Dividing out the nonzero factors (:func:`normalize_constraint`,
 :func:`strip_certified`) skips every factor holding an atom the
@@ -327,7 +327,15 @@ class Memo:
     on up, and a new result goes into this layer.  A child layer shares
     what its parents hold and takes its own entries with it when it is
     dropped.  Nothing iterates over a memo, so the order of its entries,
-    which hash atoms by identity, reaches no output."""
+    which hash atoms by identity, reaches no output.
+
+    Keys compare by value: ``Expr`` equality ignores the order of terms
+    and does not tell an ``int`` from an equal integral ``Fraction``.  So
+    a kept result equals in value what a new call would make, and has
+    that call's term order and coefficient types only when the kept
+    arguments and the new ones agree in theirs.  ``tests/test_cases.py`` checks that
+    the case trees of the bundled small models print the same with a memo
+    as with none."""
 
     __slots__ = ("_layer", "_parent")
 

@@ -30,15 +30,15 @@ pair — becomes a branching question.
 A reduction keeps its solved, derived and zeroed partials in one
 :class:`~entropik.algebra.KnownPartials` table and does each piece of
 work once: its state caches each live constraint's linear scan (each
-first-power function atom with its coefficient) and a coefficient's
-residue (stripped of certified factors) once asked for; a refresh
-substitutes only into constraints it did not output last time or that
-hold a function zeroed or solved since, and renormalizes only what that
-changed.  That is exact since the nonzero list is fixed once the state is
-made: a refreshed constraint has nothing to substitute until one of its
-functions is touched, and a normal form stays one.  Under one-term
-certified factors a coefficient of two or more terms keeps them all, so
-it is blocked without dividing.
+first-power function atom with its coefficient) and keeps a
+coefficient's residue (stripped of certified factors) in its memo once
+asked for; a refresh substitutes only into constraints it did not output
+last time or that hold a function zeroed or solved since, and
+renormalizes only what that changed.  That is exact since the nonzero
+list is fixed once the state is made: a refreshed constraint has nothing
+to substitute until one of its functions is touched, and a normal form
+stays one.  Under one-term certified factors a coefficient of two or
+more terms keeps them all, so it is blocked without dividing.
 
 A case tree does each piece of algebra once along a path.  Each reduced
 state has its own layer of an :class:`~entropik.algebra.Memo` over its
@@ -46,10 +46,12 @@ parent node's layer, and keeps there the results of the reducer's pure
 steps under their arguments: the table's substitutions and slot
 derivatives, and each normal form and residue under the state's nonzero
 tuple.  A child reads what its ancestors computed, and a finished
-subtree's layers go with its states.  A kept result is the one a new call
-would make: the steps are pure, every state of a tree declares the same
-arguments, and a normal form is keyed by the nonzero tuple it was taken
-under.  :func:`apply_assumptions` reduces under a one-layer memo.
+subtree's layers go with its states.  A kept result equals in value
+what a new call would make: the steps are pure, every state of a tree
+declares the same arguments, and a normal form is keyed by the nonzero
+tuple it was taken under.  Its term order and coefficient types are
+those of the call that made it (:class:`~entropik.algebra.Memo`).
+:func:`apply_assumptions` reduces under a one-layer memo.
 
 The reduction only solves.  What a tree node forks on is read from the
 cached scans once, at the node's fixed point, where they are exactly
@@ -191,7 +193,6 @@ class _State:
         self.clean: set[Expr] = set()   # what the last refresh output
         self.touched: set[str] = set()  # functions zeroed or solved since
         self.scans: dict[Expr, list[tuple[Atom, Expr]]] = {}
-        self.residues: dict[Expr, Expr] = {}
         self.composite_factors = False  # a certified factor of two or more terms
 
     def cap_error(self, what: str) -> ReductionCapExceeded:
@@ -253,13 +254,9 @@ class _State:
 
     def residue(self, coeff: Expr) -> Expr:
         """``coeff`` with its certified factors divided out."""
-        r = self.residues.get(coeff)
-        if r is None:
-            key = ("r", coeff, self.nonzero)
-            r = self.residues[coeff] = self.memo.call(
-                key, strip_certified, coeff, self.nonzero
-            )
-        return r
+        return self.memo.call(
+            ("r", coeff, self.nonzero), strip_certified, coeff, self.nonzero
+        )
 
     def divides(self, coeff: Expr) -> bool:
         """Is ``coeff`` a product of certified factors and no bare rational?
@@ -315,9 +312,8 @@ def _refresh(st: _State) -> bool:
     changed = changed or len(out) != len(st.constraints)
     st.constraints = list(out)
     st.clean = set(out)
-    for c in st.scans.keys() - out:  # a dropped scan's residues go with it
-        for _u, k in st.scans.pop(c):
-            st.residues.pop(k, None)
+    for c in st.scans.keys() - out:
+        del st.scans[c]
     st.touched.clear()
     for nz in st.nonzero:
         if st.subst_known(nz).is_zero():

@@ -314,22 +314,16 @@ def expr_sum(terms: Sequence[Expr]) -> Expr:
         return terms[0] if terms else ZERO
     if all(len(t.den) == 1 for t in terms):
         return _monomial_sum([next(iter(t.den)) for t in terms], (t.num for t in terms))
-    if not _shares([t.den for t in terms]):
+    den = next(t.den for t in terms if len(t.den) > 1)
+    if poly_content(den) or not all(
+        t.den is den or t.den == den or t.den == _ONE_POLY for t in terms
+    ):
         return reduce(add, terms)
     return _shared_sum((t.num, t.den if len(t.den) > 1 else None) for t in terms)
 
 
-def _shares(dens: Sequence[Poly]) -> bool:
-    """Is each of ``dens`` 1 or one polynomial ``D`` with no monomial
-    content?  At least one must be ``D``."""
-    den = next(d for d in dens if len(d) > 1)
-    return not poly_content(den) and all(
-        d is den or d == den or d == _ONE_POLY for d in dens
-    )
-
-
 def _shared_sum(terms: Iterable[tuple[Poly, Optional[Poly]]]) -> Expr:
-    """The fold of nonzero ``num / den`` over ``terms``, each ``den`` None
+    """The fold of ``num / den`` over ``terms``, each ``den`` None
     for 1 or one polynomial ``D`` with no monomial content, made on one
     running numerator.
 
@@ -482,21 +476,8 @@ def eval_poly(p: Poly, pairs: Mapping[Atom, Expr]) -> Expr:
             if key[0] in pairs and key not in powers:
                 powers[key] = pairs[key[0]] ** key[1]
     if any(len(pw.den) != 1 for pw in powers.values()):
-        terms = [
-            ({tuple(ae for ae in m if ae not in powers): qdiv(c, 1)},
-             [powers[k] for k in m if k in powers])
-            for m, c in p.items()
-        ]
-        if _shares([pw.den for pw in powers.values()]) and all(
-            sum(len(f.den) > 1 for f in fs) < 2 for _kept, fs in terms
-        ):
-            return _shared_sum(
-                (reduce(p_mul, (f.num for f in fs), kept),
-                 next((f.den for f in fs if len(f.den) > 1), None))
-                for kept, fs in terms
-                if all(f.num for f in fs)  # a zero factor adds nothing
-            )
-        return expr_sum([reduce(mul, fs, Expr.poly(kept)) for kept, fs in terms])
+        return expr_sum([reduce(mul, (powers[k] for k in m if k in powers), Expr.poly(
+            {tuple(ae for ae in m if ae not in powers): qdiv(c, 1)})) for m, c in p.items()])
     contents = {k: poly_content(pw.num) for k, pw in powers.items() if pw.num}
     terms = []
     for m, c in p.items():

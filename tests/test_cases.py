@@ -309,12 +309,13 @@ def test_root_reduction_remembers_partials_with_no_base(monkeypatch):
 
 
 def test_reduction_caches_only_live_scans():
-    # a refresh drops the scan of each constraint it did not keep, and
-    # the residues taken from that scan with it
+    # a refresh drops the scan of each constraint it did not keep; a
+    # residue is kept in the state's memo, so a second request reuses it
     st = cases._make_state(solution_run("granular2d").system, ())
     cases._reduce(st)
-    assert st.residues and set(st.scans) <= set(st.constraints)
-    assert set(st.residues) <= {k for scan in st.scans.values() for _u, k in scan}
+    assert st.scans and set(st.scans) <= set(st.constraints)
+    coeff = next(k for scan in st.scans.values() for _u, k in scan)
+    assert st.residue(coeff) is st.residue(coeff)
 
 
 def test_round_cap_fails_loudly(monkeypatch):
@@ -488,19 +489,29 @@ def _printed(rs, rc):
     )
 
 
-@pytest.mark.parametrize("name,forced", [("nonsimple2d", False), ("fluid2d", True)])
-def test_a_node_reduced_on_its_own_is_the_node_of_the_tree(name, forced):
-    # a node reads the memo layers of its ancestors; reduced alone, under
-    # a memo of its own, it prints the same system
+@pytest.mark.parametrize("name,forced", [
+    ("gas1d", False), ("fluid2d", False), ("fluid2d", True),
+    ("nonsimple2d", False), ("nonsimple2d", True),
+])
+def test_a_node_reduced_on_its_own_is_the_node_of_the_tree(name, forced, monkeypatch):
+    # a node reads the memo layers of its ancestors, and a memo hit is found
+    # by value, blind to term order and int against integral Fraction; each
+    # node prints the same system as its path reduced alone under a memo of
+    # its own, and as the same tree built with no memo at all
     cs = solution_run(name).system
     cs = force_residual(cs) if forced else cs
     rc = load_model(name).render_ctx()
-    tree = build_tree(cs, depth=3)
-    nodes = list(tree.root.walk())
+
+    def printed_nodes():
+        tree = build_tree(cs, depth=3)
+        return [(n.assumptions, _printed(n.system, rc)) for n in tree.root.walk()]
+
+    nodes = printed_nodes()
     assert len(nodes) > 1
-    for node in nodes:
-        alone = apply_assumptions(cs, node.assumptions)
-        assert _printed(alone, rc) == _printed(node.system, rc)
+    for path, system in nodes:
+        assert _printed(apply_assumptions(cs, path), rc) == system
+    monkeypatch.setattr(algebra.Memo, "call", lambda self, key, f, *args: f(*args))
+    assert printed_nodes() == nodes
 
 
 @pytest.mark.parametrize("name", ["fluid2d", "nonsimple2d"])

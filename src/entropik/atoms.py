@@ -23,6 +23,9 @@ first looks its arguments up as the interned key, when they can be one (a
 multi-index given as a tuple), and normalizes and validates them only on a
 miss; nearly every call is a hit.  An invalid multi-index is never
 interned, so it always misses and raises.
+
+An atom's label comes from :func:`entropik.render.atom_str`; ``str()`` of
+an atom is that label with no model context (``rho[1,0]``, ``d2q/da0.da0``).
 """
 
 from __future__ import annotations
@@ -81,7 +84,12 @@ class Atom:
     __slots__ = ("key",)
     _interned: dict[tuple, "Atom"] = {}
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __str__(self) -> str:
+        from .render import atom_str
+
+        return atom_str(self)
+
+    def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"
 
     # Total order over all atoms, by structural key.
@@ -111,9 +119,6 @@ class IndepVar(Atom):
             (0, name), name=name
         )
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class JetVar(Atom):
     __slots__ = ("field", "orders")
@@ -133,14 +138,6 @@ class JetVar(Atom):
         """Subscript string like ``tx`` for orders (1,1) over (t, x)."""
         return "".join(n * k for n, k in zip(indep_names, self.orders))
 
-    def __str__(self) -> str:
-        if not any(self.orders):
-            return self.field
-        # Without the model's independent-variable names, fall back to
-        # positional subscripts; renderers pass real names via suffix().
-        sub = ",".join(str(o) for o in self.orders)
-        return f"{self.field}[{sub}]"
-
 
 class ConstitSym(Atom):
     __slots__ = ("name",)
@@ -149,9 +146,6 @@ class ConstitSym(Atom):
         return _INTERNED.get((2, name)) or cls._intern(  # type: ignore[return-value]
             (2, name), name=name
         )
-
-    def __str__(self) -> str:
-        return self.name
 
 
 class ConstitPartial(Atom):
@@ -179,11 +173,3 @@ class ConstitPartial(Atom):
     @property
     def order(self) -> int:
         return sum(self.slots)
-
-    def __str__(self) -> str:
-        order = self.order
-        head = f"d{self.name}" if order == 1 else f"d{order}{self.name}"
-        parts = []
-        for j, k in enumerate(self.slots):
-            parts.extend([f"a{j}"] * k)
-        return head + "/" + ".".join("d" + p for p in parts)

@@ -42,7 +42,9 @@ from .errors import (
 )
 from .expr import Expr, PointEvaluator
 from .model import ModelDef
-from .parser import CompileEnv, ParseFailure, compile_node, model_env, parse_expr_text
+from .parser import (
+    CompileEnv, ParseFailure, UnknownName, compile_node, model_env, parse_expr_text,
+)
 from .render import expr_str
 from .solve import SolvedSystem
 from .split import ConstraintSystem, entropy_on_solutions
@@ -93,18 +95,15 @@ class CheckReport:
 def _compile(node, env: CompileEnv) -> Expr:
     try:
         return compile_node(node, env)
+    except UnknownName as err:
+        if err.what == "function" and err.name in _TRANSCENDENTAL:
+            raise NonRationalBinding(
+                f"'{err.name}' is outside the rational fragment; bind the "
+                f"partial derivatives you need instead of the function"
+            ) from err
+        raise UnboundSymbol(str(err)) from err
     except ParseFailure as err:
-        msg = str(err)
-        if "unknown function" in msg:
-            name = msg.split("'")[1] if "'" in msg else ""
-            if name in _TRANSCENDENTAL:
-                raise NonRationalBinding(
-                    f"'{name}' is outside the rational fragment; bind the "
-                    f"partial derivatives you need instead of the function"
-                ) from err
-        if "unknown identifier" in msg or "unknown function" in msg:
-            raise UnboundSymbol(msg) from err
-        raise ModelError(msg) from err
+        raise ModelError(str(err)) from err
 
 
 def parse_bindings(

@@ -16,13 +16,8 @@ no monomial content shared and a monic monomial denominator, ``N/M`` and
 ``N'/M'`` can only be equal when ``M == M'`` and ``N == N'``.  So a sum of
 terms whose denominators are all monomials has one form whatever the
 order of its terms, and :func:`expr_sum` adds such terms in one pass over
-their least common denominator.  A sum whose terms are each over 1 or over
-one polynomial ``D`` with no monomial content is also added in one pass:
-no content is shared with ``D`` and ``D`` is monic, so each step of the
-fold is canonical as it stands, and the pass makes the same steps in
-place, to the fold's term order and coefficient types.  Any other sum it
-folds with ``+`` in the given order, since the form then depends on that
-order.
+their least common denominator; any other sum it folds with ``+`` in the
+given order, since the form then depends on that order.
 One order serves every output: :func:`mono_key`, for printed terms and
 leading coefficients.  :func:`poly_divexact` divides by a one-term
 polynomial by stripping its monomial from each term, so the quotient
@@ -61,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._ratio import Q, qdiv
 from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_bump
@@ -305,49 +300,12 @@ def expr_sum(terms: Sequence[Expr]) -> Expr:
     fold's, down to the insertion order of its numerator: scaling every
     monomial of a running sum by one monomial keeps the keys distinct, so
     terms meet and cancel on the same keys in the same order.
-
-    When every denominator is 1 or one polynomial ``D`` with no monomial
-    content, :func:`_shared_sum` makes the fold's steps on one running
-    numerator.  Any other sum is folded with ``+``.
     """
     if len(terms) < 2:
         return terms[0] if terms else ZERO
-    if all(len(t.den) == 1 for t in terms):
-        return _monomial_sum([next(iter(t.den)) for t in terms], (t.num for t in terms))
-    den = next(t.den for t in terms if len(t.den) > 1)
-    if poly_content(den) or not all(
-        t.den is den or t.den == den or t.den == _ONE_POLY for t in terms
-    ):
+    if any(len(t.den) != 1 for t in terms):
         return reduce(add, terms)
-    return _shared_sum((t.num, t.den if len(t.den) > 1 else None) for t in terms)
-
-
-def _shared_sum(terms: Iterable[tuple[Poly, Optional[Poly]]]) -> Expr:
-    """The fold of ``num / den`` over ``terms``, each ``den`` None
-    for 1 or one polynomial ``D`` with no monomial content, made on one
-    running numerator.
-
-    ``D`` is monic and shares no content with any numerator, so each step
-    of the fold is canonical as it stands and is made in place: over the
-    same denominator it adds the numerators; from 1 to ``D`` it takes
-    ``p_mul(num, D)``, in ``p_mul``'s operand order, and adds the term's
-    numerator; from ``D`` to 1 it adds ``p_mul(term, D)``, made whole
-    first; a sum that cancels to zero is over 1 again.  The running ``D``
-    is the dict that switched to it, as in the fold, so the result's term
-    order and coefficient types are the fold's.
-    """
-    out: Poly = {}
-    den = None  # the running denominator, None for 1
-    for num, d in terms:
-        if d is None:
-            p_addmul(out, num if den is None else p_mul(num, den), (), 1)
-        else:
-            if den is None:
-                out, den = p_mul(out, d), d
-            p_addmul(out, num, (), 1)
-        if not out:
-            den = None
-    return Expr.poly(out) if den is None else Expr(out, den, _canonical=True)
+    return _monomial_sum([next(iter(t.den)) for t in terms], (t.num for t in terms))
 
 
 def _monomial_sum(dens: Sequence[Monomial], nums: Iterable[Poly]) -> Expr:
@@ -466,9 +424,7 @@ def eval_poly(p: Poly, pairs: Mapping[Atom, Expr]) -> Expr:
     the monomial shared above and below (a product's monomial content is
     its factors' contents multiplied), so canonical, and all are summed as
     by :func:`expr_sum`; otherwise each product is canonicalized and the
-    products go to :func:`expr_sum`, which adds them in one pass when each
-    is over 1 or over one polynomial with no monomial content (a value
-    over a power of one such polynomial, substituted linearly).
+    products are folded.
     """
     powers: dict[tuple[Atom, int], Expr] = {}
     for m in p:

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ._ratio import qdiv
 from .algebra import (
+    Memo,
     arg_derivative,
     certified_nonzero,
     forced_zero,
@@ -169,7 +170,7 @@ def _harvest(
     generic: set[Atom] = set()
     # Slot derivatives by (pool member, atom): a member outlives the round
     # that made it, and only the zeros applied to its derivative change.
-    derivs: dict[tuple[Expr, Atom], Expr] = {}
+    memo = Memo()
 
     while True:
         pool, _ = normal_set((_apply_zeros(p, zeros) for p in pieces), nonzero)
@@ -181,9 +182,7 @@ def _harvest(
         candidates: list[tuple[Atom, Atom]] = []
         for p in pool:
             for a in multiplier_dep:
-                d = derivs.get((p, a))
-                if d is None:
-                    d = derivs[p, a] = arg_derivative(p, a, args_of)
+                d = memo.call(("d", p, a), arg_derivative, p, a, args_of)
                 j = _apply_zeros(d, zeros)
                 if j.is_zero():
                     continue

@@ -12,10 +12,11 @@ retained for formatting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ge
 from typing import Optional
 
 from .ast_nodes import Node
-from .atoms import Atom, IndepVar, JetVar, mi_dominates
+from .atoms import Atom, IndepVar, JetVar, mi_dominates, mi_total
 from .errors import ModelError
 from .expr import DiffContext, Expr
 from .render import RenderContext, atom_str
@@ -92,16 +93,20 @@ class ModelDef:
             out.update(d.args)
         return out
 
+    def dominated_leading(self, a: Atom) -> Optional[JetVar]:
+        """The leading derivative of highest order that ``a`` is or
+        dominates, the first such on a tie; None if there is none."""
+        best = None
+        if isinstance(a, JetVar):
+            for ld in self.leading:
+                if ld.field == a.field and all(map(ge, a.orders, ld.orders)):
+                    if best is None or mi_total(ld.orders) > mi_total(best.orders):
+                        best = ld
+        return best
+
     def is_consequence(self, a: Atom) -> bool:
         """True iff ``a`` is a leading derivative or dominates one."""
-        if not isinstance(a, JetVar):
-            return False
-        for ld in self.leading:
-            if a.field == ld.field and (
-                a.orders == ld.orders or mi_dominates(a.orders, ld.orders)
-            ):
-                return True
-        return False
+        return self.dominated_leading(a) is not None
 
     # -- validation -------------------------------------------------------
 

@@ -52,6 +52,7 @@ __all__ = [
     "compile_node",
     "parse_expr_text",
     "ParseFailure",
+    "UnknownName",
 ]
 
 
@@ -90,6 +91,16 @@ class ParseFailure(Exception):
     def __init__(self, message: str, span: SourceSpan, hint: Optional[str] = None):
         super().__init__(message)
         self.diag = ParseDiagnostic("error", message, span, hint)
+
+
+class UnknownName(ParseFailure):
+    """A name the environment does not know: ``what`` is ``identifier``,
+    ``function`` or ``constitutive symbol`` and ``name`` is the name."""
+
+    def __init__(self, what: str, name: str, span: SourceSpan):
+        super().__init__(f"unknown {what} '{name}'", span)
+        self.what = what
+        self.name = name
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +393,11 @@ def compile_node(node: Node, env: CompileEnv) -> Expr:
             jv = env.resolve_jet_suffix(ident)
             if jv is not None:
                 return Expr.atom(jv)
-        raise ParseFailure(f"unknown identifier '{ident}'", node.span)
+        raise UnknownName("identifier", ident, node.span)
     if isinstance(node, PartialRef):
         decl = env.decls.get(node.sym)
         if decl is None:
-            raise ParseFailure(f"unknown constitutive symbol '{node.sym}'", node.span)
+            raise UnknownName("constitutive symbol", node.sym, node.span)
         labels = [atom_str(a, env.render_ctx) for a in decl.args]
         slots = [0] * decl.arity
         for arg in node.args:
@@ -424,7 +435,7 @@ def compile_node(node: Node, env: CompileEnv) -> Expr:
                         node.span,
                     )
             return Expr.atom(ConstitSym(node.func))
-        raise ParseFailure(f"unknown function '{node.func}'", node.span)
+        raise UnknownName("function", node.func, node.span)
     if isinstance(node, Neg):
         return -compile_node(node.operand, env)
     if isinstance(node, BinOp) and node.op == "^":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from ._ratio import Q
-from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar
+from .atoms import Atom, ConstitPartial, JetVar
 from .expr import mono_key
 
 __all__ = ["RenderContext", "atom_str", "expr_str", "poly_str", "signed_sum"]
@@ -42,14 +42,14 @@ class RenderContext:
 
 
 def atom_str(a: Atom, ctx: Optional[RenderContext] = None) -> str:
-    if isinstance(a, (IndepVar, ConstitSym)):
-        return a.name
+    """The label of ``a``; without a context, jet subscripts and argument
+    slots are positional (``rho[1,0]``, ``d2q/da0.da0``)."""
     if isinstance(a, JetVar):
         if not any(a.orders):
             return a.field
         if ctx is not None and len(ctx.indep_names) == len(a.orders):
             return a.field + "_" + a.suffix(ctx.indep_names)
-        return str(a)
+        return f"{a.field}[{','.join(map(str, a.orders))}]"
     if isinstance(a, ConstitPartial):
         order = a.order
         head = f"d{a.name}" if order == 1 else f"d{order}{a.name}"
@@ -61,7 +61,7 @@ def atom_str(a: Atom, ctx: Optional[RenderContext] = None) -> str:
             label = names[j] if names and j < len(names) else f"a{j}"
             parts.extend([f"d{label}"] * k)
         return head + "/" + ".".join(parts)
-    return str(a)
+    return a.name  # an independent variable or a constitutive symbol
 
 
 def _mono_str(m, ctx, labels: dict) -> str:

@@ -16,7 +16,6 @@ for the new key (coefficient one, no new pivots).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .algebra import pivot_factors, settle
 from .atoms import JetVar, mi_total
@@ -174,16 +173,6 @@ def close_consequences(m: ModelDef, s: SolvedSystem) -> SolvedSystem:
     for step in log:
         source[step.key] = step.source
 
-    def dominated_leading(a: JetVar) -> Optional[JetVar]:
-        best = None
-        for ld in m.leading:
-            if ld.field == a.field and all(
-                x >= y for x, y in zip(a.orders, ld.orders)
-            ):
-                if best is None or mi_total(ld.orders) > mi_total(best.orders):
-                    best = ld
-        return best
-
     def ensure(a: JetVar) -> None:
         if a in pairs:
             return
@@ -192,7 +181,7 @@ def close_consequences(m: ModelDef, s: SolvedSystem) -> SolvedSystem:
                 f"consequence closure needs derivative order {mi_total(a.orders)} "
                 f"(> max_order {m.max_order})"
             )
-        ld = dominated_leading(a)
+        ld = m.dominated_leading(a)
         if ld is None:
             raise SingularConsequence(f"no leading derivative dominates {a}")
         # Step back one direction towards the dominated leading derivative.

@@ -275,6 +275,27 @@ def test_root_reduction_divides_only_where_it_can_succeed(monkeypatch):
     assert len(divisions) <= 1750
 
 
+def test_root_reduction_refreshes_only_what_changed(monkeypatch):
+    # a refresh substitutes into a constraint only when one of its
+    # functions was zeroed or solved since, and renormalizes it only when
+    # the substitution changed it; without either skip the output is the
+    # same, so only these counts tell
+    cs = solution_run("granular2d").system
+    counts = Counter()
+
+    def counting(name, f):
+        def step(*args):
+            counts[name] += 1
+            return f(*args)
+        monkeypatch.setattr(cases, name, step)
+
+    counting("subst_known", cases.subst_known)
+    counting("normalize_constraint", cases.normalize_constraint)
+    apply_assumptions(cs, ())
+    assert counts["subst_known"] <= 490
+    assert counts["normalize_constraint"] <= 375
+
+
 def test_a_tree_substitutes_each_value_once_along_a_path(monkeypatch):
     # a child reads its ancestors' substitutions from their memo layers;
     # reducing every node from the root took 253 calls

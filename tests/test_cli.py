@@ -396,6 +396,19 @@ def test_check_unbound_symbol_code(runner, tmp_path):
     assert "error[E050]" in r.output
 
 
+@pytest.mark.parametrize(
+    "line", ["bind dfoo/drho = 1\n", "bind p = dfoo/drho\n"], ids=["target", "value"]
+)
+def test_check_unknown_partial_symbol_code(runner, tmp_path, line):
+    # a partial of an undeclared function is an unknown name, as a bare one is
+    bad = tmp_path / "bad.bind"
+    bad.write_text(line)
+    r = runner.invoke(main, ["check", model("gas1d"), str(bad)])
+    assert r.exit_code == 2
+    assert "error[E050]" in r.output
+    assert "unknown constitutive symbol 'foo'" in r.output
+
+
 def test_check_transcendental_code(runner, tmp_path):
     bad = tmp_path / "bad.bind"
     bad.write_text("bind eta = log(eps)\n")

@@ -162,6 +162,18 @@ def test_an_invalid_atom_raises_after_its_valid_one_is_interned():
             make(*bad)
 
 
+@pytest.mark.parametrize("atom, text", [
+    (IndepVar("t"), "t"), (JetVar("rho", (1, 0)), "rho[1,0]"),
+    (JetVar("rho", (0, 0)), "rho"), (ConstitSym("p"), "p"),
+    (ConstitPartial("q", (2, 0)), "d2q/da0.da0"),
+])
+def test_an_atom_prints_its_context_free_label(atom, text):
+    # str() of an atom is the renderer's label with no model context:
+    # positional jet subscripts and argument slots
+    assert str(atom) == text
+    assert repr(atom) == f"<{type(atom).__name__} {text}>"
+
+
 def _first_seen_atoms(e):
     seen = []
     for p in (e.num, e.den):
@@ -591,43 +603,6 @@ def test_mono_key_is_not_a_monomial_order():
     rho, u = ((RHO, 1),), ((U, 1),)
     assert mono_key(rho) < mono_key(u)
     assert mono_key(backend.mono_mul(rho, rho)) > mono_key(backend.mono_mul(rho, u))
-
-
-# terms over 1 or over one polynomial D: coefficients of every type, a
-# denominator-1 prefix that can outgrow D (so the switch to D multiplies in
-# p_mul's swapped operand order), the running sum cancelled to zero at a
-# drawn point, and a D with monomial content, which only the fold may add
-# (in the second example the sum's numerator takes on that content)
-typed_coeffs = st.one_of(
-    coeffs,  # ints and proper Fractions
-    st.builds(Q, st.integers(-6, 6).filter(bool)),  # integral Fractions
-)
-typed_polys = st.dictionaries(monomials, typed_coeffs, min_size=1, max_size=4)
-shared_dens = st.builds(
-    lambda p, c: (ONE / Expr.poly({**p, (): c})).den, polys, coeffs
-).filter(lambda d: len(d) > 1)
-
-
-@given(shared_dens, st.lists(typed_polys, max_size=3),
-       st.lists(st.tuples(typed_polys, st.booleans()), min_size=1, max_size=5),
-       st.integers(0, 8), st.booleans())
-@example(d={((RHO, 1),): 1, (): 1}, prefix=[{((U, 1),): 1, ((EPS, 1),): Q(2), ((P, 1),): Q(1, 2)}],
-         rest=[({((U, 1),): 1}, True)], cut=0, content=False)
-@example(d={((U, 1),): 1, (): 1}, prefix=[],
-         rest=[({((RHO, 1), (U, 1)): 1, (): 1}, True),
-               ({((EPS, 1), (RHO, 1)): 1, (): -1}, True)], cut=0, content=True)
-@settings(max_examples=400, deadline=None)
-def test_expr_sum_over_one_shared_denominator_is_the_fold(d, prefix, rest, cut, content):
-    if content:
-        d = (ONE / Expr.poly(backend.p_mul(d, {((RHO, 1),): 1}))).den
-    terms = [Expr.poly(p) for p in prefix]
-    terms += [Expr(p, d) if over else Expr.poly(p) for p, over in rest]
-    cut = min(cut, len(terms))
-    terms.insert(cut, -reduce(add, terms[:cut], ZERO))
-    want, got = reduce(add, terms), expr_sum(terms)
-    assert got == want
-    assert _typed(got.num) == _typed(want.num)
-    assert _typed(got.den) == _typed(want.den)
 
 
 # -- substitution against a chain of products (property-based) ------------

@@ -12,6 +12,11 @@ table per function of its known and zero partials
 :func:`settle` for a map substituted into itself, and :class:`Memo`, the
 kept results of pure steps.
 
+An unknown function's atoms are :class:`~entropik.atoms.Constit`, and the
+symbol is its own partial of order zero, ``slots == ()``: a zero, a base
+to derive from and a slot derivative read the symbol and its partials by
+one rule (:func:`~entropik.atoms.mi_dominates`).
+
 A table keeps, in its :class:`Memo`, each substitution it makes
 (:func:`subst_known`, :meth:`KnownPartials.rewrite`) under the expression
 and the frozen pairs, and each slot derivative it takes under the
@@ -45,8 +50,8 @@ from typing import Collection, Iterable, Mapping, MutableMapping, Optional, Sequ
 from ._ratio import qdiv
 from .atoms import (
     Atom,
+    Constit,
     ConstitPartial,
-    ConstitSym,
     mi_bump,
     mi_dominates,
     mi_total,
@@ -265,7 +270,7 @@ def single_monomial(e: Expr) -> Optional[Monomial]:
 def constit_atoms(e: Expr) -> list[Atom]:
     """The unknown-function atoms of ``e``, in atom order."""
     return sorted(
-        (a for a in e.atoms() if isinstance(a, (ConstitSym, ConstitPartial))),
+        (a for a in e.atoms() if isinstance(a, Constit)),
         key=lambda a: a.key,
     )
 
@@ -290,12 +295,12 @@ def arg_derivative(
         if x is a:
             bumps.append((x, None))
             continue
-        if not isinstance(x, (ConstitSym, ConstitPartial)):
+        if not isinstance(x, Constit):
             continue
         args = args_of.get(x.name)
         if args is None or a not in args:
             continue
-        slots = x.slots if isinstance(x, ConstitPartial) else (0,) * len(args)
+        slots = x.slots or (0,) * len(args)
         bumps.append((x, ConstitPartial(x.name, mi_bump(slots, args.index(a)))))
     if not e.is_polynomial():
         return expr_sum([
@@ -316,7 +321,7 @@ def forced_zero(c: Expr, nonzero: Iterable[Expr]) -> Optional[Atom]:
     mono = single_monomial(c)
     if mono is None:
         return None
-    fns = [a for a, _k in mono if isinstance(a, (ConstitSym, ConstitPartial))]
+    fns = [a for a, _k in mono if isinstance(a, Constit)]
     uncert = [a for a in fns if not certified_nonzero(Expr.atom(a), nonzero)]
     return uncert[0] if len(uncert) == 1 else None
 
@@ -405,15 +410,13 @@ class KnownPartials:
         (:func:`_best_base`), else None.  A partial with no base is
         remembered until its function gets a :meth:`put`: a value derived
         since is no base for it."""
-        if not isinstance(x, (ConstitSym, ConstitPartial)) or x.name not in self._fns:
+        if not isinstance(x, Constit) or x.name not in self._fns:
             return None
         bases, zeros, misses = self._fns[x.name]
-        if x in zeros or isinstance(x, ConstitPartial) and any(
-            isinstance(z, ConstitSym) or mi_dominates(x.slots, z.slots) for z in zeros
-        ):
+        if x in zeros or any(mi_dominates(x.slots, z.slots) for z in zeros):
             return ZERO
         v = self.values.get(x)
-        if v is not None or not isinstance(x, ConstitPartial) or not bases or x in misses:
+        if v is not None or not x.slots or not bases or x in misses:
             return v
         args = self.args_of.get(x.name)
         base = None if args is None else _best_base(x, bases)
@@ -421,7 +424,7 @@ class KnownPartials:
             misses.add(x)
             return None
         v = self.values[base]
-        have = base.slots if isinstance(base, ConstitPartial) else (0,) * len(args)
+        have = base.slots or (0,) * len(args)
         for j, a in enumerate(args):
             for _ in range(x.slots[j] - have[j]):
                 v = self.memo.call(("d", v, a), arg_derivative, v, a, self.args_of)
@@ -435,18 +438,16 @@ class KnownPartials:
         function with only zeros last."""
         out: dict[str, dict[ConstitPartial, Expr]] = {}
         for k, v in chain(self.values.items(), ((z, ZERO) for z in self.zeros())):
-            if isinstance(k, ConstitPartial) and mi_total(k.slots) == 1:
+            if mi_total(k.slots) == 1:
                 out.setdefault(k.name, {})[k] = v
         return out
 
 
 def _best_base(x: ConstitPartial, bases: Sequence[Atom]) -> Optional[Atom]:
     """The highest-order entry of ``bases`` that ``x`` dominates, the
-    first of equal orders; the symbol counts as order zero."""
-    fits = (
-        b for b in bases if isinstance(b, ConstitSym) or mi_dominates(x.slots, b.slots)
-    )
-    return max(fits, key=lambda b: mi_total(getattr(b, "slots", ())), default=None)
+    first of equal orders."""
+    fits = (b for b in bases if mi_dominates(x.slots, b.slots))
+    return max(fits, key=lambda b: mi_total(b.slots), default=None)
 
 
 def subst_known(e: Expr, known: KnownPartials, passes: int) -> Optional[Expr]:

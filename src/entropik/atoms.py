@@ -6,10 +6,11 @@ An :class:`Atom` is an indivisible symbol of the expression algebra:
 * :class:`JetVar` -- a field derivative identified by field name and a
   multi-index of derivative orders, one entry per independent variable
   (the zero multi-index is the field itself);
-* :class:`ConstitSym` -- an undetermined constitutive function, treated as
-  an opaque symbol;
-* :class:`ConstitPartial` -- a partial derivative of a constitutive
-  function, identified by per-argument-slot differentiation counts.
+* :class:`Constit` -- an atom of an undetermined constitutive function:
+  :class:`ConstitPartial`, a partial derivative identified by
+  per-argument-slot differentiation counts ``slots``, or
+  :class:`ConstitSym`, the function as an opaque symbol, which is its own
+  partial of order zero: ``slots == ()``, dominated by every partial.
 
 Atoms are interned: structurally equal atoms are the *same* object, so
 identity comparison and the default hash are valid.  A global total order
@@ -36,6 +37,7 @@ __all__ = [
     "Atom",
     "IndepVar",
     "JetVar",
+    "Constit",
     "ConstitSym",
     "ConstitPartial",
     "mi_bump",
@@ -63,15 +65,15 @@ def mi_total(a: tuple[int, ...]) -> int:
 
 
 def mi_dominates(beta: tuple[int, ...], alpha: tuple[int, ...]) -> bool:
-    """True iff beta >= alpha componentwise and beta != alpha.
+    """True iff beta >= alpha componentwise and beta != alpha; every
+    nonempty beta dominates the empty alpha, a function's own slots.
 
     When alpha identifies a leading derivative of a field, the dominated
     beta identifies one of its differential consequences.
     """
-    return (
-        len(beta) == len(alpha)
-        and beta != alpha
-        and all(b >= a for b, a in zip(beta, alpha))
+    return beta != alpha and (
+        not alpha
+        or len(beta) == len(alpha) and all(b >= a for b, a in zip(beta, alpha))
     )
 
 
@@ -139,8 +141,16 @@ class JetVar(Atom):
         return "".join(n * k for n, k in zip(indep_names, self.orders))
 
 
-class ConstitSym(Atom):
+class Constit(Atom):
+    """An atom of the unknown function ``name``: its partial with ``slots``
+    derivatives per declared argument, ``()`` for the symbol itself."""
+
     __slots__ = ("name",)
+
+
+class ConstitSym(Constit):
+    __slots__ = ()
+    slots: tuple[int, ...] = ()
 
     def __new__(cls, name: str) -> "ConstitSym":
         return _INTERNED.get((2, name)) or cls._intern(  # type: ignore[return-value]
@@ -148,7 +158,7 @@ class ConstitSym(Atom):
         )
 
 
-class ConstitPartial(Atom):
+class ConstitPartial(Constit):
     """d^k(name) with slot-wise differentiation counts.
 
     ``slots`` has one entry per declared argument of the constitutive
@@ -157,7 +167,7 @@ class ConstitPartial(Atom):
     evaluate to.
     """
 
-    __slots__ = ("name", "slots")
+    __slots__ = ("slots",)
 
     def __new__(cls, name: str, slots: Iterable[int]) -> "ConstitPartial":
         if type(slots) is tuple:  # the key itself, when it is interned

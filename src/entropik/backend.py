@@ -12,7 +12,7 @@ The format's term rule lives here once.  :func:`p_addmul` is the one step
 that adds terms into a polynomial: a term meets its monomial's entry, a
 zero sum deletes it, and a new monomial goes last, which fixes the term
 order; :func:`p_mul` and every caller that accumulates terms go through
-it, and only :func:`p_add` and :func:`p_diff` keep their own loops.
+it, and only :func:`p_add` keeps its own loop.
 
 ``BACKEND`` names the kernel in benchmark stamps; there is only this one.
 """
@@ -122,7 +122,9 @@ def p_pow(p, n):
 
 
 def p_diff(p, atom):
-    """Formal partial derivative in a single atom."""
+    """Formal partial derivative in a single atom.  Lowering the atom's
+    exponent by one maps distinct monomials to distinct ones, and
+    ``c * e`` is never zero, so each term is new and nothing merges."""
     out = {}
     for m, c in p.items():
         for idx, (a, e) in enumerate(m):
@@ -131,15 +133,6 @@ def p_diff(p, atom):
                     nm = m[:idx] + m[idx + 1 :]
                 else:
                     nm = m[:idx] + ((a, e - 1),) + m[idx + 1 :]
-                nc = c * e
-                s = out.get(nm)
-                if s is None:
-                    out[nm] = nc
-                else:
-                    s = s + nc
-                    if s:
-                        out[nm] = s
-                    else:
-                        del out[nm]
+                out[nm] = c * e
                 break
     return out

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 from ._ratio import Q
 from .algebra import KnownPartials, subst_known
-from .atoms import Atom, ConstitPartial, ConstitSym
+from .atoms import Atom, Constit, ConstitSym
 from .errors import (
     ModelError,
     NonRationalBinding,
@@ -155,7 +155,7 @@ def parse_bindings(
             atoms = list(target.atoms())
             if (
                 len(atoms) != 1
-                or not isinstance(atoms[0], (ConstitSym, ConstitPartial))
+                or not isinstance(atoms[0], Constit)
                 or target != Expr.atom(atoms[0])
             ):
                 raise ModelError(

@@ -79,7 +79,7 @@ from .algebra import (
     strip_certified,
     subst_known,
 )
-from .atoms import Atom, ConstitPartial, ConstitSym, mi_dominates
+from .atoms import Atom, Constit, ConstitPartial, mi_dominates
 from .errors import ReductionCapExceeded
 from .expr import Expr, ZERO, collect_coefficients
 from .render import RenderContext, expr_str
@@ -139,8 +139,11 @@ class ReducedSystem:
     inconsistent: Optional[str] = None
 
     def same_content(self, other: "ReducedSystem") -> bool:
+        """Do two open systems hold the same constraints, zeros and values?
+        A closed one is like no other, so it never makes a fork vacuous."""
         return (
-            frozenset(self.constraints) == frozenset(other.constraints)
+            not self.inconsistent and not other.inconsistent
+            and frozenset(self.constraints) == frozenset(other.constraints)
             and frozenset(self.zeroed) == frozenset(other.zeroed)
             and dict(self.solved) == dict(other.solved)
         )
@@ -237,7 +240,7 @@ class _State:
                 for i, (a, e) in enumerate(m):
                     if e > 1:
                         higher.add(a)
-                    elif isinstance(a, (ConstitSym, ConstitPartial)):
+                    elif isinstance(a, Constit):
                         linear.setdefault(a, {})[m[:i] + m[i + 1:]] = k
             out = []
             for u in sorted(linear.keys() - higher, key=lambda a: a.key):
@@ -272,19 +275,14 @@ class _State:
 def _circular(u: Atom, value: Expr) -> bool:
     """Would assigning ``value`` to ``u`` feed back into itself?  The
     same function may appear through an incomparable partial (that is
-    ordinary triangular coupling), but not through ``u`` itself, a
-    partial dominating it, or — for a whole-symbol assignment — any
-    partial at all."""
-    for a in value.atoms():
-        if not isinstance(a, (ConstitSym, ConstitPartial)) or a.name != u.name:
-            continue
-        if isinstance(u, ConstitSym):
-            return True
-        if isinstance(a, ConstitSym):
-            return True
-        if a is u or mi_dominates(a.slots, u.slots):
-            return True
-    return False
+    ordinary triangular coupling), but not through ``u`` itself, the
+    symbol, or a partial dominating ``u``; every partial dominates the
+    symbol."""
+    return any(
+        isinstance(a, Constit) and a.name == u.name
+        and (a is u or not a.slots or mi_dominates(a.slots, u.slots))
+        for a in value.atoms()
+    )
 
 
 def _refresh(st: _State) -> bool:
@@ -324,9 +322,8 @@ def _refresh(st: _State) -> bool:
 
 def _holds(c: Expr, names: set[str]) -> bool:
     """Does ``c`` hold an atom of one of the named functions?"""
-    fns = (ConstitSym, ConstitPartial)
     return bool(names) and any(
-        isinstance(a, fns) and a.name in names for a in c.atoms()
+        isinstance(a, Constit) and a.name in names for a in c.atoms()
     )
 
 
@@ -344,16 +341,12 @@ def _zero_rule(st: _State) -> bool:
 
 
 def _blocked_candidate(residue: Expr) -> Optional[Expr]:
+    """The pool member a non-rational residue names: its normal form, or
+    for one term its first function factor."""
     if len(residue.num) > 1:
-        n, _ = normalize_constraint(residue, ())
-        return n
-    mono = single_monomial(residue)
-    if mono is None:
-        return None
-    for a, _k in mono:
-        if isinstance(a, (ConstitSym, ConstitPartial)):
-            return Expr.atom(a)
-    return None
+        return normalize_constraint(residue, ())[0]
+    mono, = residue.num
+    return next((Expr.atom(a) for a, _k in mono if isinstance(a, Constit)), None)
 
 
 def _eliminate(st: _State) -> bool:
@@ -602,12 +595,10 @@ def _relevant_static(w: Expr, st: _State) -> bool:
     v = st.subst_known(w)
     if v.is_zero() or certified_nonzero(v, st.nonzero):
         return False
-    names = {a.name for a in w.atoms() if isinstance(a, (ConstitSym, ConstitPartial))}
+    names = {a.name for a in w.atoms() if isinstance(a, Constit)}
     present: set[str] = set()
     for c in st.constraints:
-        present.update(
-            a.name for a in c.atoms() if isinstance(a, (ConstitSym, ConstitPartial))
-        )
+        present.update(a.name for a in c.atoms() if isinstance(a, Constit))
     return names <= present
 
 
@@ -623,7 +614,7 @@ def build_tree(
     forks on the first pool member its divisions are blocked on
     (:func:`_order_blocked`), then on the first still-relevant composite
     member, tested only when reached.  A fork whose two children reduce
-    to the same system is skipped as vacuous.  The root
+    to the same open system is skipped as vacuous.  The root
     is reduced before the pool is ranked; when it closes, no fork
     consults the pool and the tree reports an empty one.  A child reduces
     under a memo layer of its own over its parent's."""

@@ -59,7 +59,7 @@ from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from ._ratio import Q, qdiv
-from .atoms import Atom, ConstitPartial, ConstitSym, IndepVar, JetVar, mi_bump
+from .atoms import Atom, Constit, ConstitPartial, IndepVar, JetVar, mi_bump
 from .backend import mono_mul, p_add, p_addmul, p_diff, p_mul, p_neg, p_pow, p_sub
 from .errors import (
     DenominatorVanishes,
@@ -378,10 +378,10 @@ def _expand(a: Atom, iv_index: int, ctx: DiffContext) -> Expr:
         return ONE if a is ctx.indep[iv_index] else ZERO
     if isinstance(a, JetVar):
         return Expr.atom(JetVar(a.field, mi_bump(a.orders, iv_index)))
-    if not isinstance(a, (ConstitSym, ConstitPartial)):
+    if not isinstance(a, Constit):
         raise TypeError(f"unknown atom kind: {a!r}")
     args = ctx.arg_atoms(a.name)
-    slots = a.slots if isinstance(a, ConstitPartial) else (0,) * len(args)
+    slots = a.slots or (0,) * len(args)
     terms = []
     for j, arg in enumerate(args):
         d_arg = atom_total_derivative(arg, iv_index, ctx)

@@ -34,7 +34,7 @@ from .algebra import (
     single_monomial,
     try_divexact,
 )
-from .atoms import Atom, ConstitPartial, ConstitSym, JetVar, mi_total
+from .atoms import Atom, Constit, ConstitPartial, ConstitSym, JetVar, mi_total
 from .backend import p_addmul
 from .errors import NonlinearExtendedInequality
 from .expr import (
@@ -116,7 +116,7 @@ def _apply_zeros(e: Expr, zeros: Iterable[Atom]) -> Expr:
     zeros = set(zeros)
     if not zeros:
         return e
-    names = {a.name for a in zeros if isinstance(a, ConstitSym)}
+    names = {a.name for a in zeros if not a.slots}
     sub = {a: ZERO for a in zeros}
     for x in e.atoms():
         if isinstance(x, ConstitPartial) and x.name in names:
@@ -208,7 +208,7 @@ def _harvest(
                         forced = True
                 elif (
                     len(rest) == 1
-                    and isinstance(rest[0], (ConstitSym, ConstitPartial))
+                    and isinstance(rest[0], Constit)
                     and not _is_multiplier_name(rest[0].name)
                     and rest[0] not in zeros
                 ):

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from ._ratio import Q, qdiv
 from .algebra import Cancellation, nonzero_factors, normal_set
-from .atoms import Atom, ConstitPartial, ConstitSym, mi_unit
+from .atoms import Atom, Constit, ConstitPartial, mi_unit
 from .errors import DenominatorVanishes, EngineError, NotPolynomialInFreeElements
 from .expr import (
     ONE,
@@ -42,7 +42,6 @@ __all__ = [
     "symmetrization_constraints",
 ]
 
-_UNKNOWN = (ConstitSym, ConstitPartial)  # atoms of the unknown functions
 # Oracle draws are never 0: a 0 would empty coefficient rows of the repair.
 _NUMERATORS = (*range(-9, 0), *range(1, 10))
 # every value a draw can give, keyed by its (numerator, denominator) draw
@@ -102,7 +101,7 @@ def split(m: ModelDef, e: Expr) -> ConstraintSystem:
     functions, nor leading derivatives or their consequences, nor declared
     dependencies."""
     deps = m.dependency_atoms()
-    free_set = {a for a in (*m.indep, *e.atoms()) if not isinstance(a, _UNKNOWN)
+    free_set = {a for a in (*m.indep, *e.atoms()) if not isinstance(a, Constit)
                 and not m.is_consequence(a) and a not in deps}
     free = sorted(free_set, key=lambda a: a.key)
 
@@ -178,7 +177,7 @@ def _repair_layers(cs: ConstraintSystem) -> list[tuple[list[Expr], set[Atom]]]:
     names = [name for name, _ in cs.args_of]
     coupled: dict[str, set[str]] = {f: set() for f in names}
     for fs in {
-        frozenset(a.name for a, _ in mono if isinstance(a, _UNKNOWN))
+        frozenset(a.name for a, _ in mono if isinstance(a, Constit))
         for con in cs.constraints
         for mono in con.num
     }:
@@ -193,13 +192,13 @@ def _repair_layers(cs: ConstraintSystem) -> list[tuple[list[Expr], set[Atom]]]:
     layer_of.update(dict.fromkeys(rest, len(layer_of)))
     for con in cs.constraints:
         i = max((layer_of.get(a.name, 0) for a in con.atoms()
-                 if isinstance(a, _UNKNOWN)), default=0)
+                 if isinstance(a, Constit)), default=0)
         out[i][0].append(con)
     for i, (cons, xs) in enumerate(out):
         nonlinear: set[Atom] = set()
         for mono in (mono for con in cons for mono in con.num):
             mine = [(a, k) for a, k in mono
-                    if isinstance(a, _UNKNOWN) and layer_of.get(a.name) == i]
+                    if isinstance(a, Constit) and layer_of.get(a.name) == i]
             xs.update(a for a, _ in mine)
             if len(mine) > 1 or any(k > 1 for _, k in mine):
                 nonlinear.update(a for a, _ in mine)

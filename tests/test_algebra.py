@@ -282,7 +282,7 @@ def _arg_derivative_by_atoms(e, a, args_of):
         args = args_of.get(getattr(x, "name", None))
         if not isinstance(x, (ConstitSym, ConstitPartial)) or not args or a not in args:
             continue
-        slots = list(getattr(x, "slots", (0,) * len(args)))
+        slots = list(x.slots or (0,) * len(args))  # () is the zero multi-index
         slots[args.index(a)] += 1
         terms.append(partial_diff(e, x) * Expr.atom(ConstitPartial(x.name, slots)))
     return expr_sum(terms)

@@ -1,5 +1,6 @@
 """Case analysis: branching on undetermined coefficient factors."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -152,6 +153,36 @@ def test_depth_cap_marks_open():
         # the pending pivot comes from the pool; the node did not fork
         assert n.status == "open" and not n.children
         assert n.capped in tree.pivots
+
+
+def test_a_closed_system_never_has_the_content_of_another():
+    # a fork with a closed child is not vacuous: it shows that the pivot
+    # must vanish, or that both ways close
+    rs = apply_assumptions(solution_run("gas1d").system, ())
+    closed = dataclasses.replace(rs, inconsistent="closed")
+    assert rs.same_content(rs)
+    assert not rs.same_content(closed)
+    assert not closed.same_content(rs)
+    assert not closed.same_content(closed)
+
+
+def test_a_vacuous_fork_passes_to_the_next_candidate(monkeypatch):
+    # at depth 1 only the root forks; when its first fork changes nothing,
+    # it tries its next candidate and forks there
+    cs = solution_run("gas1d").system
+    tried = []
+    real_nonzero, real_same = Assumption.nonzero, cases.ReducedSystem.same_content
+    monkeypatch.setattr(Assumption, "nonzero",
+                        staticmethod(lambda e: tried.append(e) or real_nonzero(e)))
+    first = build_tree(cs, depth=1).root
+    assert tried == [first.pivot]
+    monkeypatch.setattr(cases.ReducedSystem, "same_content",
+                        lambda a, b: len(tried) == 1 or real_same(a, b))
+    tried.clear()
+    second = build_tree(cs, depth=1).root
+    assert len(tried) == 2 and tried[0] == first.pivot
+    assert second.pivot == tried[1] != first.pivot
+    assert [c.assumptions[-1].expr for c in second.children] == [tried[1]] * 2
 
 
 # -- pivot discovery ------------------------------------------------------

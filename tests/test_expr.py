@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 import entropik
 from entropik import backend
 from entropik._ratio import qdiv
-from entropik.atoms import ConstitPartial, ConstitSym, IndepVar, JetVar
+from entropik.atoms import (
+    Constit,
+    ConstitPartial,
+    ConstitSym,
+    IndepVar,
+    JetVar,
+    mi_dominates,
+)
 from entropik.errors import (
     DenominatorVanishes,
     DivisionByZeroExpr,
@@ -160,6 +167,19 @@ def test_an_invalid_atom_raises_after_its_valid_one_is_interned():
                       (ConstitPartial, ("p", (-1, 1)))):
         with pytest.raises(ValueError):
             make(*bad)
+
+
+def test_a_symbol_is_its_own_zero_order_partial():
+    assert ConstitSym("p").slots == ()
+    assert isinstance(ConstitSym("p"), Constit)
+    assert isinstance(ConstitPartial("p", (1, 0)), Constit)
+    assert not mi_dominates((), ())
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple))
+def test_every_partial_dominates_its_function(beta):
+    assert mi_dominates(beta, ())
+    assert not mi_dominates((), beta)
 
 
 @pytest.mark.parametrize("atom, text", [

@@ -190,6 +190,24 @@ def test_compare_accepts_by_each_implication_route():
     assert rep.verdict == "incomparable"
 
 
+def test_eliminate_multipliers_skips_nonlinear_and_entangled_pivots():
+    # Lam_a occurs squared in the first identity; in the second each
+    # multiplier's coefficient is the other, unsolved multiplier, even
+    # though both are assumed nonzero.  Nothing is solved.
+    lam_a, lam_b = ConstitSym("Lam_a"), ConstitSym("Lam_b")
+    a, b = Expr.atom(lam_a), Expr.atom(lam_b)
+    f, g = (Expr.atom(ConstitSym(n)) for n in "fg")
+    lr = LiuResult(
+        multipliers=(lam_a, lam_b),
+        multiplier_dep=(),
+        identities=(a * a + f, a * b + g),
+        residual=ZERO,
+        split_atoms=(),
+        table=(),
+    )
+    assert eliminate_multipliers(lr, (a, b)) == ({}, (), (lam_a, lam_b))
+
+
 def test_harvest_takes_each_slot_derivative_once(granular, monkeypatch):
     # every fixed-point round meets the same pool members again
     calls = []
